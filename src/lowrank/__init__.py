@@ -1,8 +1,9 @@
 """Post-training low-rank compression of dense weight matrices.
 
 Factorizes weight matrices by truncated SVD, compensates the truncation error
-with alternating pseudoinverse refits against calibration activations, and
-allocates per-layer retention ratios from input/output similarity scores.
+with alternating pseudoinverse refits against the Gram matrix of calibration
+activations, and allocates per-layer retention ratios from input/output
+similarity scores.
 """
 
 from .allocation import (
@@ -13,13 +14,7 @@ from .allocation import (
     layer_importance,
     normalize_importance,
 )
-from .calibration import (
-    BucketedCalib,
-    CalibrationBatch,
-    capture_activations,
-    gram_accumulate,
-    stack_of_batch,
-)
+from .calibration import BucketedCalib, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate, plain_truncation_loss, svd_loss, update_u, update_v
 from .errors import (
     BudgetError,
@@ -57,6 +52,8 @@ from .model import (
 from .pipeline import (
     EvalReport,
     PipelineConfig,
+    calibrate,
+    calibrate_and_plan,
     compress_model,
     eval_compression,
     split_calibration,

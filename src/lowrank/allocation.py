@@ -16,10 +16,10 @@ undershoot); the recorded per-block ratios are not touched by this step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .calibration import CalibrationBatch
 from .errors import BudgetError, DegenerateImportance, ShapeError
 from .linalg import rank_for_retention
 from .model import BLOCK_SLOTS, ModelHandle, slot_name
@@ -147,23 +147,26 @@ def assign_ratios(i_n, trr: float, mrr: float, param_counts) -> list[float]:
 
 
 def build_plan(
-    calib: CalibrationBatch,
+    importances: Mapping[int, float],
     model: ModelHandle,
     trr: float,
     mrr: float,
     importance_mode: str = "cos",
     budget_tol: float = BUDGET_TOL,
 ) -> CompressionPlan:
-    """Importance scores, retention ratios, and integer ranks for every slot."""
+    """Retention ratios and integer ranks for every slot.
+
+    ``importances`` maps each block id to its raw ``layer_importance`` score.
+    """
     _check_budget_bounds(trr, mrr)
     if importance_mode not in IMPORTANCE_MODES:
         raise ShapeError(f"unknown importance mode {importance_mode!r}")
     blocks = model.manifest.blocks
     for b in blocks:
-        if b.block_id not in calib.per_block_io:
-            raise ShapeError(f"calibration lacks activations for block {b.block_id}")
+        if b.block_id not in importances:
+            raise ShapeError(f"no importance score for block {b.block_id}")
 
-    raw = [layer_importance(*calib.per_block_io[b.block_id]) for b in blocks]
+    raw = [float(importances[b.block_id]) for b in blocks]
     if importance_mode == "one_minus_cos":
         raw = [1.0 - v for v in raw]
     normalized = normalize_importance(raw)

@@ -1,4 +1,4 @@
-"""Calibration capture: sample bucketing, activation recording, Gram accumulation."""
+"""Calibration products: sample bucketing and Gram accumulation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .container import save_container
 from .errors import NumericalError, ShapeError
-from .model import ModelHandle, block_forward, slot_name
 
 
 @dataclass
@@ -27,19 +26,6 @@ class BucketedCalib:
     mini_bsz: int
     source_count: int
     counts: list[int] = field(default_factory=list)
-
-
-@dataclass
-class CalibrationBatch:
-    """Recorded activations of the original model over all buckets.
-
-    per_matrix_inputs maps full slot names to the matrix of direct inputs of
-    that slot (in_dim x total_tokens); per_block_io maps block ids to the
-    (input, output) hidden-state pair around the whole residual block.
-    """
-
-    per_matrix_inputs: dict[str, np.ndarray]
-    per_block_io: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 def stack_of_batch(samples: Sequence[np.ndarray] | np.ndarray, m_buckets: int, seed: int) -> BucketedCalib:
@@ -79,39 +65,6 @@ def stack_of_batch(samples: Sequence[np.ndarray] | np.ndarray, m_buckets: int, s
     return BucketedCalib(buckets=buckets, mini_bsz=mini_bsz, source_count=n, counts=counts)
 
 
-def capture_activations(model: ModelHandle, calib) -> CalibrationBatch:
-    """Run the original model forward over all buckets and record activations.
-
-    Accepts a BucketedCalib or any sequence of (tokens x d) sample arrays.
-    Columns of every recorded matrix are all tokens across buckets, in bucket
-    order. Raises NumericalError naming the block if the forward produces
-    non-finite values.
-    """
-    buckets = getattr(calib, "buckets", calib)
-    d = model.hidden_dim
-    cols = []
-    for sample in buckets:
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim != 2 or sample.shape[1] != d:
-            raise ShapeError(f"bucket shape {sample.shape} does not match hidden_dim {d}")
-        cols.append(sample.T)
-    # Every block op is per-column, so one pass over the concatenated token
-    # columns (bucket order preserved) equals a bucket-by-bucket forward.
-    x = np.concatenate(cols, axis=1)
-
-    per_matrix: dict[str, np.ndarray] = {}
-    per_block: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for block in model.manifest.blocks:
-        x_norm, hidden, y = block_forward(model, block.block_id, x)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"non-finite activations in block {block.block_id}")
-        per_matrix[slot_name(block.block_id, "w1")] = x_norm
-        per_matrix[slot_name(block.block_id, "w2")] = hidden
-        per_block[block.block_id] = (x, y)
-        x = y
-    return CalibrationBatch(per_matrix_inputs=per_matrix, per_block_io=per_block)
-
-
 def gram_accumulate(x: np.ndarray) -> np.ndarray:
     """Second-moment matrix X @ X.T of an (n x T) activation matrix, symmetrized."""
     x = np.asarray(x, dtype=np.float64)
@@ -121,23 +74,23 @@ def gram_accumulate(x: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def dump_activations(batch: CalibrationBatch, model: ModelHandle, path: str | Path) -> None:
-    """Debug dump of captured activations as a tensor container."""
+def dump_activations(grams: dict[str, np.ndarray], importances: dict[int, float], path: str | Path) -> None:
+    """Debug dump of a calibration product as a tensor container.
+
+    Writes ``block.<id>.importance`` (shape (1,)) per block and
+    ``slot.<slot name>.gram`` per slot.
+    """
     tensors: dict[str, np.ndarray] = {}
-    for bid, (x_in, x_out) in sorted(batch.per_block_io.items()):
-        tensors[f"block.{bid}.in"] = x_in
-        tensors[f"block.{bid}.out"] = x_out
-    for b, s in model.slot_ids():
-        name = slot_name(b, s)
-        tensors[f"slot.{name}.x"] = batch.per_matrix_inputs[name]
+    for bid, importance in sorted(importances.items()):
+        tensors[f"block.{bid}.importance"] = np.array([importance])
+    for name, g in grams.items():
+        tensors[f"slot.{name}.gram"] = g
     save_container(path, tensors)
 
 
 __all__ = [
     "BucketedCalib",
-    "CalibrationBatch",
     "stack_of_batch",
-    "capture_activations",
     "gram_accumulate",
     "dump_activations",
 ]

@@ -9,18 +9,18 @@ converted to a retention ratio at the boundary.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .allocation import IMPORTANCE_MODES, build_plan
-from .calibration import capture_activations, dump_activations, stack_of_batch
+from .allocation import IMPORTANCE_MODES
 from .errors import LowrankError, NumericalError
-from .model import gen_synthetic, load_calibration, load_model, save_calibration, save_model
+from .model import gen_synthetic, load_model, save_calibration, save_model
 from .pipeline import (
     PipelineConfig,
+    calibrate_and_plan,
     compress_model,
     eval_compression,
-    split_calibration,
     write_json,
     write_traces_csv,
 )
@@ -79,9 +79,9 @@ def build_parser() -> _Parser:
     _add_retention_flags(p, require=True)
     p.add_argument("--iters", type=int, default=1, help="alternating compensation iterations")
     p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--rel-tol", type=float, default=None, help="pseudoinverse zero threshold")
+    p.add_argument("--rel-tol", type=float, default=None, help="relative pseudoinverse cutoff (see README)")
     p.add_argument("--rel-damping", type=float, default=1e-5, help="whitening Gram damping")
-    p.add_argument("--dump-activations", default=None, help="debug: write captured activations here")
+    p.add_argument("--dump-activations", default=None, help="debug: write slot Grams and block importances here")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_compress)
 
@@ -125,16 +125,12 @@ def _cmd_compress(args) -> int:
         rel_damping=args.rel_damping,
     )
     model = load_model(args.model, _container_path(args.model))
-    compressed, plan, traces = compress_model(model, args.calib, cfg)
+    compressed, plan, traces = compress_model(model, args.calib, cfg, dump_path=args.dump_activations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(compressed, out / "model.json", out / "model.st")
     write_json(plan.to_json(), out / "plan.json")
     write_traces_csv(traces, out / "traces.csv")
-    if args.dump_activations:
-        samples, _ = split_calibration(load_calibration(args.calib))
-        bucketed = stack_of_batch(list(samples), cfg.bucket_size, cfg.seed)
-        dump_activations(capture_activations(model, bucketed), model, args.dump_activations)
     print(f"wrote {out / 'model.json'}, {out / 'model.st'}, {out / 'plan.json'}, {out / 'traces.csv'}")
     print(f"achieved retention {plan.achieved_retention:.4f} (target {cfg.trr})")
     return 0
@@ -149,15 +145,9 @@ def _cmd_importance(args) -> int:
         importance_mode=args.importance_mode,
         seed=args.seed,
     )
-    cfg.validate()
     model = load_model(args.model, _container_path(args.model))
-    fit_samples, _ = split_calibration(load_calibration(args.calib))
-    bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
-    batch = capture_activations(model, bucketed)
-    plan = build_plan(batch, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
-    import json as _json
-
-    print(_json.dumps(plan.to_json(), indent=2))
+    _, _, plan = calibrate_and_plan(model, args.calib, cfg)
+    print(json.dumps(plan.to_json(), indent=2))
     return 0
 
 
@@ -169,9 +159,7 @@ def _cmd_eval(args) -> int:
         write_json(report.to_json(), args.out)
         print(f"wrote {args.out}")
     else:
-        import json as _json
-
-        print(_json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     return 0
 
 

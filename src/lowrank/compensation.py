@@ -1,14 +1,15 @@
 """Truncation-error compensation: alternating pseudoinverse refits of the two factors.
 
-The objective is the data-space compression loss
+The objective is the data-space compression loss over activations X (n x T)
 
-    loss(U, Vt) = || U @ Vt @ X - W @ X ||_F^2
+    loss(U, Vt) = || (U @ Vt - W) @ X ||_F^2 = tr(E @ G @ E.T),   E = U @ Vt - W,
 
-The U-update solves the least-squares problem min_U ||A @ U.T - B||_F^2 with
-A = X.T @ Vt.T and B = (W @ X).T through the Moore-Penrose pseudoinverse, which
-is its global optimum for fixed Vt. The Vt-update pinv(U) @ W equals the exact
-minimizer (U.T U)^-1 U.T W whenever X @ X.T is nonsingular (the Gram factor
-cancels), and stays the applied rule otherwise.
+which sees the activations only through their Gram matrix G = X @ X.T, so
+every function here takes G. The U-update is the least-squares optimum for
+fixed Vt, U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same minimum-norm
+solution as pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
+pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
+nonsingular (G cancels), and stays the applied rule otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import RankError, ShapeError
 from .linalg import LowRankPair, SvdFactors, Whitener, pinv, svd_full, truncate_absorb
@@ -33,37 +35,49 @@ class LossTrace:
         return min([self.initial, *self.per_half_step])
 
 
-def svd_loss(pair: LowRankPair, w: np.ndarray, x: np.ndarray) -> float:
-    """Squared Frobenius norm of (U @ Vt - W) @ X."""
+def svd_loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
+    """tr(E @ G @ E.T) with E = U @ Vt - W: the squared norm of (U @ Vt - W) @ X."""
     m, n = w.shape
     if pair.u_sigma.shape[0] != m or pair.vt_sigma.shape[1] != n:
         raise ShapeError(f"factor pair {pair.shape} does not match matrix {w.shape}")
-    if x.shape[0] != n:
-        raise ShapeError(f"activations have {x.shape[0]} rows, matrix has {n} columns")
-    return _loss_against(pair, x, w @ x)
+    _check_gram(g, n)
+    return _loss(pair, w, g)
 
 
-def _loss_against(pair: LowRankPair, x: np.ndarray, wx: np.ndarray) -> float:
-    residual = pair.u_sigma @ (pair.vt_sigma @ x) - wx
-    return float(np.sum(residual * residual))
+def _check_gram(g: np.ndarray, n: int) -> None:
+    if g.shape != (n, n):
+        raise ShapeError(f"Gram matrix has shape {g.shape}, matrix has {n} columns")
+
+
+def _loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
+    e = pair.product() - w
+    return float(np.sum((e @ g) * e))
 
 
 def update_u(
     pair: LowRankPair,
     w: np.ndarray,
-    x: np.ndarray,
+    g: np.ndarray,
     rel_tol: float | None = None,
-    wx: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
-    ``wx`` lets callers that already hold W @ X skip recomputing it.
+    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T. K's singular values
+    are the squares of those of the token-space design matrix X.T @ Vt.T, so
+    ``rel_tol`` r is applied to K as r^2 and cuts the same directions. The cut
+    never drops below the rounding error of forming K, max(n, k) * eps *
+    ||Vt||_F * ||Vt @ G||_F: directions under it are noise, which a singular G
+    would otherwise invert.
     """
-    if x.shape[1] < 1:
-        raise ShapeError("need at least one activation column")
-    a = x.T @ pair.vt_sigma.T               # T x k
-    b = (w @ x if wx is None else wx).T     # T x m
-    return (pinv(a, rel_tol) @ b).T         # m x k
+    vt = pair.vt_sigma
+    k, n = vt.shape
+    _check_gram(g, n)
+    vg = vt @ g                                            # k x n
+    noise = max(n, k) * np.finfo(np.float64).eps * np.linalg.norm(vt) * np.linalg.norm(vg)
+    # r^2 underflows to 0 for a tiny r; the noise floor then decides alone.
+    k_tol = rel_tol**2 if rel_tol is not None and rel_tol**2 > 0 else None
+    k_inv = pinv(vg @ vt.T, k_tol, atol=noise)
+    return (w @ vg.T) @ k_inv                              # m x k
 
 
 def update_v(pair: LowRankPair, w: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
@@ -73,7 +87,7 @@ def update_v(pair: LowRankPair, w: np.ndarray, rel_tol: float | None = None) -> 
 
 def compensate(
     w: np.ndarray,
-    x: np.ndarray,
+    g: np.ndarray,
     k: int,
     iters: int = 1,
     rel_tol: float | None = None,
@@ -81,33 +95,31 @@ def compensate(
 ) -> tuple[LowRankPair, LossTrace]:
     """Truncated-SVD initialization plus ``iters`` alternating refit rounds.
 
-    With a whitener, initialization truncates the SVD of W @ S and folds
-    S^-1 back into the right factor; the refit objective is always the raw
-    (unwhitened) data-space loss. Returns the pair from the half-step with the
-    lowest recorded loss, so extra iterations are never harmful.
+    ``g`` is the Gram matrix X @ X.T of the slot's input activations. With a
+    whitener, initialization truncates the SVD of W @ S and folds S^-1 back
+    into the right factor; the refit objective is always the raw (unwhitened)
+    data-space loss. Returns the pair from the half-step with the lowest
+    recorded loss, so extra iterations are never harmful.
     """
     w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
-    if x.shape[0] != w.shape[1]:
-        raise ShapeError(f"activations have {x.shape[0]} rows, matrix has {w.shape[1]} columns")
+    _check_gram(g, w.shape[1])
     pair = initialize_pair(w, k, whitener)
 
-    wx = w @ x
-    best_loss = _loss_against(pair, x, wx)
+    best_loss = _loss(pair, w, g)
     best_pair = pair
     trace = LossTrace(initial=best_loss, iterations=iters)
     for _ in range(iters):
-        u = update_u(pair, w, x, rel_tol, wx=wx)
-        pair = LowRankPair(u_sigma=u, vt_sigma=pair.vt_sigma, rank=k)
-        loss = _loss_against(pair, x, wx)
+        pair = LowRankPair(u_sigma=update_u(pair, w, g, rel_tol), vt_sigma=pair.vt_sigma, rank=k)
+        loss = _loss(pair, w, g)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
 
         pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w, rel_tol), rank=k)
-        loss = _loss_against(pair, x, wx)
+        loss = _loss(pair, w, g)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
@@ -120,9 +132,13 @@ def initialize_pair(w: np.ndarray, k: int, whitener: Whitener | None = None) -> 
         return truncate_absorb(svd_full(w), k)
     f: SvdFactors = svd_full(w @ whitener.s)
     pair = truncate_absorb(f, k)
-    return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=pair.vt_sigma @ whitener.s_inv, rank=k)
+    # Vt @ S^-1 is the solution Y of S.T @ Y.T = Vt.T; S is lower triangular.
+    vt = scipy.linalg.solve_triangular(
+        whitener.s, pair.vt_sigma.T, trans="T", lower=True, check_finite=False
+    ).T
+    return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=vt, rank=k)
 
 
-def plain_truncation_loss(w: np.ndarray, x: np.ndarray, k: int) -> float:
+def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:
     """Data-space loss of unwhitened, uncompensated rank-k truncation (baseline)."""
-    return svd_loss(truncate_absorb(svd_full(w), k), w, x)
+    return svd_loss(truncate_absorb(svd_full(w), k), w, g)

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, RankError
 
@@ -41,10 +40,9 @@ class LowRankPair:
 
 @dataclass(frozen=True)
 class Whitener:
-    """Cholesky factor of a damped Gram matrix, with its inverse: ``s @ s.T = g + damping*I``."""
+    """Cholesky factor of a damped Gram matrix: ``s @ s.T = g + damping*I``."""
 
     s: np.ndarray       # lower triangular, n x n
-    s_inv: np.ndarray   # n x n
     damping: float
 
 
@@ -76,11 +74,11 @@ def default_rel_tol(m: int, n: int) -> float:
     return max(m, n) * np.finfo(np.float64).eps
 
 
-def pinv(a: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+def pinv(a: np.ndarray, rel_tol: float | None = None, atol: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values ``sigma_i <= rel_tol * sigma_max`` are treated as exactly
-    zero; an all-zero matrix yields the zero n x m matrix.
+    Singular values ``sigma_i <= max(rel_tol * sigma_max, atol)`` are treated
+    as exactly zero; an all-zero matrix yields the zero n x m matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
@@ -90,7 +88,7 @@ def pinv(a: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
         raise NumericalError(f"rel_tol must be positive, got {rel_tol}")
     f = svd_full(a)
     sigma_max = f.sigma[0] if f.sigma.size else 0.0
-    cutoff = rel_tol * sigma_max
+    cutoff = max(rel_tol * sigma_max, atol)
     keep = f.sigma > cutoff
     inv_sigma = np.zeros_like(f.sigma)
     inv_sigma[keep] = 1.0 / f.sigma[keep]
@@ -111,22 +109,6 @@ def rank_for_retention(m: int, n: int, r: float) -> int:
     return max(1, min(k, min(m, n)))
 
 
-def gram_factor(g: np.ndarray) -> np.ndarray:
-    """Square factor y (n x n) of a PSD Gram matrix with ``y @ y.T = g``.
-
-    Any factor with the same Gram matrix is interchangeable with the original
-    activation matrix in least-squares refits and data-space losses (both
-    depend on the activations only through X @ X.T), so this shrinks a long
-    token matrix to n columns without changing results.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    try:
-        vals, vecs = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition of Gram matrix failed: {exc}") from exc
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def cholesky_damped(g: np.ndarray, rel_damping: float) -> Whitener:
     """Cholesky factor of ``g + lambda*I`` with ``lambda = rel_damping * mean(diag(g))``.
 
@@ -144,5 +126,4 @@ def cholesky_damped(g: np.ndarray, rel_damping: float) -> Whitener:
         s = np.linalg.cholesky(damped)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky failed at damping {damping:g}: {exc}") from exc
-    s_inv = scipy.linalg.solve_triangular(s, np.eye(g.shape[0]), lower=True, check_finite=False)
-    return Whitener(s=s, s_inv=s_inv, damping=damping)
+    return Whitener(s=s, damping=damping)

@@ -12,7 +12,6 @@ manifest (JSON) names them.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,20 +87,25 @@ class ModelManifest:
             raise FormatError(f"unknown activation {activation!r}")
         if hidden_dim < 1:
             raise FormatError(f"hidden_dim must be positive, got {hidden_dim}")
+        if not isinstance(blocks_doc, list):
+            raise FormatError(f"manifest 'blocks' must be a list, got {type(blocks_doc).__name__}")
         blocks = []
-        for entry in blocks_doc:
-            lowrank = {
-                slot: LowRankRef(u=ref["u"], vt=ref["vt"], rank=int(ref["rank"]))
-                for slot, ref in entry.get("lowrank", {}).items()
-            }
-            blocks.append(
-                BlockSpec(
-                    block_id=int(entry["block_id"]),
-                    kind=entry.get("kind", "residual_mlp"),
-                    matrices=dict(entry.get("matrices", {})),
-                    lowrank=lowrank,
+        for i, entry in enumerate(blocks_doc):
+            try:
+                lowrank = {
+                    slot: LowRankRef(u=ref["u"], vt=ref["vt"], rank=int(ref["rank"]))
+                    for slot, ref in entry.get("lowrank", {}).items()
+                }
+                blocks.append(
+                    BlockSpec(
+                        block_id=int(entry["block_id"]),
+                        kind=entry.get("kind", "residual_mlp"),
+                        matrices=dict(entry.get("matrices", {})),
+                        lowrank=lowrank,
+                    )
                 )
-            )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"manifest block {i} is malformed: {type(exc).__name__} {exc}") from exc
         return ModelManifest(version=version, hidden_dim=hidden_dim, activation=activation, blocks=blocks)
 
 
@@ -133,9 +137,6 @@ class ModelHandle:
             if b.block_id == block_id:
                 return b
         raise ManifestMismatch(f"no block {block_id} in manifest")
-
-    def is_lowrank(self, block_id: int, slot: str) -> bool:
-        return slot in self.block(block_id).lowrank
 
     def slot_pair(self, block_id: int, slot: str) -> LowRankPair | None:
         ref = self.block(block_id).lowrank.get(slot)
@@ -217,6 +218,11 @@ def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
 
 def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
     d = manifest.hidden_dim
+    if not manifest.blocks:
+        raise FormatError("manifest has no blocks")
+    ids = [block.block_id for block in manifest.blocks]
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"manifest repeats block ids: {sorted({i for i in ids if ids.count(i) > 1})}")
     for block in manifest.blocks:
         if block.kind != "residual_mlp":
             raise FormatError(f"block {block.block_id}: unknown kind {block.kind!r}")
@@ -403,11 +409,3 @@ def load_calibration(path: str | Path) -> np.ndarray:
         raise ShapeError(f"{path}: calibration tensor must be rank 3, got shape {samples.shape}")
     return samples
 
-
-def copy_handle(model: ModelHandle) -> ModelHandle:
-    """Deep copy (used when a caller wants a mutable scratch model)."""
-    return ModelHandle(
-        manifest=copy.deepcopy(model.manifest),
-        tensors={k: v.copy() for k, v in model.tensors.items()},
-        storage_dtypes=dict(model.storage_dtypes),
-    )

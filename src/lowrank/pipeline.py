@@ -1,9 +1,10 @@
 """End-to-end orchestration: calibrate, whiten, plan, compensate, evaluate.
 
-Slot compression order: bucket the calibration samples, capture activations of
-the original model once, build the retention plan, then refit every planned
-slot independently (optionally in parallel; merge order follows the manifest,
-so outputs are deterministic for a fixed seed).
+Slot compression order: bucket the calibration samples, walk the original
+model over them once (keeping one Gram matrix per slot and one importance
+score per block), build the retention plan, then refit every planned slot
+independently (optionally in parallel; merge order follows the manifest, so
+outputs are deterministic for a fixed seed).
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan
-from .calibration import capture_activations, gram_accumulate, stack_of_batch
+from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, layer_importance
+from .calibration import dump_activations, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
-from .linalg import LowRankPair, Whitener, cholesky_damped, gram_factor
+from .linalg import LowRankPair, Whitener, cholesky_damped
 from .model import (
     ModelHandle,
     as_compressed_handle,
+    block_forward,
     forward,
     load_calibration,
     slot_name,
@@ -79,40 +82,105 @@ def split_calibration(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return samples[:n_fit], samples[n_fit:]
 
 
-def compress_model(
-    model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig
-) -> tuple[ModelHandle, CompressionPlan, dict[str, LossTrace]]:
-    """Run the whole compression pipeline; deterministic for fixed inputs and seed."""
-    cfg.validate()
+def _load_samples(model: ModelHandle, calib_file: str | Path) -> np.ndarray:
     samples = load_calibration(calib_file)
     if samples.shape[2] != model.hidden_dim:
         raise ShapeError(
             f"calibration dim {samples.shape[2]} does not match model hidden_dim {model.hidden_dim}"
         )
-    fit_samples, _ = split_calibration(samples)
+    return samples
+
+
+def _walk_blocks(model: ModelHandle, samples: Sequence[np.ndarray], visit: Callable) -> np.ndarray:
+    """Run the model forward block by block over every token of ``samples``.
+
+    Calls ``visit(block_id, block input, {slot: slot input}, block output)``
+    per block, columns being all tokens in sample order, and returns the last
+    block's output. Only one block's token matrices are alive at a time.
+    Raises NumericalError naming the block if the forward produces non-finite
+    values.
+    """
+    d = model.hidden_dim
+    cols = []
+    for sample in samples:
+        sample = np.asarray(sample, dtype=np.float64)
+        if sample.ndim != 2 or sample.shape[1] != d:
+            raise ShapeError(f"sample shape {sample.shape} does not match hidden_dim {d}")
+        cols.append(sample.T)
+    # Every block op is per-column, so one pass over the concatenated token
+    # columns equals a sample-by-sample forward.
+    x = np.concatenate(cols, axis=1)
+    for block in model.manifest.blocks:
+        x_norm, hidden, y = block_forward(model, block.block_id, x)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError(f"non-finite activations in block {block.block_id}")
+        visit(block.block_id, x, {"w1": x_norm, "w2": hidden}, y)
+        del x_norm, hidden
+        x = y
+    return x
+
+
+def calibrate(model: ModelHandle, samples: Sequence[np.ndarray]) -> tuple[dict[str, np.ndarray], dict[int, float]]:
+    """One walk of the original model: the calibration product later stages read.
+
+    Returns the Gram matrix of every slot's input activations, keyed by full
+    slot name, and the raw ``layer_importance`` of every block, keyed by id.
+    """
+    grams: dict[str, np.ndarray] = {}
+    importances: dict[int, float] = {}
+
+    def visit(block_id, x_in, slot_inputs, y):
+        for slot, x in slot_inputs.items():
+            grams[slot_name(block_id, slot)] = gram_accumulate(x)
+        importances[block_id] = layer_importance(x_in, y)
+
+    _walk_blocks(model, samples, visit)
+    return grams, importances
+
+
+def calibrate_and_plan(
+    model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig
+) -> tuple[dict[str, np.ndarray], dict[int, float], CompressionPlan]:
+    """Shared prefix of compress and importance: load, split, bucket, calibrate, plan."""
+    cfg.validate()
+    fit_samples = split_calibration(_load_samples(model, calib_file))[0]
     if fit_samples.shape[0] < 1:
         raise ShapeError("no calibration samples left for fitting")
-
     bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
-    batch = capture_activations(model, bucketed)
-    plan = build_plan(batch, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
+    del fit_samples  # the buckets are copies; free the loaded samples before the walk
+    grams, importances = calibrate(model, bucketed.buckets)
+    plan = build_plan(importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
+    return grams, importances, plan
 
-    tasks = []  # (full slot name, weight, activations, rank)
+
+def compress_model(
+    model: ModelHandle,
+    calib_file: str | Path,
+    cfg: PipelineConfig,
+    dump_path: str | Path | None = None,
+) -> tuple[ModelHandle, CompressionPlan, dict[str, LossTrace]]:
+    """Run the whole compression pipeline; deterministic for fixed inputs and seed.
+
+    With ``dump_path``, the calibration product (slot Grams and block
+    importances) is also written there as a tensor container.
+    """
+    grams, importances, plan = calibrate_and_plan(model, calib_file, cfg)
+    if dump_path is not None:
+        dump_activations(grams, importances, dump_path)
+
+    tasks = []  # (full slot name, weight, rank)
     for block_id, slot in model.slot_ids():
         name = slot_name(block_id, slot)
         rank = plan.slot_ranks()[name]
-        if rank is None:
-            continue
-        tasks.append((name, model.slot_weight(block_id, slot), batch.per_matrix_inputs[name], rank))
+        if rank is not None:
+            tasks.append((name, model.slot_weight(block_id, slot), rank))
 
     def run(task):
-        name, w, x, rank = task
+        name, w, rank = task
         try:
-            gram = gram_accumulate(x)
+            gram = grams[name]
             whitener = _whitener_with_retry(gram, cfg.rel_damping) if cfg.whiten else None
-            # The refits and losses depend on x only through its Gram matrix,
-            # so hand compensate the compact n x n factor instead of all tokens.
-            return compensate(w, gram_factor(gram), rank, cfg.iterations, cfg.rel_tol, whitener)
+            return compensate(w, gram, rank, cfg.iterations, cfg.rel_tol, whitener)
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
@@ -124,7 +192,7 @@ def compress_model(
 
     factors: dict[str, LowRankPair] = {}
     traces: dict[str, LossTrace] = {}
-    for (name, _, _, _), (pair, trace) in zip(tasks, results):
+    for (name, _, _), (pair, trace) in zip(tasks, results):
         factors[name] = pair
         traces[name] = trace
     compressed = as_compressed_handle(model, plan, factors)
@@ -208,36 +276,23 @@ def _check_aligned(original: ModelHandle, compressed: ModelHandle) -> None:
 def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str | Path) -> EvalReport:
     """Per-slot and end-to-end error report over the held-out calibration tail."""
     _check_aligned(original, compressed)
-    samples = load_calibration(data)
-    if samples.shape[2] != original.hidden_dim:
-        raise ShapeError(
-            f"calibration dim {samples.shape[2]} does not match model hidden_dim {original.hidden_dim}"
-        )
+    samples = _load_samples(original, data)
     _, heldout = split_calibration(samples)
     if heldout.shape[0] < 1:
         heldout = samples  # too few samples for a split; evaluate on everything
 
-    batch = capture_activations(original, list(heldout))
     tiny = np.finfo(np.float64).tiny
     per_slot = []
-    for block_id, slot in original.slot_ids():
-        name = slot_name(block_id, slot)
-        w = original.slot_weight(block_id, slot)
-        x = batch.per_matrix_inputs[name]
-        wx = w @ x
-        pair = compressed.slot_pair(block_id, slot)
-        if pair is None:
-            w_hat = compressed.slot_weight(block_id, slot)
-            what_x = w_hat @ x
-        else:
-            w_hat = pair.product()
-            what_x = pair.u_sigma @ (pair.vt_sigma @ x)
-        frob = float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny))
-        data_err = float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny))
-        per_slot.append(SlotErrors(slot=name, frob_rel_err=frob, data_rel_err=data_err))
 
-    last_block = original.manifest.blocks[-1].block_id
-    out_orig = batch.per_block_io[last_block][1].T  # capture already ran the original
+    def visit(block_id, x_in, slot_inputs, y):
+        for slot, x in slot_inputs.items():
+            w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
+            wx, what_x = w @ x, compressed.apply_slot(block_id, slot, x)
+            frob = float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny))
+            data_err = float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny))
+            per_slot.append(SlotErrors(slot=slot_name(block_id, slot), frob_rel_err=frob, data_rel_err=data_err))
+
+    out_orig = _walk_blocks(original, heldout, visit).T
     stacked = heldout.reshape(-1, heldout.shape[2])  # block ops are per-token
     out_comp = forward(compressed, stacked)
     mse = float(np.mean((out_orig - out_comp) ** 2))

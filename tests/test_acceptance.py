@@ -91,18 +91,19 @@ def test_criterion_3_lse_optimality():
         for trial in range(20):
             w = rng.normal(size=(24, 16))
             x = rng.normal(size=(16, 64))
+            g = x @ x.T
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
-            u_star = update_u(pair, w, x)
+            u_star = update_u(pair, w, g)
 
             star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma, rank=k)
-            base = svd_loss(star, w, x)
+            base = svd_loss(star, w, g)
             scale = 1e-2 * max(1.0, np.linalg.norm(u_star))
             for _ in range(100):
                 delta = rng.normal(size=u_star.shape)
                 delta *= scale / np.linalg.norm(delta)
                 probe = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma, rank=k)
-                assert svd_loss(probe, w, x) >= base - 1e-12 * max(1.0, base)
+                assert svd_loss(probe, w, g) >= base - 1e-12 * max(1.0, base)
 
             v = pair.vt_sigma.T
             gram = v.T @ (x @ x.T) @ v
@@ -121,13 +122,14 @@ def test_criterion_4_compensation_monotone_and_dominant():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             w = rng.normal(size=(64, 64))
-            x = rng.normal(size=(64, 256))  # X X^T nonsingular
-            pair, trace = compensate(w, x, k=k, iters=1)
+            x = rng.normal(size=(64, 256))
+            g = x @ x.T  # nonsingular
+            pair, trace = compensate(w, g, k=k, iters=1)
             losses = [trace.initial, *trace.per_half_step]
             for prev, cur in zip(losses, losses[1:]):
                 assert cur <= prev + 1e-9 * trace.initial
-            plain = plain_truncation_loss(w, x, k)
-            final = svd_loss(pair, w, x)
+            plain = plain_truncation_loss(w, g, k)
+            final = svd_loss(pair, w, g)
             assert final <= plain * (1 + 1e-9)
             if final < plain:
                 wins += 1
@@ -234,7 +236,7 @@ def test_criterion_8_whitening_identity():
             sigma_ws = svd_full(w @ whitener.s).sigma
             for k in range(1, min(m, n) + 1):
                 pair = initialize_pair(w, k, whitener)
-                err = math.sqrt(svd_loss(pair, w, x))
+                err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)
 

@@ -9,9 +9,10 @@ from lowrank.allocation import (
     layer_importance,
     normalize_importance,
 )
-from lowrank.calibration import capture_activations, stack_of_batch
+from lowrank.calibration import stack_of_batch
 from lowrank.errors import BudgetError, DegenerateImportance, ShapeError
 from lowrank.model import gen_synthetic
+from lowrank.pipeline import calibrate
 
 
 class TestLayerImportance:
@@ -109,29 +110,29 @@ class TestAssignRatios:
             assign_ratios([1.0], trr=1.2, mrr=0.5, param_counts=[4])
 
 
-def captured_batch(model, calib, m_buckets=8, seed=0):
-    return capture_activations(model, stack_of_batch(list(calib), m_buckets, seed))
+def block_importances(model, calib, m_buckets=8, seed=0):
+    return calibrate(model, stack_of_batch(list(calib), m_buckets, seed).buckets)[1]
 
 
 class TestBuildPlan:
     def test_single_block_gets_target_ratio(self):
         model, calib = gen_synthetic(seed=0, blocks=1, d=64, h=128, n_samples=8, tokens=16)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.6, mrr=0.5)
+        plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
         assert plan.per_block[0].normalized == pytest.approx(1.0, abs=1e-12)
         assert plan.per_block[0].retention == pytest.approx(0.6, abs=1e-12)
 
     def test_identical_blocks_with_identical_activations_get_equal_ratios(self, rng):
         model, calib = gen_synthetic(seed=1, blocks=2, d=32, h=64, n_samples=8, tokens=16)
-        batch = captured_batch(model, calib)
-        # force both blocks to present the same recorded io pair
-        batch.per_block_io[1] = batch.per_block_io[0]
-        plan = build_plan(batch, model, trr=0.6, mrr=0.5)
+        importances = block_importances(model, calib)
+        # force both blocks to present the same importance score
+        importances[1] = importances[0]
+        plan = build_plan(importances, model, trr=0.6, mrr=0.5)
         assert plan.per_block[0].retention == pytest.approx(plan.per_block[1].retention, rel=1e-12)
         assert plan.per_block[0].retention == pytest.approx(0.6, abs=1e-12)
 
     def test_eight_block_budget_band(self):
         model, calib = gen_synthetic(seed=2, blocks=8, d=64, h=128, n_samples=32, tokens=32)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.6, mrr=0.5)
+        plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
         assert 0.594 <= plan.achieved_retention <= 0.606
         achieved = sum(
             (k * sum(model.slot_shape(b.block_id, s)) if (k := b.ranks[s]) is not None
@@ -142,12 +143,12 @@ class TestBuildPlan:
 
     def test_normalized_mean_is_one(self):
         model, calib = gen_synthetic(seed=3, blocks=5, d=32, h=64, n_samples=8, tokens=16)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.5, mrr=0.4)
+        plan = build_plan(block_importances(model, calib), model, trr=0.5, mrr=0.4)
         assert np.mean([b.normalized for b in plan.per_block]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ratios_within_bounds_and_monotone_in_importance(self):
         model, calib = gen_synthetic(seed=4, blocks=6, d=32, h=64, n_samples=16, tokens=16)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.6, mrr=0.45)
+        plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.45)
         for b in plan.per_block:
             assert 0.45 - 1e-12 <= b.retention <= 1.0 + 1e-12
         order = np.argsort([b.normalized for b in plan.per_block])
@@ -156,20 +157,20 @@ class TestBuildPlan:
 
     def test_degenerate_mrr_equals_trr_is_uniform(self):
         model, calib = gen_synthetic(seed=5, blocks=4, d=64, h=128, n_samples=16, tokens=16)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.6, mrr=0.6)
+        plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.6)
         for b in plan.per_block:
             assert b.retention == pytest.approx(0.6, abs=1e-15)
         assert 0.594 <= plan.achieved_retention <= 0.606
 
     def test_full_retention_keeps_slots_dense(self):
         model, calib = gen_synthetic(seed=6, blocks=2, d=16, h=32, n_samples=8, tokens=8)
-        plan = build_plan(captured_batch(model, calib), model, trr=1.0, mrr=1.0)
+        plan = build_plan(block_importances(model, calib), model, trr=1.0, mrr=1.0)
         assert all(rank is None for rank in plan.slot_ranks().values())
         assert plan.achieved_retention == 1.0
 
     def test_plan_json_schema(self):
         model, calib = gen_synthetic(seed=7, blocks=2, d=32, h=64, n_samples=8, tokens=8)
-        plan = build_plan(captured_batch(model, calib), model, trr=0.6, mrr=0.5)
+        plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
         doc = plan.to_json()
         assert set(doc) == {"blocks", "trr", "mrr", "achieved_retention", "importance_mode"}
         assert set(doc["blocks"][0]) == {"block_id", "importance", "normalized", "retention", "ranks"}
@@ -177,9 +178,9 @@ class TestBuildPlan:
 
     def test_one_minus_cos_mode_flips_allocation(self):
         model, calib = gen_synthetic(seed=8, blocks=4, d=64, h=128, n_samples=16, tokens=16)
-        batch = captured_batch(model, calib)
-        plan_cos = build_plan(batch, model, trr=0.6, mrr=0.5, importance_mode="cos")
-        plan_inv = build_plan(batch, model, trr=0.6, mrr=0.5, importance_mode="one_minus_cos")
+        importances = block_importances(model, calib)
+        plan_cos = build_plan(importances, model, trr=0.6, mrr=0.5, importance_mode="cos")
+        plan_inv = build_plan(importances, model, trr=0.6, mrr=0.5, importance_mode="one_minus_cos")
         cos_order = np.argsort([b.retention for b in plan_cos.per_block])
         inv_order = np.argsort([b.retention for b in plan_inv.per_block])
         assert list(cos_order) == list(inv_order[::-1])
@@ -200,11 +201,11 @@ class TestBuildPlan:
             storage_dtypes={k: "F64" for k in tensors},
         )
         samples = rng.normal(size=(12, 16, d))
-        plan = build_plan(captured_batch(model, samples), model, trr=0.55, mrr=0.45)
+        plan = build_plan(block_importances(model, samples), model, trr=0.55, mrr=0.45)
         assert abs(plan.achieved_retention - 0.55) <= 0.01 * 0.55
 
     def test_infeasible_budget_raises(self):
         # 2x2 slots cannot express a 10% retention: rank 1 already keeps 100%
         model, calib = gen_synthetic(seed=9, blocks=1, d=2, h=2, n_samples=4, tokens=4)
         with pytest.raises(BudgetError):
-            build_plan(captured_batch(model, calib, m_buckets=2), model, trr=0.1, mrr=0.05)
+            build_plan(block_importances(model, calib, m_buckets=2), model, trr=0.1, mrr=0.05)

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.calibration import (
-    capture_activations,
-    dump_activations,
-    gram_accumulate,
-    stack_of_batch,
-)
+from lowrank.calibration import dump_activations, gram_accumulate, stack_of_batch
 from lowrank.container import load_container
 from lowrank.errors import NumericalError, ShapeError
-from lowrank.model import RMS_EPS, gen_synthetic
+from lowrank.model import RMS_EPS, gen_synthetic, rms_norm
+from lowrank.pipeline import calibrate
 
 
 def one_hot_samples(n, tokens=3):
@@ -100,54 +96,56 @@ class TestStackOfBatch:
 
 
 class TestCaptureActivations:
+    """``calibrate``: one walk of the model, keeping slot Grams and block importances."""
+
     def test_zero_weights_give_residual_only(self):
         model, calib = gen_synthetic(seed=0, blocks=2, d=6, h=12, n_samples=2, tokens=5)
         for name in model.tensors:
             model.tensors[name] = np.zeros_like(model.tensors[name])
-        batch = capture_activations(model, [calib[0], calib[1]])
-        x_in, x_out = batch.per_block_io[0]
-        np.testing.assert_array_equal(x_in, x_out)
-        x_in, x_out = batch.per_block_io[1]
-        np.testing.assert_array_equal(x_in, x_out)
+        grams, importances = calibrate(model, [calib[0], calib[1]])
+        # each block passes its input through, so both see the same tokens
+        np.testing.assert_array_equal(grams["blocks.1.w1"], grams["blocks.0.w1"])
+        np.testing.assert_array_equal(grams["blocks.0.w2"], np.zeros((12, 12)))
+        assert importances == {0: pytest.approx(1.0, abs=1e-15), 1: pytest.approx(1.0, abs=1e-15)}
 
     def test_w1_input_is_normalized_block_input(self):
         model, _ = gen_synthetic(seed=1, blocks=1, d=2, h=3, n_samples=1, tokens=1)
         sample = np.array([[3.0, 4.0]])
-        batch = capture_activations(model, [sample])
+        grams, _ = calibrate(model, [sample])
         x = sample.T
         expected = x / np.sqrt(np.mean(x**2) + RMS_EPS)
-        np.testing.assert_allclose(batch.per_matrix_inputs["blocks.0.w1"], expected, rtol=0, atol=0)
+        np.testing.assert_allclose(grams["blocks.0.w1"], gram_accumulate(expected), rtol=0, atol=0)
 
     def test_w2_input_is_post_activation_state(self):
         model, _ = gen_synthetic(seed=2, blocks=1, d=3, h=5, n_samples=1, tokens=4)
         sample = np.random.default_rng(0).normal(size=(4, 3))
-        batch = capture_activations(model, [sample])
-        x_norm = batch.per_matrix_inputs["blocks.0.w1"]
+        grams, _ = calibrate(model, [sample])
         w1 = model.tensors["blocks.0.w1"]
-        np.testing.assert_allclose(
-            batch.per_matrix_inputs["blocks.0.w2"], np.maximum(w1 @ x_norm, 0.0), atol=1e-15
-        )
+        hidden = np.maximum(w1 @ rms_norm(sample.T), 0.0)
+        np.testing.assert_allclose(grams["blocks.0.w2"], gram_accumulate(hidden), atol=1e-15)
 
     def test_capture_is_deterministic(self):
         model, calib = gen_synthetic(seed=3, blocks=3, d=8, h=16, n_samples=4, tokens=6)
-        b1 = capture_activations(model, list(calib))
-        b2 = capture_activations(model, list(calib))
-        for name in b1.per_matrix_inputs:
-            np.testing.assert_array_equal(b1.per_matrix_inputs[name], b2.per_matrix_inputs[name])
+        g1, i1 = calibrate(model, list(calib))
+        g2, i2 = calibrate(model, list(calib))
+        assert list(g1) == list(g2) and i1 == i2
+        for name in g1:
+            np.testing.assert_array_equal(g1[name], g2[name])
 
     def test_columns_are_all_bucket_tokens(self):
         model, calib = gen_synthetic(seed=4, blocks=1, d=8, h=16, n_samples=6, tokens=5)
         bucketed = stack_of_batch(list(calib), 3, seed=0)
-        batch = capture_activations(model, bucketed)
-        assert batch.per_matrix_inputs["blocks.0.w1"].shape == (8, 3 * 5)
-        assert batch.per_block_io[0][0].shape == (8, 15)
+        grams, _ = calibrate(model, bucketed.buckets)
+        tokens = np.concatenate([b.T for b in bucketed.buckets], axis=1)
+        assert tokens.shape == (8, 3 * 5)
+        np.testing.assert_array_equal(grams["blocks.0.w1"], gram_accumulate(rms_norm(tokens)))
 
     def test_nonfinite_forward_names_block(self):
         model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)
         model.tensors["blocks.1.w2"][0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalError, match="block 1"):
-                capture_activations(model, [calib[0]])
+                calibrate(model, [calib[0]])
 
 
 class TestGram:
@@ -167,11 +165,13 @@ class TestGram:
 
 def test_dump_activations_tensor_names(tmp_path):
     model, calib = gen_synthetic(seed=6, blocks=2, d=4, h=8, n_samples=2, tokens=3)
-    batch = capture_activations(model, list(calib))
-    dump_activations(batch, model, tmp_path / "acts.st")
-    names = set(load_container(tmp_path / "acts.st"))
-    assert names == {
-        "block.0.in", "block.0.out", "block.1.in", "block.1.out",
-        "slot.blocks.0.w1.x", "slot.blocks.0.w2.x",
-        "slot.blocks.1.w1.x", "slot.blocks.1.w2.x",
+    grams, importances = calibrate(model, list(calib))
+    dump_activations(grams, importances, tmp_path / "acts.st")
+    tensors = load_container(tmp_path / "acts.st")
+    assert set(tensors) == {
+        "block.0.importance", "block.1.importance",
+        "slot.blocks.0.w1.gram", "slot.blocks.0.w2.gram",
+        "slot.blocks.1.w1.gram", "slot.blocks.1.w2.gram",
     }
+    np.testing.assert_array_equal(tensors["slot.blocks.1.w2.gram"], grams["blocks.1.w2"])
+    assert tensors["block.0.importance"].tolist() == [importances[0]]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,7 +128,9 @@ def test_dump_activations_flag(workspace):
     ])
     assert code == 0
     names = set(load_container(acts))
-    assert "block.0.in" in names and "slot.blocks.0.w1.x" in names
+    assert names == {f"block.{b}.importance" for b in range(4)} | {
+        f"slot.blocks.{b}.{slot}.gram" for b in range(4) for slot in ("w1", "w2")
+    }
 
 
 def test_numerical_error_exits_2(workspace, capsys):
@@ -159,3 +162,45 @@ def test_cli_runs_are_bit_identical(workspace):
     assert run_cli(args + ["--out", str(workspace / "r2")]) == 0
     for name in ("plan.json", "model.st", "model.json", "traces.csv"):
         assert (workspace / "r1" / name).read_bytes() == (workspace / "r2" / name).read_bytes()
+
+
+def _drop_vt(doc):
+    doc["blocks"][0]["lowrank"] = {"w1": {"u": "blocks.0.w1", "rank": 4}}
+    del doc["blocks"][0]["matrices"]["w1"]
+
+
+def _drop_block_id(doc):
+    del doc["blocks"][1]["block_id"]
+
+
+def _blocks_not_a_list(doc):
+    doc["blocks"] = "abc"
+
+
+def _duplicate_block_id(doc):
+    doc["blocks"][1]["block_id"] = 0
+
+
+def _no_blocks(doc):
+    doc["blocks"] = []
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_vt, _drop_block_id, _blocks_not_a_list, _duplicate_block_id, _no_blocks]
+)
+def test_malformed_manifest_is_a_format_error(workspace, capsys, mutate):
+    manifest = workspace / "base" / "model.json"
+    doc = json.loads(manifest.read_text())
+    mutate(doc)
+    manifest.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may precede the error
+        code = run_cli([
+            "compress", "--model", str(manifest),
+            "--calib", str(workspace / "base" / "calib.st"),
+            "--target-retention", "0.6", "--out", str(workspace / "x"),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest" in err
+    assert "Traceback" not in err

@@ -12,7 +12,7 @@ from lowrank.compensation import (
     update_v,
 )
 from lowrank.errors import ShapeError
-from lowrank.linalg import LowRankPair, cholesky_damped, svd_full, truncate_absorb
+from lowrank.linalg import LowRankPair, cholesky_damped, pinv, svd_full, truncate_absorb
 
 
 def brute_force_loss(pair, w, x):
@@ -45,26 +45,26 @@ class TestSvdLoss:
         x = rng.normal(size=(6, 20))
         pair = truncate_absorb(svd_full(w), 6)
         wx2 = float(np.sum((w @ x) ** 2))
-        assert svd_loss(pair, w, x) <= 1e-16 * wx2
+        assert svd_loss(pair, w, x @ x.T) <= 1e-16 * wx2
 
     def test_zero_factor_gives_wx_norm(self, rng):
         w = rng.normal(size=(5, 4))
         x = rng.normal(size=(4, 9))
         pair = LowRankPair(u_sigma=np.zeros((5, 2)), vt_sigma=rng.normal(size=(2, 4)), rank=2)
-        assert abs(svd_loss(pair, w, x) - float(np.sum((w @ x) ** 2))) <= 1e-12 * np.sum((w @ x) ** 2)
+        assert abs(svd_loss(pair, w, x @ x.T) - float(np.sum((w @ x) ** 2))) <= 1e-12 * np.sum((w @ x) ** 2)
 
     def test_matches_brute_force(self, rng):
         w = rng.normal(size=(12, 12))
         x = rng.normal(size=(12, 40))
         pair = truncate_absorb(svd_full(w), 4)
-        fast = svd_loss(pair, w, x)
+        fast = svd_loss(pair, w, x @ x.T)
         slow = brute_force_loss(pair, w, x)
         assert abs(fast - slow) <= 1e-9 * max(1.0, slow)
 
     def test_shape_mismatch(self, rng):
         pair = truncate_absorb(svd_full(rng.normal(size=(4, 4))), 2)
         with pytest.raises(ShapeError):
-            svd_loss(pair, rng.normal(size=(4, 4)), rng.normal(size=(5, 3)))
+            svd_loss(pair, rng.normal(size=(4, 4)), np.eye(5))
 
 
 class TestUpdateU:
@@ -72,7 +72,7 @@ class TestUpdateU:
         u_sig, vt, w = random_rank_k(rng, 10, 8, 3)
         x = rng.normal(size=(8, 30))  # full row rank
         pair = LowRankPair(u_sigma=rng.normal(size=(10, 3)), vt_sigma=vt, rank=3)
-        u_new = update_u(pair, w, x)
+        u_new = update_u(pair, w, x @ x.T)
         # consistent system: the refit must reproduce W exactly on the factor
         assert np.linalg.norm(u_new @ vt - w) <= 1e-8 * np.linalg.norm(w)
 
@@ -87,24 +87,68 @@ class TestUpdateU:
     def test_loss_never_increases(self, rng):
         w = rng.normal(size=(16, 16))
         x = rng.normal(size=(16, 64))
+        g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
-        before = svd_loss(pair, w, x)
-        updated = LowRankPair(u_sigma=update_u(pair, w, x), vt_sigma=pair.vt_sigma, rank=4)
-        assert svd_loss(updated, w, x) <= before + 1e-9 * before
+        before = svd_loss(pair, w, g)
+        updated = LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=4)
+        assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
     def test_beats_random_perturbations(self, rng):
         w = rng.normal(size=(16, 16))
         x = rng.normal(size=(16, 64))
+        g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
-        u_star = update_u(pair, w, x)
+        u_star = update_u(pair, w, g)
         star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma, rank=4)
-        base = svd_loss(star, w, x)
+        base = svd_loss(star, w, g)
         scale = 0.01 * max(1.0, np.linalg.norm(u_star))
         for _ in range(100):
             delta = rng.normal(size=u_star.shape)
             delta *= scale / np.linalg.norm(delta)
             perturbed = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma, rank=4)
-            assert svd_loss(perturbed, w, x) >= base - 1e-12 * max(1.0, base)
+            assert svd_loss(perturbed, w, g) >= base - 1e-12 * max(1.0, base)
+
+    @pytest.mark.parametrize(
+        "t, log_scale",
+        [(3, 0.0), (5, 0.0), (40, 0.0), (3, 4.0), (40, 4.0)],
+        ids=["T<k", "T=k", "T>k", "T<k-rows-scaled", "T>k-rows-scaled"],
+    )
+    def test_gram_form_matches_token_form(self, t, log_scale):
+        # T < k makes K = Vt G Vt.T singular; rows of X scaled by e^[-4, 4]
+        # square K's condition number up to e^16 on top. A whitened start
+        # weights G's null space by 1/sqrt(damping), which is where inverting
+        # K's rounding noise would show.
+        rng = np.random.default_rng(t + int(log_scale))
+        m, n, k = 12, 10, 5
+        for _ in range(50):
+            w = rng.normal(size=(m, n))
+            x = rng.normal(size=(n, t)) * np.exp(rng.uniform(-log_scale, log_scale, size=(n, 1)))
+            g = x @ x.T
+            whitened = initialize_pair(w, k, cholesky_damped(g, 1e-5))
+            random = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=rng.normal(size=(k, n)), rank=k)
+            for pair in (whitened, random):
+                token_form = (pinv(x.T @ pair.vt_sigma.T) @ (w @ x).T).T
+                u = update_u(pair, w, g)
+                assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
+
+    def test_rel_tol_cuts_the_token_form_directions(self, rng):
+        m, n, k, t = 12, 10, 5, 40
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, t))
+        q = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        vt = np.diag([1.0, 1.0, 1e-4, 1e-4, 1e-8]) @ q.T  # design matrix spectrum in three groups
+        pair = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=vt, rank=k)
+        a = x.T @ vt.T
+        sigma = np.linalg.svd(a, compute_uv=False) / np.linalg.norm(a, 2)
+        uncut = (pinv(a) @ (w @ x).T).T
+        for r in (1e-2, 1e-6):
+            assert np.all(np.abs(np.log10(sigma / r)) > 0.5)  # no value near the cut
+            token_form = (pinv(a, r) @ (w @ x).T).T
+            assert np.linalg.norm(token_form - uncut) > 1e-3 * np.linalg.norm(uncut)  # r cuts something
+            u = update_u(pair, w, x @ x.T, rel_tol=r)
+            assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
+        # a cutoff under the noise floor, even one whose square underflows, cuts nothing more
+        np.testing.assert_array_equal(update_u(pair, w, x @ x.T, rel_tol=1e-170), update_u(pair, w, x @ x.T))
 
 
 class TestUpdateV:
@@ -122,19 +166,20 @@ class TestUpdateV:
 
     def test_loss_never_increases_with_full_rank_gram(self, rng):
         w = rng.normal(size=(16, 16))
-        x = rng.normal(size=(16, 64))  # X X^T nonsingular
+        x = rng.normal(size=(16, 64))
+        g = x @ x.T  # nonsingular
         pair = truncate_absorb(svd_full(w), 4)
-        pair = LowRankPair(u_sigma=update_u(pair, w, x), vt_sigma=pair.vt_sigma, rank=4)
-        before = svd_loss(pair, w, x)
+        pair = LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=4)
+        before = svd_loss(pair, w, g)
         updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w), rank=4)
-        assert svd_loss(updated, w, x) <= before + 1e-9 * before
+        assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
 
 class TestCompensate:
     def test_zero_iterations_is_plain_truncation(self, rng):
         w = rng.normal(size=(10, 8))
         x = rng.normal(size=(8, 20))
-        pair, trace = compensate(w, x, k=3, iters=0)
+        pair, trace = compensate(w, x @ x.T, k=3, iters=0)
         ref = truncate_absorb(svd_full(w), 3)
         np.testing.assert_array_equal(pair.u_sigma, ref.u_sigma)
         np.testing.assert_array_equal(pair.vt_sigma, ref.vt_sigma)
@@ -144,7 +189,7 @@ class TestCompensate:
     def test_already_optimal_diagonal_stays_flat(self):
         w = np.diag([3.0, 2.0, 1.0, 0.1])
         x = np.eye(4)
-        pair, trace = compensate(w, x, k=3, iters=1)
+        pair, trace = compensate(w, x @ x.T, k=3, iters=1)
         assert abs(trace.initial - 0.1**2) <= 1e-12
         for loss in trace.per_half_step:
             assert abs(loss - trace.initial) <= 1e-10 * trace.initial
@@ -152,7 +197,7 @@ class TestCompensate:
     def test_trace_has_two_entries_per_iteration(self, rng):
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(8, 32))
-        _, trace = compensate(w, x, k=2, iters=3)
+        _, trace = compensate(w, x @ x.T, k=2, iters=3)
         assert len(trace.per_half_step) == 6
         assert trace.iterations == 3
         assert all(np.isfinite(v) and v >= 0 for v in trace.per_half_step)
@@ -161,7 +206,7 @@ class TestCompensate:
         for _ in range(10):
             w = rng.normal(size=(16, 16))
             x = rng.normal(size=(16, 48))
-            _, trace = compensate(w, x, k=5, iters=3)
+            _, trace = compensate(w, x @ x.T, k=5, iters=3)
             losses = [trace.initial, *trace.per_half_step]
             for prev, cur in zip(losses, losses[1:]):
                 assert cur <= prev + 1e-9 * trace.initial
@@ -169,10 +214,10 @@ class TestCompensate:
     def test_best_pair_never_worse_than_init_rank_deficient_x(self, rng):
         w = rng.normal(size=(12, 10))
         x = rng.normal(size=(10, 4))  # X X^T singular
-        pair, trace = compensate(w, x, k=3, iters=4)
-        assert svd_loss(pair, w, x) <= trace.initial * (1 + 1e-12)
+        pair, trace = compensate(w, x @ x.T, k=3, iters=4)
+        assert svd_loss(pair, w, x @ x.T) <= trace.initial * (1 + 1e-12)
         assert min([trace.initial, *trace.per_half_step]) == pytest.approx(
-            svd_loss(pair, w, x), rel=1e-12
+            svd_loss(pair, w, x @ x.T), rel=1e-12
         )
 
     def test_dominates_plain_truncation_mostly(self, rng):
@@ -181,9 +226,9 @@ class TestCompensate:
             w = rng.normal(size=(24, 24))
             x = rng.normal(size=(24, 96))
             k = 7
-            pair, trace = compensate(w, x, k=k, iters=1)
-            plain = plain_truncation_loss(w, x, k)
-            final = svd_loss(pair, w, x)
+            pair, trace = compensate(w, x @ x.T, k=k, iters=1)
+            plain = plain_truncation_loss(w, x @ x.T, k)
+            final = svd_loss(pair, w, x @ x.T)
             assert final <= plain * (1 + 1e-9)
             if final < plain:
                 wins += 1
@@ -195,8 +240,8 @@ class TestCompensate:
         rng = np.random.default_rng(77)
         w = rng.normal(size=(10, 10))
         x = rng.normal(size=(10, 30))
-        p1, t1 = compensate(w, x, k=3, iters=1)
-        p2, t2 = compensate(c * w, x, k=3, iters=1)
+        p1, t1 = compensate(w, x @ x.T, k=3, iters=1)
+        p2, t2 = compensate(c * w, x @ x.T, k=3, iters=1)
         np.testing.assert_allclose(p2.product(), c * p1.product(), rtol=1e-8, atol=1e-10)
         assert t2.initial == pytest.approx(c * c * t1.initial, rel=1e-9)
         assert t2.best() == pytest.approx(c * c * t1.best(), rel=1e-9)
@@ -204,9 +249,9 @@ class TestCompensate:
     def test_exact_recovery_when_rank_suffices(self, rng):
         u_sig, vt, w = random_rank_k(rng, 14, 12, 4)
         x = rng.normal(size=(12, 50))
-        pair, _ = compensate(w, x, k=6, iters=1)
+        pair, _ = compensate(w, x @ x.T, k=6, iters=1)
         wx2 = float(np.sum((w @ x) ** 2))
-        assert svd_loss(pair, w, x) <= 1e-12 * wx2
+        assert svd_loss(pair, w, x @ x.T) <= 1e-12 * wx2
 
     def test_whitened_initialization_folds_back(self, rng):
         w = rng.normal(size=(10, 8))
@@ -215,7 +260,7 @@ class TestCompensate:
         pair = initialize_pair(w, 4, whitener)
         ref = truncate_absorb(svd_full(w @ whitener.s), 4)
         np.testing.assert_allclose(
-            pair.product(), ref.product() @ whitener.s_inv, atol=1e-10 * np.linalg.norm(w)
+            pair.product(), ref.product() @ np.linalg.inv(whitener.s), atol=1e-10 * np.linalg.norm(w)
         )
 
     def test_whitened_init_never_selected_if_worse(self, rng):
@@ -223,5 +268,5 @@ class TestCompensate:
         w = rng.normal(size=(12, 10))
         x = rng.normal(size=(10, 40))
         whitener = cholesky_damped(x @ x.T, 1e-5)
-        pair, trace = compensate(w, x, k=4, iters=2, whitener=whitener)
-        assert svd_loss(pair, w, x) <= trace.initial * (1 + 1e-12)
+        pair, trace = compensate(w, x @ x.T, k=4, iters=2, whitener=whitener)
+        assert svd_loss(pair, w, x @ x.T) <= trace.initial * (1 + 1e-12)

@@ -4,8 +4,10 @@ import pytest
 from lowrank.compensation import plain_truncation_loss
 from lowrank.errors import ManifestMismatch, ShapeError
 from lowrank.model import forward, gen_synthetic, save_calibration
+from lowrank.calibration import stack_of_batch
 from lowrank.pipeline import (
     PipelineConfig,
+    calibrate,
     compress_model,
     eval_compression,
     split_calibration,
@@ -52,16 +54,14 @@ class TestCompressModel:
         compressed, plan, traces = compress_model(model, calib, cfg)
         report = eval_compression(model, compressed, calib)
         _, heldout = split_calibration(samples)
-        from lowrank.calibration import capture_activations
-
-        batch = capture_activations(model, list(heldout))
+        grams, _ = calibrate(model, list(heldout))
         for entry in report.per_slot:
             block_id = int(entry.slot.split(".")[1])
             slot = entry.slot.split(".")[2]
             k = plan.slot_ranks()[entry.slot]
             w = model.slot_weight(block_id, slot)
-            x = batch.per_matrix_inputs[entry.slot]
-            expected = np.sqrt(plain_truncation_loss(w, x, k)) / np.linalg.norm(w @ x)
+            g = grams[entry.slot]
+            expected = np.sqrt(plain_truncation_loss(w, g, k) / np.sum((w @ g) * w))
             assert entry.data_rel_err == pytest.approx(expected, rel=1e-9)
 
     def test_per_slot_dominance_over_plain_truncation(self, small_setup):
@@ -69,16 +69,13 @@ class TestCompressModel:
         cfg = PipelineConfig(trr=0.5, mrr=0.4, iterations=2, whiten=True, seed=3)
         compressed, plan, traces = compress_model(model, calib, cfg)
         fit, _ = split_calibration(samples)
-        from lowrank.calibration import capture_activations, stack_of_batch
-
-        batch = capture_activations(model, stack_of_batch(list(fit), cfg.bucket_size, cfg.seed))
+        grams, _ = calibrate(model, stack_of_batch(list(fit), cfg.bucket_size, cfg.seed).buckets)
         for name, trace in traces.items():
             block_id = int(name.split(".")[1])
             slot = name.split(".")[2]
             k = plan.slot_ranks()[name]
             w = model.slot_weight(block_id, slot)
-            x = batch.per_matrix_inputs[name]
-            plain = plain_truncation_loss(w, x, k)
+            plain = plain_truncation_loss(w, grams[name], k)
             assert trace.best() <= plain * (1 + 1e-9)
 
     def test_deterministic_given_seed(self, small_setup):
