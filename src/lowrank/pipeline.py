@@ -3,8 +3,15 @@
 Slot compression order: bucket the calibration samples, walk the original
 model over them once (keeping one Gram matrix per slot and one importance
 score per block), build the retention plan, then refit every planned slot
-independently (optionally in parallel; merge order follows the manifest, so
-outputs are deterministic for a fixed seed).
+independently. Merge order follows the manifest, so outputs are
+deterministic for a fixed seed.
+
+The slot refits are dense BLAS/LAPACK kernels, so slot workers and BLAS
+threads share the cores: slot workers = usable CPUs // BLAS threads, clamped
+to [1, min(slots, MAX_WORKERS)]. The BLAS thread count is read from the first
+of BLAS_THREAD_VARS that holds an int >= 1, as the BLAS read it when it
+loaded. With none set, the BLAS uses every core, so the slots run serially on
+the calling thread and each BLAS call runs in parallel.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from .model import (
 )
 
 OVERLAP_BINS = 64
-MAX_WORKERS = 8
+MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHOLESKY_RETRIES = 5
 
 
@@ -120,18 +128,23 @@ def _walk_blocks(model: ModelHandle, samples: Sequence[np.ndarray], visit: Calla
     return x
 
 
-def calibrate(model: ModelHandle, samples: Sequence[np.ndarray]) -> tuple[dict[str, np.ndarray], dict[int, float]]:
+def calibrate(
+    model: ModelHandle, samples: Sequence[np.ndarray], with_grams: bool = True
+) -> tuple[dict[str, np.ndarray], dict[int, float]]:
     """One walk of the original model: the calibration product later stages read.
 
     Returns the Gram matrix of every slot's input activations, keyed by full
     slot name, and the raw ``layer_importance`` of every block, keyed by id.
+    With ``with_grams=False`` the walk keeps only the importances and the
+    Gram dict is empty.
     """
     grams: dict[str, np.ndarray] = {}
     importances: dict[int, float] = {}
 
     def visit(block_id, x_in, slot_inputs, y):
-        for slot, x in slot_inputs.items():
-            grams[slot_name(block_id, slot)] = gram_accumulate(x)
+        if with_grams:
+            for slot, x in slot_inputs.items():
+                grams[slot_name(block_id, slot)] = gram_accumulate(x)
         importances[block_id] = layer_importance(x_in, y)
 
     _walk_blocks(model, samples, visit)
@@ -139,16 +152,19 @@ def calibrate(model: ModelHandle, samples: Sequence[np.ndarray]) -> tuple[dict[s
 
 
 def calibrate_and_plan(
-    model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig
+    model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig, with_grams: bool = True
 ) -> tuple[dict[str, np.ndarray], dict[int, float], CompressionPlan]:
-    """Shared prefix of compress and importance: load, split, bucket, calibrate, plan."""
+    """Shared prefix of compress and importance: load, split, bucket, calibrate, plan.
+
+    ``with_grams`` is passed to ``calibrate``; the plan reads only the importances.
+    """
     cfg.validate()
     fit_samples = split_calibration(_load_samples(model, calib_file))[0]
     if fit_samples.shape[0] < 1:
         raise ShapeError("no calibration samples left for fitting")
     bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
     del fit_samples  # the buckets are copies; free the loaded samples before the walk
-    grams, importances = calibrate(model, bucketed.buckets)
+    grams, importances = calibrate(model, bucketed.buckets, with_grams)
     plan = build_plan(importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
     return grams, importances, plan
 
@@ -168,10 +184,11 @@ def compress_model(
     if dump_path is not None:
         dump_activations(grams, importances, dump_path)
 
+    ranks = plan.slot_ranks()
     tasks = []  # (full slot name, weight, rank)
     for block_id, slot in model.slot_ids():
         name = slot_name(block_id, slot)
-        rank = plan.slot_ranks()[name]
+        rank = ranks[name]
         if rank is not None:
             tasks.append((name, model.slot_weight(block_id, slot), rank))
 
@@ -184,8 +201,9 @@ def compress_model(
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
-    if len(tasks) > 1 and _worker_count(len(tasks)) > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(t) for t in tasks]
@@ -199,13 +217,31 @@ def compress_model(
     return compressed, plan, traces
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """BLAS thread count from the environment, or None if the BLAS owns every core."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n >= 1:
+            return n
+    return None
+
+
 def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("LOWRANK_THREADS")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks, MAX_WORKERS))
+    """Slot workers such that slot workers x BLAS threads <= usable CPUs."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(_usable_cpus() // blas, n_tasks, MAX_WORKERS))
 
 
 def _whitener_with_retry(g: np.ndarray, rel_damping: float) -> Whitener:

@@ -1,9 +1,11 @@
 import os
 
-# Single-threaded BLAS and slot pool: the test matrices are small enough that
-# thread spin-up and GIL contention dominate otherwise (and timings get noisy).
-# test_pipeline exercises the multi-worker path explicitly.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LOWRANK_THREADS"):
+# One BLAS thread per slot worker, the scripts' setup: the pipeline then runs
+# one slot worker per CPU (see pipeline._worker_count). The test matrices are
+# small enough that BLAS thread spin-up would dominate otherwise (and timings
+# get noisy). test_pipeline sets and unsets these variables to exercise both
+# the pool and the serial path.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402

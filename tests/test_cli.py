@@ -73,6 +73,25 @@ def test_importance_prints_plan_without_writing(workspace, capsys):
     assert sorted(p.name for p in workspace.rglob("*")) == before
 
 
+def test_importance_forms_no_gram(workspace, capsys, monkeypatch):
+    import lowrank.pipeline
+
+    calls = []
+    gram_accumulate = lowrank.pipeline.gram_accumulate
+    monkeypatch.setattr(lowrank.pipeline, "gram_accumulate", lambda x: calls.append(x.shape) or gram_accumulate(x))
+    flags = [
+        "--model", str(workspace / "base" / "model.json"), "--calib", str(workspace / "base" / "calib.st"),
+        "--target-retention", "0.6", "--mrr", "0.5",
+    ]
+    assert run_cli(["importance", *flags]) == 0
+    assert calls == []
+    printed = capsys.readouterr().out
+    out = workspace / "out_gram"
+    assert run_cli(["compress", *flags, "--out", str(out)]) == 0
+    assert len(calls) == 8  # the counter binds: compress forms one Gram per slot
+    assert (out / "plan.json").read_text() == printed
+
+
 def test_eval_reports_json(workspace, capsys):
     out = workspace / "out_eval"
     assert run_cli([

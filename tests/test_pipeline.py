@@ -1,11 +1,15 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from lowrank import pipeline
 from lowrank.compensation import plain_truncation_loss
 from lowrank.errors import ManifestMismatch, ShapeError
 from lowrank.model import forward, gen_synthetic, save_calibration
 from lowrank.calibration import stack_of_batch
 from lowrank.pipeline import (
+    BLAS_THREAD_VARS,
     PipelineConfig,
     calibrate,
     compress_model,
@@ -93,13 +97,75 @@ class TestCompressModel:
     def test_worker_pool_matches_sequential(self, small_setup, monkeypatch):
         model, _, calib = small_setup
         cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=4)
-        monkeypatch.setenv("LOWRANK_THREADS", "1")
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
         c1, p1, _ = compress_model(model, calib, cfg)
-        monkeypatch.setenv("LOWRANK_THREADS", "4")
+        assert pools == []
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         c2, p2, _ = compress_model(model, calib, cfg)
+        assert pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
         assert p1.to_json() == p2.to_json()
         for name in c1.tensors:
             np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
+
+    def test_no_thread_variable_runs_slots_serially(self, small_setup, monkeypatch):
+        model, _, calib = small_setup
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("compress built a slot worker pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        assert len(traces) > 1
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "env, cpus, tasks, expected",
+        [
+            ({}, 4, 8, 1),  # BLAS owns every core: serial slots
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 16, 20, 8),  # MAX_WORKERS
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 4, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 8, 8, 2),
+            ({"OMP_NUM_THREADS": "1"}, 4, 8, 4),
+            ({"MKL_NUM_THREADS": "2"}, 4, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "abc"}, 4, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 4, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": ""}, 4, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 4, 8, 1),  # more BLAS threads than cpus
+        ],
+    )
+    def test_rule(self, monkeypatch, env, cpus, tasks, expected):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        assert pipeline._worker_count(tasks) == expected
+
+    def test_usable_cpus_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+        assert pipeline._usable_cpus() == 3
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        assert pipeline._usable_cpus() == 64
 
     def test_traces_cover_compressed_slots(self, small_setup):
         model, _, calib = small_setup
