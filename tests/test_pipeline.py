@@ -129,6 +129,35 @@ class TestCompressModel:
         _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
         assert len(traces) > 1
 
+    def test_traces_cover_compressed_slots(self, small_setup):
+        model, _, calib = small_setup
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=2, whiten=False, seed=0)
+        _, plan, traces = compress_model(model, calib, cfg)
+        planned = {name for name, k in plan.slot_ranks().items() if k is not None}
+        assert set(traces) == planned
+        for trace in traces.values():
+            assert len(trace.per_half_step) == 4
+
+    def test_config_validation(self, small_setup):
+        model, _, calib = small_setup
+        with pytest.raises(ShapeError):
+            compress_model(model, calib, PipelineConfig(trr=1.2))
+        with pytest.raises(ShapeError):
+            compress_model(model, calib, PipelineConfig(trr=0.5, mrr=0.6))
+        with pytest.raises(ShapeError):
+            compress_model(model, calib, PipelineConfig(trr=0.5, iterations=-1))
+
+    def test_dimension_mismatch_rejected(self, tmp_path, small_setup):
+        model, _, _ = small_setup
+        bad = tmp_path / "bad.st"
+        save_calibration(bad, np.zeros((4, 8, 7)))
+        with pytest.raises(ShapeError):
+            compress_model(model, bad, PipelineConfig(trr=0.6))
+
+    def test_mrr_defaults_to_trr_minus_tenth(self):
+        assert PipelineConfig(trr=0.6).resolved_mrr() == pytest.approx(0.5)
+        assert PipelineConfig(trr=0.05).resolved_mrr() == pytest.approx(0.05)
+
 
 class TestWorkerCount:
     @pytest.mark.parametrize(
@@ -166,35 +195,6 @@ class TestWorkerCount:
         assert pipeline._usable_cpus() == 3
         monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
         assert pipeline._usable_cpus() == 64
-
-    def test_traces_cover_compressed_slots(self, small_setup):
-        model, _, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=2, whiten=False, seed=0)
-        _, plan, traces = compress_model(model, calib, cfg)
-        planned = {name for name, k in plan.slot_ranks().items() if k is not None}
-        assert set(traces) == planned
-        for trace in traces.values():
-            assert len(trace.per_half_step) == 4
-
-    def test_config_validation(self, small_setup):
-        model, _, calib = small_setup
-        with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=1.2))
-        with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=0.5, mrr=0.6))
-        with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=0.5, iterations=-1))
-
-    def test_dimension_mismatch_rejected(self, tmp_path, small_setup):
-        model, _, _ = small_setup
-        bad = tmp_path / "bad.st"
-        save_calibration(bad, np.zeros((4, 8, 7)))
-        with pytest.raises(ShapeError):
-            compress_model(model, bad, PipelineConfig(trr=0.6))
-
-    def test_mrr_defaults_to_trr_minus_tenth(self):
-        assert PipelineConfig(trr=0.6).resolved_mrr() == pytest.approx(0.5)
-        assert PipelineConfig(trr=0.05).resolved_mrr() == pytest.approx(0.05)
 
 
 class TestEval:
