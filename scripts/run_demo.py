@@ -6,14 +6,10 @@ target retention, and prints held-out error metrics for each variant.
 """
 
 import argparse
-import os
 import sys
 import tempfile
 import time
 from pathlib import Path
-
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 

@@ -47,7 +47,7 @@ def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(bytes(payload))
+            fh.write(payload)
     except OSError as exc:
         raise IoError(f"cannot write container {path}: {exc}") from exc
 
@@ -71,14 +71,14 @@ def load_container(path: str | Path) -> dict[str, np.ndarray]:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: container header must be a JSON object")
 
-    data = raw[8 + header_len :]
+    data = memoryview(raw)[8 + header_len :]  # no copy of the payload; each tensor copies its own range
     tensors: dict[str, np.ndarray] = {}
     for name, entry in header.items():
         tensors[name] = _decode_entry(path, name, entry, data)
     return tensors
 
 
-def _decode_entry(path, name: str, entry: dict, data: bytes) -> np.ndarray:
+def _decode_entry(path, name: str, entry: dict, data: memoryview) -> np.ndarray:
     try:
         tag = entry["dtype"]
         shape = entry["shape"]

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, RankError
 
@@ -121,9 +122,12 @@ def cholesky_damped(g: np.ndarray, rel_damping: float) -> Whitener:
     if not np.all(np.isfinite(g)):
         raise NumericalError("Gram matrix contains non-finite entries")
     damping = float(rel_damping) * float(np.mean(np.diag(g)))
-    damped = g + damping * np.eye(g.shape[0])
+    # One Fortran-order copy, damped on its diagonal and factored in place:
+    # no n x n identity, sum or LAPACK-side copy besides it.
+    damped = np.array(g, dtype=np.float64, order="F")
+    damped[np.diag_indices_from(damped)] += damping
     try:
-        s = np.linalg.cholesky(damped)
+        s = scipy.linalg.cholesky(damped, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky failed at damping {damping:g}: {exc}") from exc
     return Whitener(s=s, damping=damping)

@@ -277,7 +277,7 @@ def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHa
     manifest = ModelManifest.from_json(doc)
     stored = load_container(container_path)
     _validate(manifest, stored)
-    tensors = {name: arr.astype(np.float64) for name, arr in stored.items()}
+    tensors = {name: arr.astype(np.float64, copy=False) for name, arr in stored.items()}
     dtypes = {name: ("F32" if arr.dtype == np.float32 else "F64") for name, arr in stored.items()}
     return ModelHandle(manifest=manifest, tensors=tensors, storage_dtypes=dtypes)
 
@@ -404,7 +404,7 @@ def load_calibration(path: str | Path) -> np.ndarray:
     tensors = load_container(path)
     if "samples" not in tensors:
         raise ManifestMismatch(f"{path}: calibration container lacks a 'samples' tensor")
-    samples = tensors["samples"].astype(np.float64)
+    samples = tensors["samples"].astype(np.float64, copy=False)
     if samples.ndim != 3:
         raise ShapeError(f"{path}: calibration tensor must be rank 3, got shape {samples.shape}")
     return samples

@@ -4,14 +4,16 @@ Slot compression order: bucket the calibration samples, walk the original
 model over them once (keeping one Gram matrix per slot and one importance
 score per block), build the retention plan, then refit every planned slot
 independently. Merge order follows the manifest, so outputs are
-deterministic for a fixed seed.
+deterministic for a fixed seed and CPU count.
 
-The slot refits are dense BLAS/LAPACK kernels, so slot workers and BLAS
-threads share the cores: slot workers = usable CPUs // BLAS threads, clamped
-to [1, min(slots, MAX_WORKERS)]. The BLAS thread count is read from the first
-of BLAS_THREAD_VARS that holds an int >= 1, as the BLAS read it when it
-loaded. With none set, the BLAS uses every core, so the slots run serially on
-the calling thread and each BLAS call runs in parallel.
+The slot refits are independent and their matrices too small to scale across
+BLAS threads, so the slot stage sets its own thread counts at run time:
+slot workers = min(usable CPUs, slots, MAX_WORKERS), and every loaded OpenBLAS
+gets max(1, min(its current count, usable CPUs // workers)) threads, so the
+user's count is never raised. Each library's previous count is restored when
+the stage ends, so calibration, planning and eval keep the BLAS as it was.
+Where no OpenBLAS can be controlled, the slots run serially on the calling
+thread and each BLAS call keeps the library's own count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,11 +43,15 @@ from .model import (
     load_calibration,
     slot_name,
 )
+from .runtime import blas_controls, cap_malloc_arenas
 
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHOLESKY_RETRIES = 5
+
+# Held while the slot stage has the BLAS thread counts pinned, so that two
+# concurrent compress_model calls cannot restore each other's pinned counts.
+_SLOT_STAGE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -191,22 +199,24 @@ def compress_model(
         rank = ranks[name]
         if rank is not None:
             tasks.append((name, model.slot_weight(block_id, slot), rank))
+        else:
+            del grams[name]  # a dense slot's Gram is not needed past the plan
 
     def run(task):
         name, w, rank = task
         try:
-            gram = grams[name]
+            gram = grams.pop(name)  # freed as soon as this slot is done
             whitener = _whitener_with_retry(gram, cfg.rel_damping) if cfg.whiten else None
             return compensate(w, gram, rank, cfg.iterations, cfg.rel_tol, whitener)
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    with _slot_stage(len(tasks)) as workers:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, tasks))
+        else:
+            results = [run(t) for t in tasks]
 
     factors: dict[str, LowRankPair] = {}
     traces: dict[str, LossTrace] = {}
@@ -224,24 +234,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads() -> int | None:
-    """BLAS thread count from the environment, or None if the BLAS owns every core."""
-    for var in BLAS_THREAD_VARS:
+@contextmanager
+def _slot_stage(n_tasks: int):
+    """Pin every loaded OpenBLAS for the slot stage and yield the slot worker count.
+
+    Each library's previous count is restored on exit, also when a slot raises.
+    With no OpenBLAS to control, the slots run serially.
+    """
+    with _SLOT_STAGE_LOCK:
+        controls = blas_controls()
+        previous = [control.get() for control in controls]
+        cpus = _usable_cpus()
+        workers = max(1, min(cpus, n_tasks, MAX_WORKERS)) if controls else 1
         try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n >= 1:
-            return n
-    return None
-
-
-def _worker_count(n_tasks: int) -> int:
-    """Slot workers such that slot workers x BLAS threads <= usable CPUs."""
-    blas = _blas_threads()
-    if blas is None:
-        return 1
-    return max(1, min(_usable_cpus() // blas, n_tasks, MAX_WORKERS))
+            if workers > 1:
+                cap_malloc_arenas()
+            for control, count in zip(controls, previous):
+                control.set(max(1, min(count, cpus // workers)))
+            yield workers
+        finally:
+            for control, count in zip(controls, previous):
+                control.set(count)
 
 
 def _whitener_with_retry(g: np.ndarray, rel_damping: float) -> Whitener:

@@ -1,10 +1,9 @@
 import os
 
-# One BLAS thread per slot worker, the scripts' setup: the pipeline then runs
-# one slot worker per CPU (see pipeline._worker_count). The test matrices are
-# small enough that BLAS thread spin-up would dominate otherwise (and timings
-# get noisy). test_pipeline sets and unsets these variables to exercise both
-# the pool and the serial path.
+# One BLAS thread at load: the test matrices are small enough that BLAS thread
+# spin-up would dominate otherwise (and timings get noisy). This fixes only the
+# count that calibration and eval run with; the slot stage of compress sets its
+# own count at run time (see pipeline._slot_stage) and restores this one.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -11,6 +11,7 @@ from lowrank.linalg import (
     svd_full,
     truncate_absorb,
 )
+from lowrank.pipeline import _whitener_with_retry
 
 
 class TestSvdFull:
@@ -177,4 +178,31 @@ class TestCholeskyDamped:
         g = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError):
             cholesky_damped(g, 0.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gram_left_unmodified(self, rng, order):
+        x = rng.normal(size=(16, 200))
+        g = np.array(x @ x.T, order=order)
+        before = g.copy()
+        w = cholesky_damped(g, 1e-5)
+        np.testing.assert_array_equal(g, before)
+        assert not np.shares_memory(w.s, g)
+        target = g + w.damping * np.eye(16)
+        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
+        np.testing.assert_array_equal(np.triu(w.s, 1), 0.0)
+
+    def test_damping_retries_recover_rank_deficient_gram(self, rng):
+        g = np.ones((4, 4))  # rank 1: the undamped factorization meets an exact zero pivot
+        with pytest.raises(NumericalError):
+            cholesky_damped(g, 0.0)
+        w = _whitener_with_retry(g, 0.0)
+        assert w.damping == 1e-10
+        target = g + w.damping * np.eye(4)
+        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
+        np.testing.assert_array_equal(g, np.ones((4, 4)))
+
+        x = rng.normal(size=(16, 5))  # fewer tokens than dims
+        w = _whitener_with_retry(x @ x.T, 1e-5)
+        target = x @ x.T + w.damping * np.eye(16)
+        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -5,11 +8,11 @@ import pytest
 
 from lowrank import pipeline
 from lowrank.compensation import plain_truncation_loss
-from lowrank.errors import ManifestMismatch, ShapeError
+from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
 from lowrank.model import forward, gen_synthetic, save_calibration
 from lowrank.calibration import stack_of_batch
+from lowrank.runtime import BlasControl, blas_controls
 from lowrank.pipeline import (
-    BLAS_THREAD_VARS,
     PipelineConfig,
     calibrate,
     compress_model,
@@ -17,6 +20,34 @@ from lowrank.pipeline import (
     split_calibration,
     write_traces_csv,
 )
+
+
+def fake_controls(*counts):
+    """BLAS controls over a list of thread counts, which the test can read."""
+    state = list(counts)
+
+    def control(i):
+        return BlasControl(f"lib{i}", lambda: state[i], lambda n: state.__setitem__(i, n))
+
+    return [control(i) for i in range(len(state))], state
+
+
+@pytest.fixture
+def real_blas_at_two():
+    """Every loaded OpenBLAS set to 2 threads for the test, then put back."""
+    controls = blas_controls()
+    if not controls:
+        pytest.skip("no controllable OpenBLAS loaded")
+    previous = [c.get() for c in controls]
+    try:
+        for c in controls:
+            c.set(2)
+        if any(c.get() != 2 for c in controls):
+            pytest.skip("an OpenBLAS refused 2 threads")
+        yield controls
+    finally:
+        for c, n in zip(controls, previous):
+            c.set(n)
 
 
 @pytest.fixture
@@ -106,28 +137,100 @@ class TestCompressModel:
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
         c1, p1, _ = compress_model(model, calib, cfg)
         assert pools == []
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        controls, state = fake_controls(1)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         c2, p2, _ = compress_model(model, calib, cfg)
         assert pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
+        assert state == [1]
         assert p1.to_json() == p2.to_json()
         for name in c1.tensors:
             np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
 
-    def test_no_thread_variable_runs_slots_serially(self, small_setup, monkeypatch):
+    def test_no_blas_control_runs_slots_serially(self, small_setup, monkeypatch):
         model, _, calib = small_setup
 
         def no_pool(*args, **kwargs):
             raise AssertionError("compress built a slot worker pool")
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
         _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
         assert len(traces) > 1
+
+    def test_slot_tasks_run_at_the_pinned_count(self, small_setup, monkeypatch, real_blas_at_two):
+        model, _, calib = small_setup
+        seen = []
+        compensate = pipeline.compensate
+
+        def recording(*args, **kwargs):
+            seen.append([c.get() for c in real_blas_at_two])
+            return compensate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compensate", recording)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        assert len(seen) == 8
+        assert all(counts == [1] * len(real_blas_at_two) for counts in seen)  # 2 workers x 1
+        assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_counts_restored(self, small_setup, monkeypatch, real_blas_at_two, fail):
+        model, _, calib = small_setup
+        compensate = pipeline.compensate
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if fail and len(calls) == 3:
+                raise NumericalError("injected")
+            return compensate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compensate", failing)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, seed=4)
+        if fail:
+            with pytest.raises(NumericalError, match="injected"):
+                compress_model(model, calib, cfg)
+        else:
+            compress_model(model, calib, cfg)
+        assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
+
+    def test_grams_freed_once_unused(self, small_setup, monkeypatch):
+        model, _, calib = small_setup
+        refs = {}
+        calibrate_orig, build_plan_orig = pipeline.calibrate, pipeline.build_plan
+
+        def recording_calibrate(*args, **kwargs):
+            grams, importances = calibrate_orig(*args, **kwargs)
+            refs.update({name: weakref.ref(g) for name, g in grams.items()})
+            return grams, importances
+
+        def block0_dense(*args, **kwargs):
+            plan = build_plan_orig(*args, **kwargs)
+            plan.per_block[0].ranks = {slot: None for slot in plan.per_block[0].ranks}
+            return plan
+
+        alive_per_refit = []
+        compensate = pipeline.compensate
+
+        def recording_compensate(*args, **kwargs):
+            alive_per_refit.append({name for name, ref in refs.items() if ref() is not None})
+            return compensate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "calibrate", recording_calibrate)
+        monkeypatch.setattr(pipeline, "build_plan", block0_dense)
+        monkeypatch.setattr(pipeline, "compensate", recording_compensate)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])  # serial: one refit at a time
+        _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        planned = list(traces)
+        assert planned == [f"blocks.{b}.{s}" for b in (1, 2, 3) for s in ("w1", "w2")]
+        # Dense slots' Grams are dead before the first refit, and each refit
+        # frees its own Gram when it finishes.
+        assert alive_per_refit == [set(planned[i:]) for i in range(len(planned))]
+        assert all(ref() is None for ref in refs.values())
 
     def test_traces_cover_compressed_slots(self, small_setup):
         model, _, calib = small_setup
@@ -161,33 +264,85 @@ class TestCompressModel:
 
 class TestWorkerCount:
     @pytest.mark.parametrize(
-        "env, cpus, tasks, expected",
+        "counts, cpus, tasks, workers, pinned",
         [
-            ({}, 4, 8, 1),  # BLAS owns every core: serial slots
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 8, 4),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 16, 20, 8),  # MAX_WORKERS
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0, 1),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 4, 8, 2),
-            ({"OPENBLAS_NUM_THREADS": "3"}, 8, 8, 2),
-            ({"OMP_NUM_THREADS": "1"}, 4, 8, 4),
-            ({"MKL_NUM_THREADS": "2"}, 4, 8, 2),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
-            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
-            ({"OPENBLAS_NUM_THREADS": "abc"}, 4, 8, 1),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 4, 8, 1),
-            ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 8, 1),
-            ({"OPENBLAS_NUM_THREADS": ""}, 4, 8, 1),
-            ({"OPENBLAS_NUM_THREADS": "8"}, 4, 8, 1),  # more BLAS threads than cpus
+            ([2], 2, 8, 2, [1]),  # 8 slots on 2 CPUs: 2 workers x 1 thread
+            ([8], 8, 2, 2, [4]),  # 2 slots on 8 CPUs: 2 workers x 4 threads
+            ([1], 8, 2, 2, [1]),  # a count of 1 is never raised
+            ([3], 8, 2, 2, [3]),  # nor any count below the workers' share
+            ([1, 8], 8, 2, 2, [1, 4]),  # each library from its own count
+            ([4], 4, 3, 3, [1]),
+            ([16], 16, 20, 8, [2]),  # MAX_WORKERS
+            ([4], 4, 1, 1, [4]),
+            ([4], 4, 0, 1, [4]),
+            ([8], 4, 1, 1, [4]),  # more threads than CPUs
+            ([], 4, 8, 1, []),  # no library found: serial
         ],
     )
-    def test_rule(self, monkeypatch, env, cpus, tasks, expected):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    def test_rule(self, monkeypatch, counts, cpus, tasks, workers, pinned):
+        controls, state = fake_controls(*counts)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-        assert pipeline._worker_count(tasks) == expected
+        with pipeline._slot_stage(tasks) as n:
+            assert (n, state) == (workers, pinned)
+        assert state == counts
+
+    def test_slot_stage_is_exclusive(self, monkeypatch):
+        controls, state = fake_controls(2)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        events = []
+
+        def second():
+            with pipeline._slot_stage(8):
+                events.append("second entered")
+
+        with pipeline._slot_stage(8):
+            t = threading.Thread(target=second)
+            t.start()
+            t.join(timeout=0.5)
+            assert t.is_alive()  # blocked while the first stage holds the pinned counts
+            events.append("first left")
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert events == ["first left", "second entered"]
+        assert state == [2]
+
+    def test_concurrent_compress_restores_counts(self, small_setup, monkeypatch):
+        model, _, calib = small_setup
+        controls, state = fake_controls(2)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        seen = []
+        compensate = pipeline.compensate
+
+        def recording(*args, **kwargs):
+            seen.append(list(state))
+            return compensate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compensate", recording)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, seed=4)
+        expected = compress_model(model, calib, cfg)[0].tensors
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(compress_model(model, calib, cfg)[0].tensors))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        assert state == [2]
+        assert seen == [[1]] * (8 * 5)
+        for tensors in results:
+            for name in expected:
+                np.testing.assert_array_equal(tensors[name], expected[name])
 
     def test_usable_cpus_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
