@@ -263,28 +263,34 @@ class TestCompressModel:
 
 
 class TestWorkerCount:
+    # env: the BLAS the slot stage finds, one (thread count, pinned count) pair
+    # per loaded OpenBLAS; expected: the slot worker count.
     @pytest.mark.parametrize(
-        "counts, cpus, tasks, workers, pinned",
+        "env, cpus, tasks, expected",
         [
-            ([2], 2, 8, 2, [1]),  # 8 slots on 2 CPUs: 2 workers x 1 thread
-            ([8], 8, 2, 2, [4]),  # 2 slots on 8 CPUs: 2 workers x 4 threads
-            ([1], 8, 2, 2, [1]),  # a count of 1 is never raised
-            ([3], 8, 2, 2, [3]),  # nor any count below the workers' share
-            ([1, 8], 8, 2, 2, [1, 4]),  # each library from its own count
-            ([4], 4, 3, 3, [1]),
-            ([16], 16, 20, 8, [2]),  # MAX_WORKERS
-            ([4], 4, 1, 1, [4]),
-            ([4], 4, 0, 1, [4]),
-            ([8], 4, 1, 1, [4]),  # more threads than CPUs
-            ([], 4, 8, 1, []),  # no library found: serial
+            ([], 4, 8, 1),  # no library found: serial, nothing pinned
+            ([(1, 1)], 4, 8, 4),
+            ([(4, 1)], 4, 3, 3),
+            ([(16, 2)], 16, 20, 8),  # MAX_WORKERS
+            ([(4, 4)], 4, 0, 1),
+            ([(2, 1)], 2, 8, 2),  # 8 slots on 2 CPUs: 2 workers x 1 thread
+            ([(8, 4)], 8, 2, 2),  # 2 slots on 8 CPUs: 2 workers x 4 threads
+            ([(4, 1)], 4, 8, 4),  # lowered to the workers' share
+            ([(1, 1)], 8, 2, 2),  # a count of 1 is never raised
+            ([(3, 3)], 8, 2, 2),  # nor any count below the workers' share
+            ([(1, 1), (4, 1)], 4, 8, 4),  # every library is pinned
+            ([(1, 1), (8, 4)], 8, 2, 2),  # each library from its own count
+            ([(4, 4)], 4, 1, 1),
+            ([(8, 4)], 4, 1, 1),  # more threads than CPUs
         ],
     )
-    def test_rule(self, monkeypatch, counts, cpus, tasks, workers, pinned):
+    def test_rule(self, monkeypatch, env, cpus, tasks, expected):
+        counts = [count for count, _ in env]
         controls, state = fake_controls(*counts)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         with pipeline._slot_stage(tasks) as n:
-            assert (n, state) == (workers, pinned)
+            assert (n, state) == (expected, [pinned for _, pinned in env])
         assert state == counts
 
     def test_slot_stage_is_exclusive(self, monkeypatch):
