@@ -46,7 +46,6 @@ from .model import (
     load_calibration,
     load_model,
     save_calibration,
-    save_compressed,
     save_model,
 )
 from .pipeline import (

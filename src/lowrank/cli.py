@@ -79,8 +79,6 @@ def build_parser() -> _Parser:
     _add_retention_flags(p, require=True)
     p.add_argument("--iters", type=int, default=1, help="alternating compensation iterations")
     p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--rel-tol", type=float, default=None, help="relative pseudoinverse cutoff (see README)")
-    p.add_argument("--rel-damping", type=float, default=1e-5, help="whitening Gram damping")
     p.add_argument("--dump-activations", default=None, help="debug: write slot Grams and block importances here")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_compress)
@@ -121,8 +119,6 @@ def _cmd_compress(args) -> int:
         whiten=args.whiten,
         importance_mode=args.importance_mode,
         seed=args.seed,
-        rel_tol=args.rel_tol,
-        rel_damping=args.rel_damping,
     )
     model = load_model(args.model, _container_path(args.model))
     compressed, plan, traces = compress_model(model, args.calib, cfg, dump_path=args.dump_activations)

@@ -29,7 +29,6 @@ class LossTrace:
 
     initial: float
     per_half_step: list[float] = field(default_factory=list)
-    iterations: int = 0
 
     def best(self) -> float:
         return min([self.initial, *self.per_half_step])
@@ -54,35 +53,25 @@ def _loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum((e @ g) * e))
 
 
-def update_u(
-    pair: LowRankPair,
-    w: np.ndarray,
-    g: np.ndarray,
-    rel_tol: float | None = None,
-) -> np.ndarray:
+def update_u(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
-    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T. K's singular values
-    are the squares of those of the token-space design matrix X.T @ Vt.T, so
-    ``rel_tol`` r is applied to K as r^2 and cuts the same directions. The cut
-    never drops below the rounding error of forming K, max(n, k) * eps *
-    ||Vt||_F * ||Vt @ G||_F: directions under it are noise, which a singular G
-    would otherwise invert.
+    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T, cutting K's singular
+    values at the rounding error of forming K, max(n, k) * eps * ||Vt||_F *
+    ||Vt @ G||_F: directions under it are noise, which a singular G would
+    otherwise invert.
     """
     vt = pair.vt_sigma
     k, n = vt.shape
     _check_gram(g, n)
     vg = vt @ g                                            # k x n
     noise = max(n, k) * np.finfo(np.float64).eps * np.linalg.norm(vt) * np.linalg.norm(vg)
-    # r^2 underflows to 0 for a tiny r; the noise floor then decides alone.
-    k_tol = rel_tol**2 if rel_tol is not None and rel_tol**2 > 0 else None
-    k_inv = pinv(vg @ vt.T, k_tol, atol=noise)
-    return (w @ vg.T) @ k_inv                              # m x k
+    return (w @ vg.T) @ pinv(vg @ vt.T, atol=noise)        # m x k
 
 
-def update_v(pair: LowRankPair, w: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+def update_v(pair: LowRankPair, w: np.ndarray) -> np.ndarray:
     """Pseudoinverse refit of the right factor, left factor fixed: pinv(U) @ W."""
-    return pinv(pair.u_sigma, rel_tol) @ w
+    return pinv(pair.u_sigma) @ w
 
 
 def compensate(
@@ -90,7 +79,6 @@ def compensate(
     g: np.ndarray,
     k: int,
     iters: int = 1,
-    rel_tol: float | None = None,
     whitener: Whitener | None = None,
 ) -> tuple[LowRankPair, LossTrace]:
     """Truncated-SVD initialization plus ``iters`` alternating refit rounds.
@@ -110,15 +98,15 @@ def compensate(
 
     best_loss = _loss(pair, w, g)
     best_pair = pair
-    trace = LossTrace(initial=best_loss, iterations=iters)
+    trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        pair = LowRankPair(u_sigma=update_u(pair, w, g, rel_tol), vt_sigma=pair.vt_sigma, rank=k)
+        pair = LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=k)
         loss = _loss(pair, w, g)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
 
-        pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w, rel_tol), rank=k)
+        pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w), rank=k)
         loss = _loss(pair, w, g)
         trace.per_half_step.append(loss)
         if loss < best_loss:

@@ -9,6 +9,8 @@ order, so a load/save round trip is byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -53,49 +55,62 @@ def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_container(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container; returns tensors in file order, in their stored dtype."""
+    """Read a container; returns tensors in file order, in their stored dtype.
+
+    Each tensor's byte range is read straight into its own array, so a load
+    holds one copy of the payload.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(8)
+            if len(prefix) < 8:
+                raise FormatError(f"{path}: file too short for a container header")
+            (header_len,) = struct.unpack("<Q", prefix)
+            if 8 + header_len > size:
+                raise FormatError(f"{path}: declared header length {header_len} exceeds file size")
+            try:
+                header = json.loads(fh.read(header_len).decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise FormatError(f"{path}: unreadable container header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise FormatError(f"{path}: container header must be a JSON object")
+            start, length = 8 + header_len, size - 8 - header_len  # the payload's range
+            return {name: _read_entry(path, fh, name, entry, start, length) for name, entry in header.items()}
     except OSError as exc:
         raise IoError(f"cannot read container {path}: {exc}") from exc
 
-    if len(raw) < 8:
-        raise FormatError(f"{path}: file too short for a container header")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise FormatError(f"{path}: declared header length {header_len} exceeds file size")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable container header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: container header must be a JSON object")
 
-    data = memoryview(raw)[8 + header_len :]  # no copy of the payload; each tensor copies its own range
-    tensors: dict[str, np.ndarray] = {}
-    for name, entry in header.items():
-        tensors[name] = _decode_entry(path, name, entry, data)
-    return tensors
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _decode_entry(path, name: str, entry: dict, data: memoryview) -> np.ndarray:
+def _read_entry(path, fh, name: str, entry, start: int, length: int) -> np.ndarray:
     try:
         tag = entry["dtype"]
         shape = entry["shape"]
-        begin, end = entry["data_offsets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        offsets = entry["data_offsets"]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed header entry for {name!r}") from exc
-    if tag not in _DTYPES:
+    if not isinstance(tag, str) or tag not in _DTYPES:
         raise FormatError(f"{path}: tensor {name!r} has unknown dtype tag {tag!r}")
-    if not all(isinstance(s, int) and s > 0 for s in shape):
-        raise FormatError(f"{path}: tensor {name!r} has non-positive shape {shape}")
-    dtype = _DTYPES[tag]
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if not (0 <= begin <= end <= len(data)):
+    if not isinstance(shape, list) or not all(_is_int(s) and s > 0 for s in shape):
+        raise FormatError(f"{path}: tensor {name!r} has invalid shape {shape!r}")
+    if not (isinstance(offsets, list) and len(offsets) == 2 and all(_is_int(o) for o in offsets)):
+        raise FormatError(f"{path}: tensor {name!r} has invalid data_offsets {offsets!r}")
+    begin, end = offsets
+    if not (0 <= begin <= end <= length):
         raise FormatError(f"{path}: tensor {name!r} offsets [{begin}, {end}] out of bounds")
+    dtype = _DTYPES[tag]
+    expected = math.prod(shape) * dtype.itemsize
     if end - begin != expected:
         raise FormatError(
             f"{path}: tensor {name!r} holds {end - begin} bytes, "
             f"shape {shape} ({tag}) requires {expected}"
         )
-    return np.frombuffer(data, dtype=dtype, count=int(np.prod(shape)), offset=begin).reshape(shape).copy()
+    buf = np.empty(expected, dtype=np.uint8)
+    fh.seek(start + begin)
+    got = fh.readinto(buf)  # a buffered read fills buf unless the file ends first
+    if got != expected:
+        raise FormatError(f"{path}: tensor {name!r} is cut short after {got} of {expected} bytes")
+    return buf.view(dtype).reshape(shape)

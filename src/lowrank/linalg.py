@@ -70,26 +70,17 @@ def truncate_absorb(f: SvdFactors, k: int) -> LowRankPair:
     return LowRankPair(u_sigma=f.u[:, :k] * root, vt_sigma=root[:, None] * f.vt[:k, :], rank=k)
 
 
-def default_rel_tol(m: int, n: int) -> float:
-    """Relative cutoff below which singular values are treated as zero."""
-    return max(m, n) * np.finfo(np.float64).eps
-
-
-def pinv(a: np.ndarray, rel_tol: float | None = None, atol: float = 0.0) -> np.ndarray:
+def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values ``sigma_i <= max(rel_tol * sigma_max, atol)`` are treated
-    as exactly zero; an all-zero matrix yields the zero n x m matrix.
+    Singular values ``sigma_i <= max(max(m, n) * eps * sigma_max, atol)`` are
+    treated as exactly zero; an all-zero matrix yields the zero n x m matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m, n)
-    if rel_tol <= 0:
-        raise NumericalError(f"rel_tol must be positive, got {rel_tol}")
     f = svd_full(a)
     sigma_max = f.sigma[0] if f.sigma.size else 0.0
-    cutoff = max(rel_tol * sigma_max, atol)
+    cutoff = max(max(m, n) * np.finfo(np.float64).eps * sigma_max, atol)
     keep = f.sigma > cutoff
     inv_sigma = np.zeros_like(f.sigma)
     inv_sigma[keep] = 1.0 / f.sigma[keep]

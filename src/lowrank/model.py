@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from .container import load_container, save_container
-from .errors import FormatError, IoError, ManifestMismatch, ShapeError
+from .errors import FormatError, IoError, ManifestMismatch, NumericalError, ShapeError
 from .linalg import LowRankPair
 
 SUPPORTED_VERSIONS = ("1",)
@@ -205,12 +206,44 @@ def block_forward(model: ModelHandle, block_id: int, x: np.ndarray) -> tuple[np.
     return x_norm, hidden, y
 
 
-def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
-    """Full forward over one sample (tokens x d); returns the final (tokens x d) output."""
-    x = np.asarray(sample, dtype=np.float64).T
+def walk_blocks(
+    model: ModelHandle, samples: Sequence[np.ndarray], visit: Callable | None = None
+) -> np.ndarray:
+    """Run the model forward block by block over every token of ``samples``.
+
+    Calls ``visit(block_id, block input, {slot: slot input}, block output)``
+    per block, columns being all tokens in sample order, and returns the last
+    block's output (d x tokens). Only one block's token matrices are alive at
+    a time. Raises NumericalError naming the block if the forward produces
+    non-finite values.
+    """
+    d = model.hidden_dim
+    cols = []
+    for sample in samples:
+        sample = np.asarray(sample, dtype=np.float64)
+        if sample.ndim != 2 or sample.shape[1] != d:
+            raise ShapeError(f"sample shape {sample.shape} does not match hidden_dim {d}")
+        cols.append(sample.T)
+    # Every block op is per-column, so one pass over the concatenated token
+    # columns equals a sample-by-sample forward.
+    x = np.concatenate(cols, axis=1)
     for block in model.manifest.blocks:
-        _, _, x = block_forward(model, block.block_id, x)
-    return x.T
+        x_norm, hidden, y = block_forward(model, block.block_id, x)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError(f"non-finite activations in block {block.block_id}")
+        if visit is not None:
+            visit(block.block_id, x, {"w1": x_norm, "w2": hidden}, y)
+        del x_norm, hidden
+        x = y
+    return x
+
+
+def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
+    """Full forward over one sample (tokens x d); returns the final (tokens x d) output.
+
+    Raises NumericalError naming the first block whose output is non-finite.
+    """
+    return walk_blocks(model, [sample]).T
 
 
 # --- validation, load, save -------------------------------------------------
@@ -294,19 +327,6 @@ def save_model(model: ModelHandle, manifest_path: str | Path, container_path: st
     except OSError as exc:
         raise IoError(f"cannot write manifest {manifest_path}: {exc}") from exc
     save_container(container_path, out)
-
-
-def save_compressed(model: ModelHandle, plan, factors: dict[str, LowRankPair], out_dir: str | Path) -> None:
-    """Write the compressed model (manifest + container) for a compression plan.
-
-    ``factors`` maps full slot names ("blocks.i.w1") to their factor pairs;
-    slots the plan leaves at full retention stay dense. Writes
-    ``out_dir/model.json`` and ``out_dir/model.st``.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    compressed = as_compressed_handle(model, plan, factors)
-    save_model(compressed, out_dir / "model.json", out_dir / "model.st")
 
 
 def as_compressed_handle(model: ModelHandle, plan, factors: dict[str, LowRankPair]) -> ModelHandle:

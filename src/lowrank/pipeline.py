@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,16 +38,17 @@ from .linalg import LowRankPair, Whitener, cholesky_damped
 from .model import (
     ModelHandle,
     as_compressed_handle,
-    block_forward,
     forward,
     load_calibration,
     slot_name,
+    walk_blocks,
 )
 from .runtime import blas_controls, cap_malloc_arenas
 
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors
 CHOLESKY_RETRIES = 5
+REL_DAMPING = 1e-5  # first whitening damping, relative to the Gram matrix's mean diagonal
 
 # Held while the slot stage has the BLAS thread counts pinned, so that two
 # concurrent compress_model calls cannot restore each other's pinned counts.
@@ -65,8 +66,6 @@ class PipelineConfig:
     whiten: bool = True
     importance_mode: str = "cos"
     seed: int = 0
-    rel_tol: float | None = None
-    rel_damping: float = 1e-5
 
     def resolved_mrr(self) -> float:
         if self.mrr is not None:
@@ -85,10 +84,6 @@ class PipelineConfig:
             raise ShapeError(f"bucket size must be >= 1, got {self.bucket_size}")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise ShapeError(f"unknown importance mode {self.importance_mode!r}")
-        if self.rel_tol is not None and self.rel_tol <= 0:
-            raise ShapeError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.rel_damping < 0:
-            raise ShapeError(f"rel_damping must be >= 0, got {self.rel_damping}")
 
 
 def split_calibration(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,35 +100,6 @@ def _load_samples(model: ModelHandle, calib_file: str | Path) -> np.ndarray:
             f"calibration dim {samples.shape[2]} does not match model hidden_dim {model.hidden_dim}"
         )
     return samples
-
-
-def _walk_blocks(model: ModelHandle, samples: Sequence[np.ndarray], visit: Callable) -> np.ndarray:
-    """Run the model forward block by block over every token of ``samples``.
-
-    Calls ``visit(block_id, block input, {slot: slot input}, block output)``
-    per block, columns being all tokens in sample order, and returns the last
-    block's output. Only one block's token matrices are alive at a time.
-    Raises NumericalError naming the block if the forward produces non-finite
-    values.
-    """
-    d = model.hidden_dim
-    cols = []
-    for sample in samples:
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim != 2 or sample.shape[1] != d:
-            raise ShapeError(f"sample shape {sample.shape} does not match hidden_dim {d}")
-        cols.append(sample.T)
-    # Every block op is per-column, so one pass over the concatenated token
-    # columns equals a sample-by-sample forward.
-    x = np.concatenate(cols, axis=1)
-    for block in model.manifest.blocks:
-        x_norm, hidden, y = block_forward(model, block.block_id, x)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"non-finite activations in block {block.block_id}")
-        visit(block.block_id, x, {"w1": x_norm, "w2": hidden}, y)
-        del x_norm, hidden
-        x = y
-    return x
 
 
 def calibrate(
@@ -155,7 +121,7 @@ def calibrate(
                 grams[slot_name(block_id, slot)] = gram_accumulate(x)
         importances[block_id] = layer_importance(x_in, y)
 
-    _walk_blocks(model, samples, visit)
+    walk_blocks(model, samples, visit)
     return grams, importances
 
 
@@ -206,8 +172,8 @@ def compress_model(
         name, w, rank = task
         try:
             gram = grams.pop(name)  # freed as soon as this slot is done
-            whitener = _whitener_with_retry(gram, cfg.rel_damping) if cfg.whiten else None
-            return compensate(w, gram, rank, cfg.iterations, cfg.rel_tol, whitener)
+            whitener = _whitener_with_retry(gram) if cfg.whiten else None
+            return compensate(w, gram, rank, cfg.iterations, whitener)
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
@@ -257,16 +223,16 @@ def _slot_stage(n_tasks: int):
                 control.set(count)
 
 
-def _whitener_with_retry(g: np.ndarray, rel_damping: float) -> Whitener:
+def _whitener_with_retry(g: np.ndarray) -> Whitener:
     """Cholesky of the activation Gram matrix, retrying with 10x damping on failure."""
-    damping = rel_damping
+    damping = REL_DAMPING
     last: NumericalError | None = None
     for _ in range(CHOLESKY_RETRIES + 1):
         try:
             return cholesky_damped(g, damping)
         except NumericalError as exc:
             last = exc
-            damping = damping * 10.0 if damping > 0 else 1e-10
+            damping *= 10.0
     raise NumericalError(f"whitening failed after {CHOLESKY_RETRIES} damping retries: {last}")
 
 
@@ -341,7 +307,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
             data_err = float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny))
             per_slot.append(SlotErrors(slot=slot_name(block_id, slot), frob_rel_err=frob, data_rel_err=data_err))
 
-    out_orig = _walk_blocks(original, heldout, visit).T
+    out_orig = walk_blocks(original, heldout, visit).T
     stacked = heldout.reshape(-1, heldout.shape[2])  # block ops are per-token
     out_comp = forward(compressed, stacked)
     mse = float(np.mean((out_orig - out_comp) ** 2))

@@ -122,9 +122,19 @@ def test_retention_out_of_range_exits_1(workspace, capsys):
     assert "1.2" in err or "(0, 1]" in err
 
 
-def test_unknown_flag_exits_1(capsys):
-    assert run_cli(["compress", "--bogus-flag", "1"]) == 1
-    assert "usage" in capsys.readouterr().err.lower()
+@pytest.mark.parametrize(
+    "flag", [["--bogus-flag", "1"], ["--rel-tol", "1e-3"], ["--rel-damping", "1e-5"]],
+    ids=["bogus-flag", "rel-tol", "rel-damping"],
+)
+def test_unknown_flag_exits_1(workspace, capsys, flag):
+    code = run_cli([
+        "compress", "--model", str(workspace / "base" / "model.json"),
+        "--calib", str(workspace / "base" / "calib.st"),
+        "--target-retention", "0.6", "--out", str(workspace / "x"), *flag,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and f"unrecognized arguments: {flag[0]}" in err
 
 
 def test_missing_model_file_exits_1(workspace, capsys):
@@ -152,22 +162,36 @@ def test_dump_activations_flag(workspace):
     }
 
 
-def test_numerical_error_exits_2(workspace, capsys):
-    base = workspace / "base"
+@pytest.mark.parametrize("command", ["compress", "eval"])
+def test_numerical_error_exits_2(workspace, capsys, command):
     from lowrank.container import save_container
 
-    tensors = load_container(base / "model.st")
-    tensors["blocks.1.w1"] = tensors["blocks.1.w1"].copy()
-    tensors["blocks.1.w1"][0, 0] = np.inf
-    save_container(base / "model.st", tensors)
+    base = workspace / "base"
+    compress = [
+        "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+        "--target-retention", "0.6", "--out",
+    ]
+    if command == "compress":
+        container, name, bad = base / "model.st", "blocks.1.w1", np.inf
+        argv = [*compress, str(workspace / "x")]
+    else:
+        assert run_cli([*compress, str(workspace / "c")]) == 0
+        container, name, bad = workspace / "c" / "model.st", "blocks.1.w1.u", np.nan
+        argv = [
+            "eval", "--model", str(base / "model.json"),
+            "--compressed", str(workspace / "c" / "model.json"), "--calib", str(base / "calib.st"),
+        ]
+    tensors = load_container(container)
+    tensors[name] = tensors[name].copy()
+    tensors[name][0, 0] = bad
+    save_container(container, tensors)
+    capsys.readouterr()
     with np.errstate(invalid="ignore"):
-        code = run_cli([
-            "compress", "--model", str(base / "model.json"),
-            "--calib", str(base / "calib.st"),
-            "--target-retention", "0.6", "--out", str(workspace / "x"),
-        ])
+        code = run_cli(argv)
     assert code == 2
-    assert "block 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "block 1" in captured.err
+    assert captured.out == ""  # no report with a NaN in it
 
 
 def test_cli_runs_are_bit_identical(workspace):

@@ -131,25 +131,6 @@ class TestUpdateU:
                 u = update_u(pair, w, g)
                 assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
 
-    def test_rel_tol_cuts_the_token_form_directions(self, rng):
-        m, n, k, t = 12, 10, 5, 40
-        w = rng.normal(size=(m, n))
-        x = rng.normal(size=(n, t))
-        q = np.linalg.qr(rng.normal(size=(n, k)))[0]
-        vt = np.diag([1.0, 1.0, 1e-4, 1e-4, 1e-8]) @ q.T  # design matrix spectrum in three groups
-        pair = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=vt, rank=k)
-        a = x.T @ vt.T
-        sigma = np.linalg.svd(a, compute_uv=False) / np.linalg.norm(a, 2)
-        uncut = (pinv(a) @ (w @ x).T).T
-        for r in (1e-2, 1e-6):
-            assert np.all(np.abs(np.log10(sigma / r)) > 0.5)  # no value near the cut
-            token_form = (pinv(a, r) @ (w @ x).T).T
-            assert np.linalg.norm(token_form - uncut) > 1e-3 * np.linalg.norm(uncut)  # r cuts something
-            u = update_u(pair, w, x @ x.T, rel_tol=r)
-            assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
-        # a cutoff under the noise floor, even one whose square underflows, cuts nothing more
-        np.testing.assert_array_equal(update_u(pair, w, x @ x.T, rel_tol=1e-170), update_u(pair, w, x @ x.T))
-
 
 class TestUpdateV:
     def test_orthonormal_u_gives_transpose_product(self, rng):
@@ -199,7 +180,6 @@ class TestCompensate:
         x = rng.normal(size=(8, 32))
         _, trace = compensate(w, x @ x.T, k=2, iters=3)
         assert len(trace.per_half_step) == 6
-        assert trace.iterations == 3
         assert all(np.isfinite(v) and v >= 0 for v in trace.per_half_step)
 
     def test_half_step_monotone_with_full_rank_gram(self, rng):

@@ -1,11 +1,14 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank.container import load_container, save_container
-from lowrank.errors import FormatError, IoError
+from lowrank.errors import FormatError, IoError, LowrankError
 
 
 def test_round_trip_is_byte_identical(tmp_path, rng):
@@ -58,6 +61,7 @@ def test_offset_length_mismatch_is_format_error(tmp_path):
         struct.pack("<Q", 10) + b"ab",  # header length beyond EOF
         struct.pack("<Q", 4) + b"nope",  # not JSON
         struct.pack("<Q", 2) + b"[]",  # JSON but not an object
+        struct.pack("<Q", 100_000) + b"[" * 100_000,  # nested past the JSON parser's recursion limit
     ],
 )
 def test_unreadable_header_is_format_error(tmp_path, raw):
@@ -84,3 +88,89 @@ def test_missing_file_is_io_error(tmp_path):
 def test_non_float_dtype_rejected_on_save(tmp_path):
     with pytest.raises(FormatError):
         save_container(tmp_path / "t.st", {"w": np.arange(4, dtype=np.int32)})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("data_offsets", [0.0, 8.0]),
+        ("shape", 5),
+        ("shape", [True]),
+        ("dtype", ["F64"]),
+        ("data_offsets", "ab"),
+    ],
+    ids=["float-offsets", "int-shape", "bool-shape", "list-dtype", "str-offsets"],
+)
+def test_mistyped_header_entry_is_format_error(tmp_path, field, value):
+    entry = {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]}
+    entry[field] = value
+    blob = json.dumps({"w": entry}, separators=(",", ":")).encode()
+    path = tmp_path / "bad.st"
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 8)
+    with pytest.raises(FormatError):
+        load_container(path)
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    payload = 16 << 20
+    path = tmp_path / "big.st"
+    save_container(path, {f"t{i}": np.full((512, 512), float(i)) for i in range(8)})
+    tracemalloc.start()
+    try:
+        tensors = load_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in tensors.values()) == payload
+    np.testing.assert_array_equal(tensors["t7"], 7.0)
+    assert peak < 1.25 * payload
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _valid_container(path) -> bytes:
+    save_container(path, {
+        "a": np.arange(6, dtype=np.float64).reshape(2, 3),
+        "b": np.ones((3,), dtype=np.float32),
+        "c": np.full((1, 2, 2), -1.5),
+    })
+    return path.read_bytes()
+
+
+@st.composite
+def _mutated_containers(draw, valid: bytes) -> bytes:
+    (header_len,) = struct.unpack("<Q", valid[:8])
+    kind = draw(st.sampled_from(["truncate", "header-length", "field"]))
+    if kind == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "header-length":
+        new_len = draw(st.integers(0, len(valid) + 8) | st.integers(0, 2**64 - 1))
+        return struct.pack("<Q", new_len) + valid[8:]
+    header = json.loads(valid[8 : 8 + header_len])
+    name = draw(st.sampled_from(sorted(header)))
+    field = draw(st.sampled_from(["dtype", "shape", "data_offsets"]))
+    header[name][field] = draw(_JSON_VALUES)
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(blob)) + blob + valid[8 + header_len :]
+
+
+def test_mutated_containers_raise_only_lowrank_errors(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    valid = _valid_container(workdir / "valid.st")
+
+    @given(raw=_mutated_containers(valid))
+    @settings(max_examples=200, deadline=None)
+    def check(raw):
+        path = workdir / "mutated.st"
+        path.write_bytes(raw)
+        try:
+            load_container(path)
+        except LowrankError:
+            pass
+
+    check()

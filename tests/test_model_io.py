@@ -9,12 +9,12 @@ from lowrank.errors import FormatError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair, svd_full, truncate_absorb
 from lowrank.model import (
     ModelHandle,
+    as_compressed_handle,
     forward,
     gen_synthetic,
     load_calibration,
     load_model,
     save_calibration,
-    save_compressed,
     save_model,
     slot_name,
 )
@@ -155,7 +155,7 @@ class TestSaveCompressed:
         for block_id, slot in model.slot_ids():
             w = model.slot_weight(block_id, slot)
             factors[slot_name(block_id, slot)] = truncate_absorb(svd_full(w), 16)
-        save_compressed(model, plan, factors, tmp_path)
+        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
         stored = load_container(tmp_path / "model.st")
         assert stored["blocks.0.w1.u"].shape == (64, 16)
         assert stored["blocks.0.w1.vt"].shape == (16, 64)
@@ -166,7 +166,7 @@ class TestSaveCompressed:
     def test_zero_compressed_slots_is_dense_copy(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=2, d=8, h=16)
         plan = uniform_plan(model, ranks=None)
-        save_compressed(model, plan, {}, tmp_path)
+        save_model(as_compressed_handle(model, plan, {}), tmp_path / "model.json", tmp_path / "model.st")
         loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         for name in model.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
@@ -179,7 +179,7 @@ class TestSaveCompressed:
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 10)
             for b, s in model.slot_ids()
         }
-        save_compressed(model, plan, factors, tmp_path)
+        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
         reloaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         in_memory = ModelHandle(
             manifest=reloaded.manifest,
@@ -203,7 +203,7 @@ class TestSaveCompressed:
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), k)
             for b, s in model.slot_ids()
         }
-        save_compressed(model, plan, factors, tmp_path)
+        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
         loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         ref = forward(model, calib[0])
         out = forward(loaded, calib[0])
@@ -215,7 +215,7 @@ class TestSaveCompressed:
         bad = LowRankPair(u_sigma=np.zeros((16, 4)), vt_sigma=np.zeros((4, 16)), rank=4)
         factors = {slot_name(b, s): bad for b, s in model.slot_ids()}
         with pytest.raises(ShapeError):
-            save_compressed(model, plan, factors, tmp_path)
+            save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
 
 
 class TestCalibrationFile:
