@@ -66,12 +66,18 @@ def stack_of_batch(samples: Sequence[np.ndarray] | np.ndarray, m_buckets: int, s
 
 
 def gram_accumulate(x: np.ndarray) -> np.ndarray:
-    """Second-moment matrix X @ X.T of an (n x T) activation matrix, symmetrized."""
+    """Second-moment matrix X @ X.T of an (n x T) activation matrix, exactly symmetric.
+
+    On a C- or F-contiguous operand numpy computes ``x @ x.T`` with one BLAS
+    ``syrk`` and mirrors its triangle, so no symmetrization is needed. Any
+    other operand is copied to C order first.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):
+        x = np.ascontiguousarray(x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("activations contain non-finite entries")
-    g = x @ x.T
-    return (g + g.T) / 2.0
+    return x @ x.T
 
 
 def dump_activations(grams: dict[str, np.ndarray], importances: dict[int, float], path: str | Path) -> None:

@@ -10,6 +10,20 @@ fixed Vt, U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same minimum-norm
 solution as pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
 pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
 nonsingular (G cancels), and stays the applied rule otherwise.
+
+``compensate`` reads every loss off the U-refit's normal equations. With
+K = Vt @ G @ Vt.T and B = W @ G @ Vt.T at a fixed Vt,
+
+    loss(U, Vt) = c - 2 <U, B> + <U @ K, U>,      c = tr(W @ G @ W.T),
+
+so a loss costs m x k work once K and B are formed, and the K and B formed
+at each new Vt also serve the next U-refit. c is fixed per slot. With a
+whitener S (S @ S.T = G + damping * I) it is the sum of the squared singular
+values of W @ S, which the initialization computes anyway, minus
+damping * ||W||_F^2; without one it is one m x n x n product. The identity's
+rounding error scales with c rather than with the loss, so a near-exact fit
+(loss below ~1e-13 * c) reads as rounding noise. ``svd_loss`` keeps the
+direct form as the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import RankError, ShapeError
-from .linalg import LowRankPair, SvdFactors, Whitener, pinv, svd_full, truncate_absorb
+from .linalg import LowRankPair, Whitener, pinv, svd_full, truncate_absorb
 
 
 @dataclass
@@ -40,7 +54,8 @@ def svd_loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
     if pair.u_sigma.shape[0] != m or pair.vt_sigma.shape[1] != n:
         raise ShapeError(f"factor pair {pair.shape} does not match matrix {w.shape}")
     _check_gram(g, n)
-    return _loss(pair, w, g)
+    e = pair.product() - w
+    return float(np.sum((e @ g) * e))
 
 
 def _check_gram(g: np.ndarray, n: int) -> None:
@@ -48,25 +63,41 @@ def _check_gram(g: np.ndarray, n: int) -> None:
         raise ShapeError(f"Gram matrix has shape {g.shape}, matrix has {n} columns")
 
 
-def _loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
-    e = pair.product() - w
-    return float(np.sum((e @ g) * e))
+@dataclass(frozen=True)
+class NormalEquations:
+    """The U-refit's system U @ K = B at a fixed Vt: K = Vt @ G @ Vt.T, B = W @ G @ Vt.T."""
+
+    k: np.ndarray   # k x k
+    b: np.ndarray   # m x k
+    noise: float    # rounding error of forming K
+
+    def loss(self, u: np.ndarray, c: float) -> float:
+        """loss(U, Vt) = c - <U, 2 B - U @ K>, given c = tr(W @ G @ W.T)."""
+        return c - float(np.vdot(u, 2.0 * self.b - u @ self.k))
 
 
-def update_u(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares refit of the left factor, right factor fixed.
-
-    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T, cutting K's singular
-    values at the rounding error of forming K, max(n, k) * eps * ||Vt||_F *
-    ||Vt @ G||_F: directions under it are noise, which a singular G would
-    otherwise invert.
-    """
-    vt = pair.vt_sigma
+def normal_equations(vt: np.ndarray, w: np.ndarray, g: np.ndarray) -> NormalEquations:
+    """Form K and B at ``vt``, and K's rounding error max(n, k) * eps * ||Vt||_F * ||Vt @ G||_F."""
     k, n = vt.shape
     _check_gram(g, n)
     vg = vt @ g                                            # k x n
     noise = max(n, k) * np.finfo(np.float64).eps * np.linalg.norm(vt) * np.linalg.norm(vg)
-    return (w @ vg.T) @ pinv(vg @ vt.T, atol=noise)        # m x k
+    return NormalEquations(k=vg @ vt.T, b=w @ vg.T, noise=noise)
+
+
+def update_u(
+    pair: LowRankPair, w: np.ndarray, g: np.ndarray, normal: NormalEquations | None = None
+) -> np.ndarray:
+    """Minimum-norm least-squares refit of the left factor, right factor fixed.
+
+    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T, cutting K's singular
+    values at the rounding error of forming K: directions under it are noise,
+    which a singular G would otherwise invert. ``normal`` is the system
+    already formed at ``pair.vt_sigma``, if the caller has it.
+    """
+    if normal is None:
+        normal = normal_equations(pair.vt_sigma, w, g)
+    return normal.b @ pinv(normal.k, atol=normal.noise)   # m x k
 
 
 def update_v(pair: LowRankPair, w: np.ndarray) -> np.ndarray:
@@ -94,20 +125,26 @@ def compensate(
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
     _check_gram(g, w.shape[1])
-    pair = initialize_pair(w, k, whitener)
+    pair, sigma = _initialize(w, k, whitener)
+    if whitener is None:
+        c = float(np.vdot(w @ g, w))
+    else:
+        c = float(sigma @ sigma) - whitener.damping * float(np.vdot(w, w))
 
-    best_loss = _loss(pair, w, g)
+    normal = normal_equations(pair.vt_sigma, w, g)
+    best_loss = normal.loss(pair.u_sigma, c)
     best_pair = pair
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        pair = LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=k)
-        loss = _loss(pair, w, g)
+        pair = LowRankPair(u_sigma=update_u(pair, w, g, normal), vt_sigma=pair.vt_sigma, rank=k)
+        loss = normal.loss(pair.u_sigma, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
 
         pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w), rank=k)
-        loss = _loss(pair, w, g)
+        normal = normal_equations(pair.vt_sigma, w, g)
+        loss = normal.loss(pair.u_sigma, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
@@ -116,15 +153,21 @@ def compensate(
 
 def initialize_pair(w: np.ndarray, k: int, whitener: Whitener | None = None) -> LowRankPair:
     """Plain or whitened truncated-SVD starting point at rank k."""
+    return _initialize(w, k, whitener)[0]
+
+
+def _initialize(w: np.ndarray, k: int, whitener: Whitener | None) -> tuple[LowRankPair, np.ndarray]:
+    """The starting pair and every singular value of the matrix it truncates: W, or W @ S."""
     if whitener is None:
-        return truncate_absorb(svd_full(w), k)
-    f: SvdFactors = svd_full(w @ whitener.s)
+        f = svd_full(w)
+        return truncate_absorb(f, k), f.sigma
+    f = svd_full(w @ whitener.s)
     pair = truncate_absorb(f, k)
     # Vt @ S^-1 is the solution Y of S.T @ Y.T = Vt.T; S is lower triangular.
     vt = scipy.linalg.solve_triangular(
         whitener.s, pair.vt_sigma.T, trans="T", lower=True, check_finite=False
     ).T
-    return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=vt, rank=k)
+    return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=vt, rank=k), f.sigma
 
 
 def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:

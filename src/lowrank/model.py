@@ -80,8 +80,8 @@ class ModelManifest:
             hidden_dim = int(doc["hidden_dim"])
             activation = doc["activation"]
             blocks_doc = doc["blocks"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"manifest is missing required fields: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"manifest lacks a valid version, hidden_dim, activation or blocks: {exc}") from exc
         if version not in SUPPORTED_VERSIONS:
             raise FormatError(f"unsupported manifest version {version!r}")
         if activation not in ACTIVATIONS:
@@ -93,21 +93,36 @@ class ModelManifest:
         blocks = []
         for i, entry in enumerate(blocks_doc):
             try:
+                matrices = {
+                    slot: _tensor_name(name) for slot, name in _json_object(entry.get("matrices", {})).items()
+                }
                 lowrank = {
-                    slot: LowRankRef(u=ref["u"], vt=ref["vt"], rank=int(ref["rank"]))
-                    for slot, ref in entry.get("lowrank", {}).items()
+                    slot: LowRankRef(u=_tensor_name(ref["u"]), vt=_tensor_name(ref["vt"]), rank=int(ref["rank"]))
+                    for slot, ref in _json_object(entry.get("lowrank", {})).items()
                 }
                 blocks.append(
                     BlockSpec(
                         block_id=int(entry["block_id"]),
                         kind=entry.get("kind", "residual_mlp"),
-                        matrices=dict(entry.get("matrices", {})),
+                        matrices=matrices,
                         lowrank=lowrank,
                     )
                 )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"manifest block {i} is malformed: {type(exc).__name__} {exc}") from exc
         return ModelManifest(version=version, hidden_dim=hidden_dim, activation=activation, blocks=blocks)
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _tensor_name(name) -> str:
+    if not isinstance(name, str):
+        raise TypeError(f"tensor name must be a string, got {type(name).__name__}")
+    return name
 
 
 def slot_name(block_id: int, slot: str) -> str:
@@ -305,7 +320,7 @@ def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHa
         doc = json.loads(Path(manifest_path).read_text("utf-8"))
     except OSError as exc:
         raise IoError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from exc
     manifest = ModelManifest.from_json(doc)
     stored = load_container(container_path)

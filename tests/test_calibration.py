@@ -162,6 +162,24 @@ class TestGram:
         assert np.linalg.norm(g - g.T) <= 1e-12
         assert np.linalg.eigvalsh(g).min() >= -1e-10
 
+    @pytest.mark.parametrize("shape", [(64, 100), (513, 77)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric(self, layout, shape):
+        rng = np.random.default_rng(shape[0])
+        n, t = shape
+        x = {
+            "C": lambda: rng.normal(size=(n, t)),
+            "F": lambda: np.asfortranarray(rng.normal(size=(n, t))),
+            "strided": lambda: rng.normal(size=(n, 2 * t))[:, ::2],
+        }[layout]()
+        g = gram_accumulate(x)
+        assert np.array_equal(g, g.T)
+        # Symmetrizing the product changes no bit of it: the C- and F-order
+        # operands the calibration walk passes keep their Grams.
+        operand = np.ascontiguousarray(x) if layout == "strided" else x
+        product = operand @ operand.T
+        assert np.array_equal(g, (product + product.T) / 2.0)
+
 
 def test_dump_activations_tensor_names(tmp_path):
     model, calib = gen_synthetic(seed=6, blocks=2, d=4, h=8, n_samples=2, tokens=3)

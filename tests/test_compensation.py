@@ -250,3 +250,35 @@ class TestCompensate:
         whitener = cholesky_damped(x @ x.T, 1e-5)
         pair, trace = compensate(w, x @ x.T, k=4, iters=2, whitener=whitener)
         assert svd_loss(pair, w, x @ x.T) <= trace.initial * (1 + 1e-12)
+
+
+class TestLossTrace:
+    @pytest.mark.parametrize("iters", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tokens", [40, 7], ids=["full-rank-gram", "rank-deficient-gram"])
+    @pytest.mark.parametrize("whiten", [False, True], ids=["unwhitened", "whitened"])
+    def test_every_loss_is_the_svd_loss_of_its_pair(self, whiten, tokens, iters):
+        # The trace reads each loss off the U-refit's normal equations; replay
+        # the half-steps through the public refits and score each pair directly.
+        rng = np.random.default_rng(tokens + 10 * iters + 100 * whiten)
+        m, n, k = 14, 10, 4
+        for _ in range(5):
+            w = rng.normal(size=(m, n))
+            x = rng.normal(size=(n, tokens))
+            g = x @ x.T
+            whitener = cholesky_damped(g, 1e-5) if whiten else None
+            best, trace = compensate(w, g, k, iters, whitener)
+
+            pairs = [initialize_pair(w, k, whitener)]
+            for _ in range(iters):
+                pair = pairs[-1]
+                pairs.append(LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=k))
+                pair = pairs[-1]
+                pairs.append(LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w), rank=k))
+            losses = [trace.initial, *trace.per_half_step]
+            assert len(losses) == len(pairs) == 2 * iters + 1
+            for loss, pair in zip(losses, pairs):
+                assert loss == pytest.approx(svd_loss(pair, w, g), rel=1e-12)
+
+            lowest = pairs[losses.index(min(losses))]
+            np.testing.assert_array_equal(best.u_sigma, lowest.u_sigma)
+            np.testing.assert_array_equal(best.vt_sigma, lowest.vt_sigma)

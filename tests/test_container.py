@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lowrank.container import load_container, save_container
 from lowrank.errors import FormatError, IoError, LowrankError
+from strategies import JSON_VALUES
 
 
 def test_round_trip_is_byte_identical(tmp_path, rng):
@@ -126,13 +127,6 @@ def test_load_holds_one_copy_of_the_payload(tmp_path):
     assert peak < 1.25 * payload
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=8,
-)
-
-
 def _valid_container(path) -> bytes:
     save_container(path, {
         "a": np.arange(6, dtype=np.float64).reshape(2, 3),
@@ -154,7 +148,7 @@ def _mutated_containers(draw, valid: bytes) -> bytes:
     header = json.loads(valid[8 : 8 + header_len])
     name = draw(st.sampled_from(sorted(header)))
     field = draw(st.sampled_from(["dtype", "shape", "data_offsets"]))
-    header[name][field] = draw(_JSON_VALUES)
+    header[name][field] = draw(JSON_VALUES)
     blob = json.dumps(header, separators=(",", ":")).encode()
     return struct.pack("<Q", len(blob)) + blob + valid[8 + header_len :]
 

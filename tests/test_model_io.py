@@ -1,11 +1,14 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank.allocation import BlockPlan, CompressionPlan
 from lowrank.container import load_container
-from lowrank.errors import FormatError, ManifestMismatch, ShapeError
+from lowrank.errors import FormatError, LowrankError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair, svd_full, truncate_absorb
 from lowrank.model import (
     ModelHandle,
@@ -18,6 +21,7 @@ from lowrank.model import (
     save_model,
     slot_name,
 )
+from strategies import JSON_VALUES
 
 
 def save_and_reload(model, tmp_path, name="m"):
@@ -145,6 +149,62 @@ class TestLoadSave:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_model(tmp_path / "m.json", tmp_path / "m.st")
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_manifests(draw, valid: dict) -> bytes:
+    text = json.dumps(valid)
+    kind = draw(st.sampled_from(["replace", "delete", "truncate", "nest", "bytes"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "nest":
+        return b"[" * draw(st.integers(1, 100_000))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    doc = copy.deepcopy(valid)
+    paths = list(_paths(doc))
+    path = draw(st.sampled_from(paths if kind == "replace" else paths[1:]))
+    if not path:
+        return json.dumps(draw(JSON_VALUES)).encode()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "replace":
+        parent[path[-1]] = draw(JSON_VALUES)
+    else:
+        del parent[path[-1]]
+    return json.dumps(doc).encode()
+
+
+def test_mutated_manifests_raise_only_lowrank_errors(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
+    plan = uniform_plan(model, ranks=None)
+    plan.per_block[1].ranks = {"w1": 2, "w2": None}
+    pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
+    save_model(as_compressed_handle(model, plan, {"blocks.1.w1": pair}), workdir / "valid.json", workdir / "m.st")
+    valid = json.loads((workdir / "valid.json").read_text())
+    assert valid["blocks"][0]["matrices"] and valid["blocks"][1]["lowrank"]
+
+    @given(raw=_mutated_manifests(valid))
+    @settings(max_examples=200, deadline=None)
+    def check(raw):
+        path = workdir / "mutated.json"
+        path.write_bytes(raw)
+        try:
+            load_model(path, workdir / "m.st")
+        except LowrankError:
+            pass
+
+    check()
 
 
 class TestSaveCompressed:
