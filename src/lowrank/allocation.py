@@ -72,10 +72,10 @@ class CompressionPlan:
         }
 
 
-def layer_importance(block_in: np.ndarray, block_out: np.ndarray) -> float:
-    """Mean cosine similarity between corresponding input/output token columns.
+def column_cosines(block_in: np.ndarray, block_out: np.ndarray) -> np.ndarray:
+    """Cosine similarity between each input token column and its output column.
 
-    Zero-norm columns contribute similarity 0 and still count in the mean.
+    A zero-norm column gets similarity 0.
     """
     block_in = np.asarray(block_in, dtype=np.float64)
     block_out = np.asarray(block_out, dtype=np.float64)
@@ -85,8 +85,15 @@ def layer_importance(block_in: np.ndarray, block_out: np.ndarray) -> float:
         raise ShapeError(f"expected matrices with >= 1 token column, got shape {block_in.shape}")
     num = np.sum(block_in * block_out, axis=0)
     denom = np.linalg.norm(block_in, axis=0) * np.linalg.norm(block_out, axis=0)
-    cos = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-    return float(np.mean(cos))
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+
+
+def layer_importance(block_in: np.ndarray, block_out: np.ndarray) -> float:
+    """Mean cosine similarity between corresponding input/output token columns.
+
+    Zero-norm columns contribute similarity 0 and still count in the mean.
+    """
+    return float(np.mean(column_cosines(block_in, block_out)))
 
 
 def normalize_importance(i_values) -> list[float]:

@@ -151,6 +151,8 @@ def _cmd_eval(args) -> int:
     original = load_model(args.model, _container_path(args.model))
     compressed = load_model(args.compressed, _container_path(args.compressed))
     report = eval_compression(original, compressed, args.calib)
+    if report.scored_on_all:
+        print(f"note: {args.calib} is too small for a held-out tail; eval scored every sample", file=sys.stderr)
     if args.out:
         write_json(report.to_json(), args.out)
         print(f"wrote {args.out}")

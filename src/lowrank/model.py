@@ -77,10 +77,10 @@ class ModelManifest:
     def from_json(doc: dict) -> "ModelManifest":
         try:
             version = doc["version"]
-            hidden_dim = int(doc["hidden_dim"])
+            hidden_dim = _json_int(doc["hidden_dim"])
             activation = doc["activation"]
             blocks_doc = doc["blocks"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"manifest lacks a valid version, hidden_dim, activation or blocks: {exc}") from exc
         if version not in SUPPORTED_VERSIONS:
             raise FormatError(f"unsupported manifest version {version!r}")
@@ -97,18 +97,18 @@ class ModelManifest:
                     slot: _tensor_name(name) for slot, name in _json_object(entry.get("matrices", {})).items()
                 }
                 lowrank = {
-                    slot: LowRankRef(u=_tensor_name(ref["u"]), vt=_tensor_name(ref["vt"]), rank=int(ref["rank"]))
+                    slot: LowRankRef(u=_tensor_name(ref["u"]), vt=_tensor_name(ref["vt"]), rank=_json_int(ref["rank"]))
                     for slot, ref in _json_object(entry.get("lowrank", {})).items()
                 }
                 blocks.append(
                     BlockSpec(
-                        block_id=int(entry["block_id"]),
+                        block_id=_json_int(entry["block_id"]),
                         kind=entry.get("kind", "residual_mlp"),
                         matrices=matrices,
                         lowrank=lowrank,
                     )
                 )
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (AttributeError, KeyError, TypeError) as exc:
                 raise FormatError(f"manifest block {i} is malformed: {type(exc).__name__} {exc}") from exc
         return ModelManifest(version=version, hidden_dim=hidden_dim, activation=activation, blocks=blocks)
 
@@ -116,6 +116,13 @@ class ModelManifest:
 def _json_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    # bool is an int subclass, and int() would truncate 8.9 and parse "0"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 

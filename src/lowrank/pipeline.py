@@ -6,14 +6,23 @@ score per block), build the retention plan, then refit every planned slot
 independently. Merge order follows the manifest, so outputs are
 deterministic for a fixed seed and CPU count.
 
-The slot refits are independent and their matrices too small to scale across
-BLAS threads, so the slot stage sets its own thread counts at run time:
-slot workers = min(usable CPUs, slots, MAX_WORKERS), and every loaded OpenBLAS
-gets max(1, min(its current count, usable CPUs // workers)) threads, so the
-user's count is never raised. Each library's previous count is restored when
-the stage ends, so calibration, planning and eval keep the BLAS as it was.
-Where no OpenBLAS can be controlled, the slots run serially on the calling
-thread and each BLAS call keeps the library's own count.
+The walk goes over the buckets in chunks of consecutive whole buckets. With
+``wide`` the widest slot dimension (max of d and every h), a chunk holds as
+many buckets as fit in CHUNK_BYTES // (8 * wide) tokens, and at least one, so
+each of its token matrices stays cache-sized. When that width is below
+``wide``, a chunk would be narrower than the Gram it feeds, and the walk runs
+as one chunk of every bucket. Each chunk returns its own slot Grams and
+per-column importance cosines. The calling thread adds the Grams and joins
+the cosines in chunk order, so neither depends on the worker count.
+
+The walk chunks and the slot refits are both too small to scale across BLAS
+threads, so each of these two pool stages sets its own thread counts at run
+time: workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
+OpenBLAS gets max(1, min(its current count, usable CPUs // workers)) threads,
+so the user's count is never raised. Each library's previous count is
+restored when the stage ends, so planning, eval and a one-chunk walk keep the
+BLAS as it was. Where no OpenBLAS can be controlled, the tasks run serially
+on the calling thread and each BLAS call keeps the library's own count.
 """
 
 from __future__ import annotations
@@ -23,14 +32,14 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, layer_importance
+from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_cosines
 from .calibration import dump_activations, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
@@ -46,13 +55,14 @@ from .model import (
 from .runtime import blas_controls, cap_malloc_arenas
 
 OVERLAP_BINS = 64
-MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors
+MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors, or one walk chunk
+CHUNK_BYTES = 2 << 20  # bound on one walk chunk's widest token matrix
 CHOLESKY_RETRIES = 5
 REL_DAMPING = 1e-5  # first whitening damping, relative to the Gram matrix's mean diagonal
 
-# Held while the slot stage has the BLAS thread counts pinned, so that two
+# Held while a pool stage has the BLAS thread counts pinned, so that two
 # concurrent compress_model calls cannot restore each other's pinned counts.
-_SLOT_STAGE_LOCK = threading.Lock()
+_POOL_STAGE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -110,19 +120,59 @@ def calibrate(
     Returns the Gram matrix of every slot's input activations, keyed by full
     slot name, and the raw ``layer_importance`` of every block, keyed by id.
     With ``with_grams=False`` the walk keeps only the importances and the
-    Gram dict is empty.
+    Gram dict is empty. The samples are walked in chunks (see the module
+    docstring); several chunks run on a pinned-BLAS worker pool.
     """
+    if len(samples) < 1:
+        raise ShapeError("need at least one calibration sample")
+
+    def walk_chunk(chunk):
+        grams: dict[str, np.ndarray] = {}
+        cosines: dict[int, np.ndarray] = {}
+
+        def visit(block_id, x_in, slot_inputs, y):
+            if with_grams:
+                for slot, x in slot_inputs.items():
+                    grams[slot_name(block_id, slot)] = gram_accumulate(x)
+            cosines[block_id] = column_cosines(x_in, y)
+
+        walk_blocks(model, chunk, visit)
+        return grams, cosines
+
     grams: dict[str, np.ndarray] = {}
-    importances: dict[int, float] = {}
-
-    def visit(block_id, x_in, slot_inputs, y):
-        if with_grams:
-            for slot, x in slot_inputs.items():
-                grams[slot_name(block_id, slot)] = gram_accumulate(x)
-        importances[block_id] = layer_importance(x_in, y)
-
-    walk_blocks(model, samples, visit)
+    cosines: dict[int, list[np.ndarray]] = {}
+    chunks = _walk_chunks(model, samples)
+    # One chunk is the plain walk: no pool, and the BLAS left as it is.
+    stage = nullcontext(1) if len(chunks) == 1 else _pool_stage(len(chunks))
+    with stage as workers:
+        for part_grams, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
+            for name, g in part_grams.items():
+                if name in grams:
+                    grams[name] += g
+                else:
+                    grams[name] = g
+            for block_id, cos in part_cosines.items():
+                cosines.setdefault(block_id, []).append(cos)
+    importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
     return grams, importances
+
+
+def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+    """Consecutive whole samples, as many per chunk as fit the chunk width (at least one)."""
+    wide = max(max(model.slot_shape(block_id, slot)) for block_id, slot in model.slot_ids())
+    width = CHUNK_BYTES // (8 * wide)
+    if width < wide:
+        return [list(samples)]
+    chunks: list[list[np.ndarray]] = []
+    room = 0
+    for sample in samples:
+        tokens = len(sample)
+        if not chunks or tokens > room:
+            chunks.append([])
+            room = width
+        chunks[-1].append(sample)
+        room -= tokens
+    return chunks
 
 
 def calibrate_and_plan(
@@ -177,12 +227,8 @@ def compress_model(
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
-    with _slot_stage(len(tasks)) as workers:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, tasks))
-        else:
-            results = [run(t) for t in tasks]
+    with _pool_stage(len(tasks)) as workers:
+        results = list(_pool_map(run, tasks, workers))
 
     factors: dict[str, LowRankPair] = {}
     traces: dict[str, LossTrace] = {}
@@ -201,13 +247,13 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _slot_stage(n_tasks: int):
-    """Pin every loaded OpenBLAS for the slot stage and yield the slot worker count.
+def _pool_stage(n_tasks: int):
+    """Pin every loaded OpenBLAS for a stage of independent tasks and yield its worker count.
 
-    Each library's previous count is restored on exit, also when a slot raises.
-    With no OpenBLAS to control, the slots run serially.
+    Each library's previous count is restored on exit, also when a task raises.
+    With no OpenBLAS to control, the tasks run serially.
     """
-    with _SLOT_STAGE_LOCK:
+    with _POOL_STAGE_LOCK:
         controls = blas_controls()
         previous = [control.get() for control in controls]
         cpus = _usable_cpus()
@@ -221,6 +267,15 @@ def _slot_stage(n_tasks: int):
         finally:
             for control, count in zip(controls, previous):
                 control.set(count)
+
+
+def _pool_map(fn, tasks, workers: int):
+    """Yield ``fn(task)`` in task order, computed on ``workers`` threads when there are several."""
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks)
 
 
 def _whitener_with_retry(g: np.ndarray) -> Whitener:
@@ -255,6 +310,7 @@ class EvalReport:
     params_original: int
     params_compressed: int
     achieved_retention: float
+    scored_on_all: bool = False  # no held-out tail, so every sample was scored; not in the JSON
 
     def to_json(self) -> dict:
         return {
@@ -289,12 +345,17 @@ def _check_aligned(original: ModelHandle, compressed: ModelHandle) -> None:
 
 
 def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str | Path) -> EvalReport:
-    """Per-slot and end-to-end error report over the held-out calibration tail."""
+    """Per-slot and end-to-end error report over the held-out calibration tail.
+
+    A set of fewer than 5 samples has no tail; then every sample is scored and
+    the report's ``scored_on_all`` is set.
+    """
     _check_aligned(original, compressed)
     samples = _load_samples(original, data)
     _, heldout = split_calibration(samples)
-    if heldout.shape[0] < 1:
-        heldout = samples  # too few samples for a split; evaluate on everything
+    scored_on_all = heldout.shape[0] < 1
+    if scored_on_all:
+        heldout = samples
 
     tiny = np.finfo(np.float64).tiny
     per_slot = []
@@ -326,6 +387,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         params_original=p_orig,
         params_compressed=p_comp,
         achieved_retention=p_comp / p_orig,
+        scored_on_all=scored_on_all,
     )
 
 

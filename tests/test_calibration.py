@@ -140,6 +140,11 @@ class TestCaptureActivations:
         assert tokens.shape == (8, 3 * 5)
         np.testing.assert_array_equal(grams["blocks.0.w1"], gram_accumulate(rms_norm(tokens)))
 
+    def test_no_samples_is_a_shape_error(self):
+        model, _ = gen_synthetic(seed=5, blocks=1, d=4, h=8, n_samples=1, tokens=1)
+        with pytest.raises(ShapeError, match="at least one"):
+            calibrate(model, [])
+
     def test_nonfinite_forward_names_block(self):
         model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)
         model.tensors["blocks.1.w2"][0, 0] = np.inf

@@ -194,6 +194,90 @@ def test_numerical_error_exits_2(workspace, capsys, command):
     assert captured.out == ""  # no report with a NaN in it
 
 
+def _poison_calibration(calib, bad):
+    """Put ``bad`` into the first token of every sample: the fitting buckets and the held-out tail."""
+    from lowrank.container import save_container
+
+    samples = load_container(calib)["samples"].copy()
+    samples[:, 0, 0] = bad
+    save_container(calib, {"samples": samples})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_nonfinite_calibration_exits_2(workspace, capsys, command, bad):
+    base = workspace / "base"
+    flags = ["--model", str(base / "model.json"), "--calib", str(base / "calib.st")]
+    if command == "eval":
+        assert run_cli(["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "c")]) == 0
+        argv = ["eval", *flags, "--compressed", str(workspace / "c" / "model.json")]
+    elif command == "compress":
+        argv = ["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "x")]
+    else:
+        argv = ["importance", *flags, "--target-retention", "0.6"]
+    _poison_calibration(base / "calib.st", bad)
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        code = run_cli(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: non-finite activations in block 0\n"
+    assert captured.out == ""
+    assert not (workspace / "x").exists()
+
+
+def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):
+    import threading
+
+    import lowrank.pipeline
+    from lowrank.runtime import BlasControl
+
+    state = [2]
+    controls = [BlasControl("lib0", lambda: state[0], lambda n: state.__setitem__(0, n))]
+    monkeypatch.setattr(lowrank.pipeline, "blas_controls", lambda: controls)
+    monkeypatch.setattr(lowrank.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lowrank.pipeline, "CHUNK_BYTES", 8 * 64 * 64)  # 4 chunks of 4 buckets
+    walkers = []
+    walk_blocks = lowrank.pipeline.walk_blocks
+
+    def recording(*args, **kwargs):
+        walkers.append((threading.current_thread() is threading.main_thread(), state[0]))
+        return walk_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(lowrank.pipeline, "walk_blocks", recording)
+    base = workspace / "base"
+    _poison_calibration(base / "calib.st", np.nan)
+    capsys.readouterr()
+    code = run_cli([
+        "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+        "--target-retention", "0.6", "--out", str(workspace / "x"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical error: non-finite activations in block 0\n"
+    assert walkers and all(w == (False, 1) for w in walkers)  # pool threads, 2 workers x 1 thread
+    assert state == [2]
+
+
+def test_eval_notes_an_empty_heldout_tail(tmp_path, capsys):
+    synth = ["synth", "--blocks", "2", "--hidden-dim", "8", "--mlp-dim", "16", "--tokens", "8"]
+    reports = {}
+    for samples in ("4", "5"):
+        base = tmp_path / samples
+        assert run_cli([*synth, "--samples", samples, "--out", str(base)]) == 0
+        capsys.readouterr()
+        assert run_cli([
+            "eval", "--model", str(base / "model.json"), "--compressed", str(base / "model.json"),
+            "--calib", str(base / "calib.st"),
+        ]) == 0
+        captured = capsys.readouterr()
+        reports[samples] = (json.loads(captured.out), captured.err)
+    doc, err = reports["4"]
+    assert err == f"note: {tmp_path / '4' / 'calib.st'} is too small for a held-out tail; eval scored every sample\n"
+    assert set(doc) == {"per_slot", "end_to_end", "params"}
+    assert set(doc) == set(reports["5"][0])
+    assert reports["5"][1] == ""
+
+
 def test_cli_runs_are_bit_identical(workspace):
     args = [
         "compress", "--model", str(workspace / "base" / "model.json"),

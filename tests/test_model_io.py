@@ -151,6 +151,22 @@ class TestLoadSave:
             load_model(tmp_path / "m.json", tmp_path / "m.st")
 
 
+@pytest.mark.parametrize("literal", ["8.9", '"0"', "true", "1e400"], ids=["fraction", "string", "bool", "overflow"])
+@pytest.mark.parametrize("field", ["hidden_dim", "block_id", "rank"])
+def test_manifest_integers_must_be_json_integers(tmp_path, field, literal):
+    model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
+    plan = uniform_plan(model, ranks=None)
+    plan.per_block[1].ranks = {"w1": 2, "w2": None}
+    pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
+    save_model(as_compressed_handle(model, plan, {"blocks.1.w1": pair}), tmp_path / "m.json", tmp_path / "m.st")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    owner = {"hidden_dim": doc, "block_id": doc["blocks"][0], "rank": doc["blocks"][1]["lowrank"]["w1"]}[field]
+    owner[field] = "@literal@"
+    (tmp_path / "m.json").write_text(json.dumps(doc).replace('"@literal@"', literal))
+    with pytest.raises(FormatError, match="expected an integer"):
+        load_model(tmp_path / "m.json", tmp_path / "m.st")
+
+
 def _paths(node, prefix=()):
     """Every path into a JSON document, the root first."""
     yield prefix

@@ -289,7 +289,7 @@ class TestWorkerCount:
         controls, state = fake_controls(*counts)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-        with pipeline._slot_stage(tasks) as n:
+        with pipeline._pool_stage(tasks) as n:
             assert (n, state) == (expected, [pinned for _, pinned in env])
         assert state == counts
 
@@ -300,10 +300,10 @@ class TestWorkerCount:
         events = []
 
         def second():
-            with pipeline._slot_stage(8):
+            with pipeline._pool_stage(8):
                 events.append("second entered")
 
-        with pipeline._slot_stage(8):
+        with pipeline._pool_stage(8):
             t = threading.Thread(target=second)
             t.start()
             t.join(timeout=0.5)
@@ -356,6 +356,98 @@ class TestWorkerCount:
         assert pipeline._usable_cpus() == 3
         monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
         assert pipeline._usable_cpus() == 64
+
+
+# small_setup's widest slot dimension is h = 64, so 64-token chunks: four of
+# its 16 fitting buckets (16 tokens each) per chunk.
+FOUR_BUCKET_CHUNKS = 8 * 64 * 64
+
+
+class RecordingPool(ThreadPoolExecutor):
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+class TestChunkedWalk:
+    @pytest.fixture
+    def buckets(self, small_setup):
+        model, samples, _ = small_setup
+        return stack_of_batch(list(split_calibration(samples)[0]), 32, seed=4).buckets
+
+    def test_pool_matches_serial(self, small_setup, buckets, monkeypatch, recorded_pools):
+        model, _, calib = small_setup
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
+        assert [len(chunk) for chunk in pipeline._walk_chunks(model, buckets)] == [4, 4, 4, 4]
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=4)
+
+        def run():
+            return calibrate(model, buckets), compress_model(model, calib, cfg)
+
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
+        (g1, i1), (c1, p1, _) = run()
+        assert recorded_pools == []
+        controls, state = fake_controls(1)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
+        (g2, i2), (c2, p2, _) = run()
+        assert recorded_pools == [4, 4, 4]  # calibrate's walk, compress's walk, its slot stage
+        assert state == [1]
+        assert list(g1) == list(g2) and i1 == i2
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes()
+        assert p1.to_json() == p2.to_json()
+        for name in c1.tensors:
+            assert c1.tensors[name].tobytes() == c2.tensors[name].tobytes()
+
+    def test_chunks_match_one_walk(self, small_setup, buckets, monkeypatch):
+        model, _, _ = small_setup
+        grams, importances = calibrate(model, buckets)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
+        chunked_grams, chunked_importances = calibrate(model, buckets)
+        assert list(chunked_grams) == list(grams)
+        for name, g in grams.items():
+            np.testing.assert_allclose(chunked_grams[name], g, rtol=1e-12, atol=0)
+        # With whole 16-token buckets the BLAS computes each column's cosine
+        # the same at either width, and the mean is taken over the joined
+        # columns, so no bit of an importance moves.
+        assert chunked_importances == importances
+
+    def test_gram_free_walk_is_chunked_too(self, small_setup, buckets, monkeypatch, recorded_pools):
+        model, _, _ = small_setup
+        _, importances = calibrate(model, buckets)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: fake_controls(2)[0])
+        grams, chunked = calibrate(model, buckets, with_grams=False)
+        assert grams == {} and chunked == importances
+        assert recorded_pools == [2]
+
+    @pytest.mark.parametrize(
+        "shape, chunk_bytes",
+        [((32, 64), 8 * 64 * 63), ((512, 2048), None)],  # one token short of h; desk's widths
+        ids=["narrower-than-h", "desk"],
+    )
+    def test_narrow_chunks_walk_in_one_piece(self, shape, chunk_bytes, monkeypatch, recorded_pools):
+        d, h = shape
+        model, samples = gen_synthetic(seed=5, blocks=2, d=d, h=h, n_samples=8, tokens=32)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+        looked_up = []
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: looked_up.append(1) or fake_controls(2)[0])
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+        assert len(pipeline._walk_chunks(model, list(samples))) == 1
+        calibrate(model, list(samples))
+        assert recorded_pools == [] and looked_up == []  # no pool, and the BLAS left alone
 
 
 class TestEval:
