@@ -30,8 +30,6 @@ from .errors import (
 from .linalg import (
     LowRankPair,
     SvdFactors,
-    Whitener,
-    cholesky_damped,
     pinv,
     rank_for_retention,
     svd_full,

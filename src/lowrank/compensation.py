@@ -11,19 +11,32 @@ solution as pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
 pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
 nonsingular (G cancels), and stays the applied rule otherwise.
 
+A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
+S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
+U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
+W @ (G + damping * I) @ W.T (the output-PCA form). So it is computed from
+the r x r matrix A = R @ (G + damping * I) @ R.T, r = min(m, n), with
+W = Q @ R: Q = I and R = W when m <= n, the reduced QR of W otherwise.
+With A = Z @ diag(s) @ Z.T, s holds the squared singular values of W @ S and
+
+    U = Q @ Z_k @ diag(s_k ** 1/4),    Vt = diag(s_k ** -1/4) @ Z_k.T @ R,
+
+so no n x n factorization is formed. An s_i at or below A's rounding floor
+r * eps * s_1 counts as zero, and gives a zero column of U and a zero row
+of Vt.
+
 ``compensate`` reads every loss off the U-refit's normal equations. With
 K = Vt @ G @ Vt.T and B = W @ G @ Vt.T at a fixed Vt,
 
     loss(U, Vt) = c - 2 <U, B> + <U @ K, U>,      c = tr(W @ G @ W.T),
 
 so a loss costs m x k work once K and B are formed, and the K and B formed
-at each new Vt also serve the next U-refit. c is fixed per slot. With a
-whitener S (S @ S.T = G + damping * I) it is the sum of the squared singular
-values of W @ S, which the initialization computes anyway, minus
-damping * ||W||_F^2; without one it is one m x n x n product. The identity's
-rounding error scales with c rather than with the loss, so a near-exact fit
-(loss below ~1e-13 * c) reads as rounding noise. ``svd_loss`` keeps the
-direct form as the reference.
+at each new Vt also serve the next U-refit. c is fixed per slot. With
+damping it is sum(s), which the whitened initialization computes anyway,
+minus damping * ||W||_F^2; without it is one m x n x n product. The
+identity's rounding error scales with c rather than with the loss, so a
+near-exact fit (loss below ~1e-13 * c) reads as rounding noise.
+``svd_loss`` keeps the direct form as the reference.
 """
 
 from __future__ import annotations
@@ -31,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import RankError, ShapeError
-from .linalg import LowRankPair, Whitener, pinv, svd_full, truncate_absorb
+from .errors import NumericalError, RankError, ShapeError
+from .linalg import LowRankPair, pinv, svd_full, truncate_absorb
 
 
 @dataclass
@@ -110,26 +122,29 @@ def compensate(
     g: np.ndarray,
     k: int,
     iters: int = 1,
-    whitener: Whitener | None = None,
+    damping: float | None = None,
 ) -> tuple[LowRankPair, LossTrace]:
     """Truncated-SVD initialization plus ``iters`` alternating refit rounds.
 
     ``g`` is the Gram matrix X @ X.T of the slot's input activations. With a
-    whitener, initialization truncates the SVD of W @ S and folds S^-1 back
-    into the right factor; the refit objective is always the raw (unwhitened)
-    data-space loss. Returns the pair from the half-step with the lowest
-    recorded loss, so extra iterations are never harmful.
+    ``damping`` (an absolute lambda, not a ratio), initialization is the
+    whitened truncation for G + damping * I; with None it is the plain SVD
+    of W. The refit objective is always the raw (undamped) data-space loss.
+    Returns the pair from the half-step with the lowest recorded loss, so
+    extra iterations are never harmful.
     """
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
     _check_gram(g, w.shape[1])
-    pair, sigma = _initialize(w, k, whitener)
-    if whitener is None:
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("Gram matrix contains non-finite entries")
+    pair, energy = _initialize(w, g, k, damping)
+    if damping is None:
         c = float(np.vdot(w @ g, w))
     else:
-        c = float(sigma @ sigma) - whitener.damping * float(np.vdot(w, w))
+        c = energy - damping * float(np.vdot(w, w))
 
     normal = normal_equations(pair.vt_sigma, w, g)
     best_loss = normal.loss(pair.u_sigma, c)
@@ -151,23 +166,35 @@ def compensate(
     return best_pair, trace
 
 
-def initialize_pair(w: np.ndarray, k: int, whitener: Whitener | None = None) -> LowRankPair:
-    """Plain or whitened truncated-SVD starting point at rank k."""
-    return _initialize(w, k, whitener)[0]
+def initialize_pair(w: np.ndarray, g: np.ndarray, k: int, damping: float | None = None) -> LowRankPair:
+    """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k."""
+    return _initialize(np.asarray(w, dtype=np.float64), np.asarray(g, dtype=np.float64), k, damping)[0]
 
 
-def _initialize(w: np.ndarray, k: int, whitener: Whitener | None) -> tuple[LowRankPair, np.ndarray]:
-    """The starting pair and every singular value of the matrix it truncates: W, or W @ S."""
-    if whitener is None:
+def _initialize(
+    w: np.ndarray, g: np.ndarray, k: int, damping: float | None
+) -> tuple[LowRankPair, float]:
+    """The starting pair and the sum of the squared singular values of what it truncates: W, or W @ S."""
+    if damping is None:
         f = svd_full(w)
-        return truncate_absorb(f, k), f.sigma
-    f = svd_full(w @ whitener.s)
-    pair = truncate_absorb(f, k)
-    # Vt @ S^-1 is the solution Y of S.T @ Y.T = Vt.T; S is lower triangular.
-    vt = scipy.linalg.solve_triangular(
-        whitener.s, pair.vt_sigma.T, trans="T", lower=True, check_finite=False
-    ).T
-    return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=vt, rank=k), f.sigma
+        return truncate_absorb(f, k), float(f.sigma @ f.sigma)
+    m, n = w.shape
+    if not 1 <= k <= min(m, n):
+        raise RankError(f"rank {k} outside [1, {min(m, n)}]")
+    q, r = np.linalg.qr(w) if m > n else (None, w)
+    rg = r @ g
+    rg += damping * r                                     # R @ (G + damping * I)
+    f = svd_full(rg @ r.T)                                # A = Z @ diag(s) @ Z.T
+    s = f.sigma[:k]
+    keep = s > f.sigma.shape[0] * np.finfo(np.float64).eps * f.sigma[0]
+    root = np.zeros(k)
+    root[keep] = np.sqrt(np.sqrt(s[keep]))
+    inv_root = np.zeros(k)
+    inv_root[keep] = 1.0 / root[keep]
+    z = f.u[:, :k]
+    u = z * root
+    pair = LowRankPair(u_sigma=u if q is None else q @ u, vt_sigma=(z * inv_root).T @ r, rank=k)
+    return pair, float(np.sum(f.sigma))
 
 
 def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:

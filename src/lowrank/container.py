@@ -4,6 +4,10 @@ The JSON header maps tensor name -> {"dtype": "F32"|"F64", "shape": [...],
 "data_offsets": [begin, end]} with offsets relative to the end of the header.
 Tensor data is row-major, little-endian. Write order follows dict insertion
 order, so a load/save round trip is byte-identical.
+
+Every output file is written through ``atomic_path``: to a temp name beside
+it, then moved onto it with ``os.replace``, so a failed or interrupted write
+leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import json
 import math
 import os
 import struct
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,26 +36,45 @@ def dtype_tag(arr: np.ndarray) -> str:
     return tag
 
 
+@contextmanager
+def atomic_path(path: str | Path):
+    """Yield a fresh temp path beside ``path``; a clean exit moves it onto ``path``, an error removes it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float32/float64 tensors to ``path`` in insertion order."""
+    """Write named float32/float64 tensors to ``path`` in insertion order.
+
+    Each tensor is written straight from its own (little-endian, C-ordered)
+    buffer, so a save copies no payload.
+    """
     header: dict[str, dict] = {}
-    payload = bytearray()
+    blocks: list[np.ndarray] = []
+    end = 0
     for name, arr in tensors.items():
         tag = dtype_tag(arr)
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
-        begin = len(payload)
-        payload.extend(raw)
+        data = np.ascontiguousarray(arr, dtype=_DTYPES[tag])
         header[name] = {
             "dtype": tag,
             "shape": [int(s) for s in arr.shape],
-            "data_offsets": [begin, begin + len(raw)],
+            "data_offsets": [end, end + data.nbytes],
         }
+        end += data.nbytes
+        blocks.append(data)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     try:
-        with open(path, "wb") as fh:
+        with atomic_path(path) as tmp, open(tmp, "xb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(payload)
+            for data in blocks:
+                fh.write(data.data)
     except OSError as exc:
         raise IoError(f"cannot write container {path}: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: SVD, truncation, pseudoinverse, damped Cholesky."""
+"""Dense linear-algebra kernels: SVD, truncation, pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, RankError
 
@@ -37,14 +36,6 @@ class LowRankPair:
 
     def param_count(self) -> int:
         return self.u_sigma.size + self.vt_sigma.size
-
-
-@dataclass(frozen=True)
-class Whitener:
-    """Cholesky factor of a damped Gram matrix: ``s @ s.T = g + damping*I``."""
-
-    s: np.ndarray       # lower triangular, n x n
-    damping: float
 
 
 def svd_full(a: np.ndarray) -> SvdFactors:
@@ -99,26 +90,3 @@ def rank_for_retention(m: int, n: int, r: float) -> int:
         raise RankError(f"retention ratio must lie in (0, 1], got {r}")
     k = math.floor(r * m * n / (m + n))
     return max(1, min(k, min(m, n)))
-
-
-def cholesky_damped(g: np.ndarray, rel_damping: float) -> Whitener:
-    """Cholesky factor of ``g + lambda*I`` with ``lambda = rel_damping * mean(diag(g))``.
-
-    Raises NumericalError if the damped factorization fails; callers may retry
-    with 10x the damping (at most 5 retries is the pipeline convention).
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise NumericalError(f"Gram matrix must be square, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("Gram matrix contains non-finite entries")
-    damping = float(rel_damping) * float(np.mean(np.diag(g)))
-    # One Fortran-order copy, damped on its diagonal and factored in place:
-    # no n x n identity, sum or LAPACK-side copy besides it.
-    damped = np.array(g, dtype=np.float64, order="F")
-    damped[np.diag_indices_from(damped)] += damping
-    try:
-        s = scipy.linalg.cholesky(damped, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky failed at damping {damping:g}: {exc}") from exc
-    return Whitener(s=s, damping=damping)

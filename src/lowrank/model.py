@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .container import load_container, save_container
+from .container import atomic_path, load_container, save_container
 from .errors import FormatError, IoError, ManifestMismatch, NumericalError, ShapeError
 from .linalg import LowRankPair
 
@@ -338,17 +338,22 @@ def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHa
 
 
 def save_model(model: ModelHandle, manifest_path: str | Path, container_path: str | Path) -> None:
-    """Write manifest and container; tensors are cast back to their storage dtype."""
+    """Write container, then manifest; tensors are cast back to their storage dtype.
+
+    Each file replaces its target only once it is written whole, and the
+    manifest only after the container, so a failure leaves the previous pair.
+    """
     _validate(model.manifest, model.tensors)
     out: dict[str, np.ndarray] = {}
     for name, arr in model.tensors.items():
         tag = model.storage_dtypes.get(name, "F64")
-        out[name] = arr.astype(np.float32 if tag == "F32" else np.float64)
+        out[name] = arr.astype(np.float32 if tag == "F32" else np.float64, copy=False)
+    save_container(container_path, out)
     try:
-        Path(manifest_path).write_text(json.dumps(model.manifest.to_json(), indent=2) + "\n", "utf-8")
+        with atomic_path(manifest_path) as tmp:
+            tmp.write_text(json.dumps(model.manifest.to_json(), indent=2) + "\n", "utf-8")
     except OSError as exc:
         raise IoError(f"cannot write manifest {manifest_path}: {exc}") from exc
-    save_container(container_path, out)
 
 
 def as_compressed_handle(model: ModelHandle, plan, factors: dict[str, LowRankPair]) -> ModelHandle:

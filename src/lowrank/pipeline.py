@@ -42,8 +42,9 @@ import numpy as np
 from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_cosines
 from .calibration import dump_activations, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
-from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
-from .linalg import LowRankPair, Whitener, cholesky_damped
+from .container import atomic_path
+from .errors import LowrankError, ManifestMismatch, ShapeError
+from .linalg import LowRankPair
 from .model import (
     ModelHandle,
     as_compressed_handle,
@@ -57,8 +58,7 @@ from .runtime import blas_controls, cap_malloc_arenas
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors, or one walk chunk
 CHUNK_BYTES = 2 << 20  # bound on one walk chunk's widest token matrix
-CHOLESKY_RETRIES = 5
-REL_DAMPING = 1e-5  # first whitening damping, relative to the Gram matrix's mean diagonal
+REL_DAMPING = 1e-5  # whitening damping, relative to the Gram matrix's mean diagonal
 
 # Held while a pool stage has the BLAS thread counts pinned, so that two
 # concurrent compress_model calls cannot restore each other's pinned counts.
@@ -222,8 +222,8 @@ def compress_model(
         name, w, rank = task
         try:
             gram = grams.pop(name)  # freed as soon as this slot is done
-            whitener = _whitener_with_retry(gram) if cfg.whiten else None
-            return compensate(w, gram, rank, cfg.iterations, whitener)
+            damping = REL_DAMPING * float(np.mean(np.diag(gram))) if cfg.whiten else None
+            return compensate(w, gram, rank, cfg.iterations, damping)
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
@@ -276,19 +276,6 @@ def _pool_map(fn, tasks, workers: int):
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, tasks)
-
-
-def _whitener_with_retry(g: np.ndarray) -> Whitener:
-    """Cholesky of the activation Gram matrix, retrying with 10x damping on failure."""
-    damping = REL_DAMPING
-    last: NumericalError | None = None
-    for _ in range(CHOLESKY_RETRIES + 1):
-        try:
-            return cholesky_damped(g, damping)
-        except NumericalError as exc:
-            last = exc
-            damping *= 10.0
-    raise NumericalError(f"whitening failed after {CHOLESKY_RETRIES} damping retries: {last}")
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -407,7 +394,7 @@ def _histogram_overlap(a: np.ndarray, b: np.ndarray, bins: int = OVERLAP_BINS) -
 
 def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
     """Per-slot loss trace: one row per half-step, half_step 0 is the initial loss."""
-    with open(path, "w", newline="") as fh:
+    with atomic_path(path) as tmp, open(tmp, "x", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "half_step", "loss"])
         for slot, trace in traces.items():
@@ -417,4 +404,5 @@ def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
 
 
 def write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
+    with atomic_path(path) as tmp:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n", "utf-8")

@@ -38,8 +38,8 @@ def test_compress_happy_path(workspace, capsys):
         "--out", str(out),
     ])
     assert code == 0
-    for name in ("model.json", "model.st", "plan.json", "traces.csv"):
-        assert (out / name).exists()
+    # every output is written under a temp name and moved into place; none is left over
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "model.st", "plan.json", "traces.csv"]
     plan = json.loads((out / "plan.json").read_text())
     assert set(plan) == {"blocks", "trr", "mrr", "achieved_retention", "importance_mode"}
     assert plan["trr"] == 0.6 and plan["mrr"] == 0.5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +12,9 @@ from lowrank.compensation import (
     update_u,
     update_v,
 )
-from lowrank.errors import ShapeError
-from lowrank.linalg import LowRankPair, cholesky_damped, pinv, svd_full, truncate_absorb
+from lowrank.errors import NumericalError, ShapeError
+from lowrank.linalg import LowRankPair, pinv, svd_full, truncate_absorb
+from lowrank.pipeline import REL_DAMPING
 
 
 def brute_force_loss(pair, w, x):
@@ -124,7 +126,7 @@ class TestUpdateU:
             w = rng.normal(size=(m, n))
             x = rng.normal(size=(n, t)) * np.exp(rng.uniform(-log_scale, log_scale, size=(n, 1)))
             g = x @ x.T
-            whitened = initialize_pair(w, k, cholesky_damped(g, 1e-5))
+            whitened = initialize_pair(w, g, k, 1e-5 * float(np.mean(np.diag(g))))
             random = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=rng.normal(size=(k, n)), rank=k)
             for pair in (whitened, random):
                 token_form = (pinv(x.T @ pair.vt_sigma.T) @ (w @ x).T).T
@@ -236,20 +238,98 @@ class TestCompensate:
     def test_whitened_initialization_folds_back(self, rng):
         w = rng.normal(size=(10, 8))
         x = rng.normal(size=(8, 64))
-        whitener = cholesky_damped(x @ x.T, 0.0)
-        pair = initialize_pair(w, 4, whitener)
-        ref = truncate_absorb(svd_full(w @ whitener.s), 4)
+        s = scipy.linalg.cholesky(x @ x.T, lower=True)
+        pair = initialize_pair(w, x @ x.T, 4, 0.0)
+        ref = truncate_absorb(svd_full(w @ s), 4)
         np.testing.assert_allclose(
-            pair.product(), ref.product() @ np.linalg.inv(whitener.s), atol=1e-10 * np.linalg.norm(w)
+            pair.product(), ref.product() @ np.linalg.inv(s), atol=1e-10 * np.linalg.norm(w)
         )
 
     def test_whitened_init_never_selected_if_worse(self, rng):
-        # best-pair selection guards the raw objective even with a whitener
+        # best-pair selection guards the raw objective even with damping
         w = rng.normal(size=(12, 10))
         x = rng.normal(size=(10, 40))
-        whitener = cholesky_damped(x @ x.T, 1e-5)
-        pair, trace = compensate(w, x @ x.T, k=4, iters=2, whitener=whitener)
+        damping = 1e-5 * float(np.mean(np.diag(x @ x.T)))
+        pair, trace = compensate(w, x @ x.T, k=4, iters=2, damping=damping)
         assert svd_loss(pair, w, x @ x.T) <= trace.initial * (1 + 1e-12)
+
+
+def cholesky_oracle(w, g, k, damping):
+    """SVD-LLM's whitened truncation: Cholesky S of G + damping * I, SVD of W @ S, S^-1 folded back."""
+    s = scipy.linalg.cholesky(g + damping * np.eye(g.shape[0]), lower=True)
+    ref = truncate_absorb(svd_full(w @ s), k)
+    vt = scipy.linalg.solve_triangular(s, ref.vt_sigma.T, trans="T", lower=True).T
+    return ref.u_sigma @ vt
+
+
+class TestWhitenedInit:
+    @pytest.mark.parametrize("m, n", [(8, 12), (10, 10), (12, 8)], ids=["m<n", "m=n", "m>n"])
+    @pytest.mark.parametrize(
+        "tokens, rel_damping",
+        [(40, 0.0), (40, 1e-5), (5, 1e-5)],
+        ids=["T>n-undamped", "T>n-damped", "T<n-damped"],
+    )
+    def test_matches_cholesky_oracle(self, m, n, tokens, rel_damping):
+        rng = np.random.default_rng(m * n + tokens)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, tokens))
+        g = x @ x.T
+        damping = rel_damping * float(np.mean(np.diag(g)))
+        for k in range(1, min(m, n) + 1):
+            pair = initialize_pair(w, g, k, damping)
+            np.testing.assert_allclose(
+                pair.product(), cholesky_oracle(w, g, k, damping), atol=1e-10 * np.linalg.norm(w)
+            )
+
+    @pytest.mark.parametrize("m, n", [(12, 10), (10, 12)], ids=["m>n", "m<n"])
+    def test_rank_deficient_weight_gives_finite_factors(self, m, n):
+        rng = np.random.default_rng(m)
+        k = 8
+        w = rng.normal(size=(m, 5)) @ rng.normal(size=(5, n))
+        x = rng.normal(size=(n, 40))
+        pair = initialize_pair(w, x @ x.T, k, 0.0)
+        assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
+        sigma = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
+        tail = float(np.sum(sigma[k:] ** 2))
+        assert abs(svd_loss(pair, w, x @ x.T) - tail) <= 1e-12 * float(sigma @ sigma)
+
+    def test_zero_weight_gives_zero_factors(self):
+        # Every singular value of A is 0, at its rounding floor: no division.
+        with np.errstate(all="raise"):
+            pair = initialize_pair(np.zeros((6, 4)), np.eye(4), 3, 1e-5)
+        assert not pair.u_sigma.any() and not pair.vt_sigma.any()
+
+    def test_fixed_damping_needs_no_retry(self, rng):
+        # Eigenvalues 1, 1, 1, -5e-5 keep G + REL_DAMPING * mean(diag(G)) * I
+        # indefinite, so its Cholesky fails; the other Gram has fewer tokens
+        # than dims. The init is the output-PCA truncation U_k @ U_k.T @ W
+        # either way, U_k the top-k eigenvectors of W @ (G + damping * I) @ W.T.
+        q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        indefinite = q @ np.diag([1.0, 1.0, 1.0, -5e-5]) @ q.T
+        indefinite = (indefinite + indefinite.T) / 2
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cholesky(indefinite + REL_DAMPING * 0.75 * np.eye(4), lower=True)
+        x = rng.normal(size=(16, 5))
+        for g, m in ((indefinite, 6), (x @ x.T, 12)):
+            n = g.shape[0]
+            w = rng.normal(size=(m, n))
+            damping = REL_DAMPING * float(np.mean(np.diag(g)))
+            vals, vecs = np.linalg.eigh(w @ (g + damping * np.eye(n)) @ w.T)
+            for k in range(1, min(m, n) + 1):
+                top = vecs[:, np.argsort(-np.abs(vals))[:k]]
+                pair = initialize_pair(w, g, k, damping)
+                np.testing.assert_allclose(pair.product(), top @ top.T @ w, atol=1e-10 * np.linalg.norm(w))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_non_finite_gram_raises(self, bad, damping):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(6, 5))
+        x = rng.normal(size=(5, 20))
+        g = x @ x.T
+        g[2, 3] = g[3, 2] = bad
+        with pytest.raises(NumericalError):
+            compensate(w, g, 3, 1, damping)
 
 
 class TestLossTrace:
@@ -265,10 +345,10 @@ class TestLossTrace:
             w = rng.normal(size=(m, n))
             x = rng.normal(size=(n, tokens))
             g = x @ x.T
-            whitener = cholesky_damped(g, 1e-5) if whiten else None
-            best, trace = compensate(w, g, k, iters, whitener)
+            damping = 1e-5 * float(np.mean(np.diag(g))) if whiten else None
+            best, trace = compensate(w, g, k, iters, damping)
 
-            pairs = [initialize_pair(w, k, whitener)]
+            pairs = [initialize_pair(w, g, k, damping)]
             for _ in range(iters):
                 pair = pairs[-1]
                 pairs.append(LowRankPair(u_sigma=update_u(pair, w, g), vt_sigma=pair.vt_sigma, rank=k))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.container import load_container, save_container
+from lowrank.container import atomic_path, load_container, save_container
 from lowrank.errors import FormatError, IoError, LowrankError
 from strategies import JSON_VALUES
 
@@ -84,6 +84,20 @@ def test_unknown_dtype_tag_rejected(tmp_path):
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_container(tmp_path / "does-not-exist.st")
+
+
+def test_atomic_path_replaces_only_a_whole_write(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_path(target) as tmp:
+            tmp.write_text("partial")
+            raise RuntimeError("interrupted")
+    assert target.read_text() == "old"
+    with atomic_path(target) as tmp:
+        tmp.write_text("new")
+    assert target.read_text() == "new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_non_float_dtype_rejected_on_save(tmp_path):

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from lowrank.errors import NumericalError, RankError
 from lowrank.linalg import (
-    cholesky_damped,
     pinv,
     rank_for_retention,
     svd_full,
     truncate_absorb,
 )
-from lowrank.pipeline import REL_DAMPING, _whitener_with_retry
 
 
 class TestSvdFull:
@@ -138,64 +136,3 @@ class TestRankForRetention:
             rank_for_retention(4, 4, 0.0)
         with pytest.raises(RankError):
             rank_for_retention(4, 4, 1.5)
-
-
-class TestCholeskyDamped:
-    def test_identity_no_damping(self):
-        w = cholesky_damped(np.eye(3), 0.0)
-        np.testing.assert_allclose(w.s, np.eye(3), atol=1e-14)
-        assert w.damping == 0.0
-
-    def test_diagonal(self):
-        w = cholesky_damped(np.diag([4.0, 9.0]), 0.0)
-        np.testing.assert_allclose(w.s, np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_reconstructs_damped_gram(self, rng):
-        x = rng.normal(size=(16, 200))
-        g = x @ x.T
-        w = cholesky_damped(g, 1e-5)
-        target = g + w.damping * np.eye(16)
-        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
-
-    def test_damping_is_mean_diagonal_scaled(self):
-        g = np.diag([1.0, 3.0])
-        w = cholesky_damped(g, 0.5)
-        assert abs(w.damping - 0.5 * 2.0) < 1e-15
-
-    def test_indefinite_without_damping_fails(self):
-        g = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NumericalError):
-            cholesky_damped(g, 0.0)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_gram_left_unmodified(self, rng, order):
-        x = rng.normal(size=(16, 200))
-        g = np.array(x @ x.T, order=order)
-        before = g.copy()
-        w = cholesky_damped(g, 1e-5)
-        np.testing.assert_array_equal(g, before)
-        assert not np.shares_memory(w.s, g)
-        target = g + w.damping * np.eye(16)
-        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
-        np.testing.assert_array_equal(np.triu(w.s, 1), 0.0)
-
-    def test_damping_retries_recover_rank_deficient_gram(self, rng):
-        # Eigenvalues 1, 1, 1, -5e-5 put the mean diagonal at ~0.75: the last
-        # pivot stays negative at damping 1e-5 * 0.75 and turns positive at
-        # 1e-4 * 0.75, so exactly one 10x retry is needed.
-        q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        g = q @ np.diag([1.0, 1.0, 1.0, -5e-5]) @ q.T
-        g = (g + g.T) / 2
-        before = g.copy()
-        with pytest.raises(NumericalError):
-            cholesky_damped(g, REL_DAMPING)
-        w = _whitener_with_retry(g)
-        assert w.damping == cholesky_damped(g, REL_DAMPING * 10.0).damping
-        target = g + w.damping * np.eye(4)
-        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)
-        np.testing.assert_array_equal(g, before)
-
-        x = rng.normal(size=(16, 5))  # fewer tokens than dims
-        w = _whitener_with_retry(x @ x.T)
-        target = x @ x.T + w.damping * np.eye(16)
-        assert np.linalg.norm(w.s @ w.s.T - target) <= 1e-8 * np.linalg.norm(target)

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank.allocation import BlockPlan, CompressionPlan
+from lowrank import container
 from lowrank.container import load_container
-from lowrank.errors import FormatError, LowrankError, ManifestMismatch, ShapeError
+from lowrank.errors import FormatError, IoError, LowrankError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair, svd_full, truncate_absorb
 from lowrank.model import (
     ModelHandle,
@@ -116,6 +119,22 @@ class TestLoadSave:
         assert loaded.tensors["blocks.0.w1"].dtype == np.float64  # working copy
         save_model(loaded, tmp_path / "again.json", tmp_path / "again.st")
         assert (tmp_path / "m.st").read_bytes() == (tmp_path / "again.st").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_container_write_keeps_the_previous_pair(self, tmp_path, monkeypatch, stage):
+        save_model(gen_synthetic(seed=1, blocks=1, d=4, h=8)[0], tmp_path / "m.json", tmp_path / "m.st")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(*args):
+            raise OSError("injected")
+
+        if stage == "write":  # the temp file is open and nothing is written yet
+            monkeypatch.setattr(container, "struct", SimpleNamespace(pack=fail))
+        else:  # the temp file is written whole
+            monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError, match="injected"):
+            save_model(gen_synthetic(seed=2, blocks=2, d=8, h=16)[0], tmp_path / "m.json", tmp_path / "m.st")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_absent_tensor_is_manifest_mismatch(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=4, d=4, h=8)
