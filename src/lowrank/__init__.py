@@ -11,7 +11,6 @@ from .allocation import (
     CompressionPlan,
     assign_ratios,
     build_plan,
-    layer_importance,
     normalize_importance,
 )
 from .calibration import BucketedCalib, gram_accumulate, stack_of_batch

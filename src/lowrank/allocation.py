@@ -1,8 +1,9 @@
 """Importance-aware retention allocation and compression planning.
 
 Per-block importance is the mean cosine similarity between the token columns
-entering and leaving the residual block. Normalized importances (mean 1) map
-to retention ratios
+entering and leaving the residual block, a zero-norm column counting as 0;
+``pipeline.calibrate`` computes it from ``column_cosines``. Normalized
+importances (mean 1) map to retention ratios
 
     cr_b = mrr + i_n[b] * (trr - mrr)
 
@@ -88,14 +89,6 @@ def column_cosines(block_in: np.ndarray, block_out: np.ndarray) -> np.ndarray:
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
-def layer_importance(block_in: np.ndarray, block_out: np.ndarray) -> float:
-    """Mean cosine similarity between corresponding input/output token columns.
-
-    Zero-norm columns contribute similarity 0 and still count in the mean.
-    """
-    return float(np.mean(column_cosines(block_in, block_out)))
-
-
 def normalize_importance(i_values) -> list[float]:
     """Mean-center importances so their average is exactly 1 (order preserved)."""
     values = np.asarray(list(i_values), dtype=np.float64)
@@ -159,11 +152,10 @@ def build_plan(
     trr: float,
     mrr: float,
     importance_mode: str = "cos",
-    budget_tol: float = BUDGET_TOL,
 ) -> CompressionPlan:
     """Retention ratios and integer ranks for every slot.
 
-    ``importances`` maps each block id to its raw ``layer_importance`` score.
+    ``importances`` maps each block id to its raw score: the mean column cosine.
     """
     _check_budget_bounds(trr, mrr)
     if importance_mode not in IMPORTANCE_MODES:
@@ -192,7 +184,7 @@ def build_plan(
         (bi, slot): _initial_rank(m, n, ratios[bi])
         for bi, slot, m, n in slots
     }
-    achieved = _adjust_ranks_to_budget(slots, ranks, ratios, trr, budget_tol)
+    achieved = _adjust_ranks_to_budget(slots, ranks, ratios, trr)
 
     per_block = []
     for bi, b in enumerate(blocks):
@@ -233,7 +225,7 @@ def _slot_params(m: int, n: int, rank: int | None) -> int:
     return m * n if rank is None else rank * (m + n)
 
 
-def _adjust_ranks_to_budget(slots, ranks, ratios, trr: float, budget_tol: float) -> float:
+def _adjust_ranks_to_budget(slots, ranks, ratios, trr: float) -> float:
     """Largest-remainder +-1 rank steps until achieved retention is within the band."""
     total = sum(m * n for _, _, m, n in slots)
     target = trr * total
@@ -273,9 +265,9 @@ def _adjust_ranks_to_budget(slots, ranks, ratios, trr: float, budget_tol: float)
         current += step * (m + n)
 
     achieved = current / total
-    if abs(achieved - trr) > budget_tol * trr:
+    if abs(achieved - trr) > BUDGET_TOL * trr:
         raise BudgetError(
             f"achieved retention {achieved:.4f} cannot reach {trr} within "
-            f"{100 * budget_tol:g}% with the available rank granularity"
+            f"{100 * BUDGET_TOL:g}% with the available rank granularity"
         )
     return achieved

@@ -42,6 +42,8 @@ def stack_of_batch(samples: Sequence[np.ndarray] | np.ndarray, m_buckets: int, s
         raise ShapeError("need at least one calibration sample")
     if m_buckets < 1:
         raise ShapeError(f"bucket count must be >= 1, got {m_buckets}")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
     shape = arrs[0].shape
     for i, a in enumerate(arrs):
         if a.shape != shape:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .allocation import IMPORTANCE_MODES
 from .errors import LowrankError, NumericalError
-from .model import gen_synthetic, load_model, save_calibration, save_model
+from .model import ACTIVATIONS, gen_synthetic, load_model, save_calibration, save_model
 from .pipeline import (
     PipelineConfig,
     calibrate_and_plan,
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mlp-dim", type=int, default=64)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--tokens", type=int, default=64)
-    p.add_argument("--activation", choices=("relu", "gelu", "identity"), default="relu")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
     p.set_defaults(func=_cmd_synth)
     return parser
 

@@ -5,19 +5,19 @@ The objective is the data-space compression loss over activations X (n x T)
     loss(U, Vt) = || (U @ Vt - W) @ X ||_F^2 = tr(E @ G @ E.T),   E = U @ Vt - W,
 
 which sees the activations only through their Gram matrix G = X @ X.T, so
-every function here takes G. The U-update is the least-squares optimum for
-fixed Vt, U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same minimum-norm
-solution as pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
-pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
-nonsingular (G cancels), and stays the applied rule otherwise.
+every function here takes G. The U-update ``update_u`` is the least-squares
+optimum for fixed Vt, U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same
+minimum-norm solution as pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system.
+The Vt-update pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W
+whenever G is nonsingular (G cancels), and stays the applied rule otherwise.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
 U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
-W @ (G + damping * I) @ W.T (the output-PCA form). So it is computed from
-the r x r matrix A = R @ (G + damping * I) @ R.T, r = min(m, n), with
-W = Q @ R: Q = I and R = W when m <= n, the reduced QR of W otherwise.
-With A = Z @ diag(s) @ Z.T, s holds the squared singular values of W @ S and
+W @ (G + damping * I) @ W.T (the output-PCA form). So ``initialize_pair``
+computes it from the r x r matrix A = R @ (G + damping * I) @ R.T,
+r = min(m, n), with W = Q @ R: Q = I and R = W when m <= n, the reduced QR
+of W otherwise. With A = Z @ diag(s) @ Z.T, s holds the squared singular values of W @ S and
 
     U = Q @ Z_k @ diag(s_k ** 1/4),    Vt = diag(s_k ** -1/4) @ Z_k.T @ R,
 
@@ -30,12 +30,13 @@ K = Vt @ G @ Vt.T and B = W @ G @ Vt.T at a fixed Vt,
 
     loss(U, Vt) = c - 2 <U, B> + <U @ K, U>,      c = tr(W @ G @ W.T),
 
-so a loss costs m x k work once K and B are formed, and the K and B formed
-at each new Vt also serve the next U-refit. c is fixed per slot. With
-damping it is sum(s), which the whitened initialization computes anyway,
-minus damping * ||W||_F^2; without it is one m x n x n product. The
-identity's rounding error scales with c rather than with the loss, so a
-near-exact fit (loss below ~1e-13 * c) reads as rounding noise.
+so a loss costs m x k work once K and B are formed, and the
+``normal_equations`` formed at each new Vt are the system the next
+``update_u`` solves. c is fixed per slot. With damping it is sum(s), which
+``initialize_pair`` returns with the pair, minus damping * ||W||_F^2;
+without it is one m x n x n product. The identity's rounding error scales
+with c rather than with the loss, so a near-exact fit (loss below
+~1e-13 * c) reads as rounding noise.
 ``svd_loss`` keeps the direct form as the reference.
 """
 
@@ -55,9 +56,6 @@ class LossTrace:
 
     initial: float
     per_half_step: list[float] = field(default_factory=list)
-
-    def best(self) -> float:
-        return min([self.initial, *self.per_half_step])
 
 
 def svd_loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
@@ -97,18 +95,13 @@ def normal_equations(vt: np.ndarray, w: np.ndarray, g: np.ndarray) -> NormalEqua
     return NormalEquations(k=vg @ vt.T, b=w @ vg.T, noise=noise)
 
 
-def update_u(
-    pair: LowRankPair, w: np.ndarray, g: np.ndarray, normal: NormalEquations | None = None
-) -> np.ndarray:
+def update_u(normal: NormalEquations) -> np.ndarray:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
-    Solves U @ K = W @ G @ Vt.T with K = Vt @ G @ Vt.T, cutting K's singular
-    values at the rounding error of forming K: directions under it are noise,
-    which a singular G would otherwise invert. ``normal`` is the system
-    already formed at ``pair.vt_sigma``, if the caller has it.
+    Solves U @ K = B, the system ``normal_equations`` forms at the fixed Vt,
+    cutting K's singular values at the rounding error of forming K:
+    directions under it are noise, which a singular G would otherwise invert.
     """
-    if normal is None:
-        normal = normal_equations(pair.vt_sigma, w, g)
     return normal.b @ pinv(normal.k, atol=normal.noise)   # m x k
 
 
@@ -140,7 +133,7 @@ def compensate(
     _check_gram(g, w.shape[1])
     if not np.all(np.isfinite(g)):
         raise NumericalError("Gram matrix contains non-finite entries")
-    pair, energy = _initialize(w, g, k, damping)
+    pair, energy = initialize_pair(w, g, k, damping)
     if damping is None:
         c = float(np.vdot(w @ g, w))
     else:
@@ -151,13 +144,13 @@ def compensate(
     best_pair = pair
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        pair = LowRankPair(u_sigma=update_u(pair, w, g, normal), vt_sigma=pair.vt_sigma, rank=k)
+        pair = LowRankPair(u_sigma=update_u(normal), vt_sigma=pair.vt_sigma)
         loss = normal.loss(pair.u_sigma, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
             best_loss, best_pair = loss, pair
 
-        pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w), rank=k)
+        pair = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w))
         normal = normal_equations(pair.vt_sigma, w, g)
         loss = normal.loss(pair.u_sigma, c)
         trace.per_half_step.append(loss)
@@ -166,15 +159,15 @@ def compensate(
     return best_pair, trace
 
 
-def initialize_pair(w: np.ndarray, g: np.ndarray, k: int, damping: float | None = None) -> LowRankPair:
-    """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k."""
-    return _initialize(np.asarray(w, dtype=np.float64), np.asarray(g, dtype=np.float64), k, damping)[0]
-
-
-def _initialize(
-    w: np.ndarray, g: np.ndarray, k: int, damping: float | None
+def initialize_pair(
+    w: np.ndarray, g: np.ndarray, k: int, damping: float | None = None
 ) -> tuple[LowRankPair, float]:
-    """The starting pair and the sum of the squared singular values of what it truncates: W, or W @ S."""
+    """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
+
+    Also returns the sum of the squared singular values of what it truncates: W, or W @ S.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if damping is None:
         f = svd_full(w)
         return truncate_absorb(f, k), float(f.sigma @ f.sigma)
@@ -193,7 +186,7 @@ def _initialize(
     inv_root[keep] = 1.0 / root[keep]
     z = f.u[:, :k]
     u = z * root
-    pair = LowRankPair(u_sigma=u if q is None else q @ u, vt_sigma=(z * inv_root).T @ r, rank=k)
+    pair = LowRankPair(u_sigma=u if q is None else q @ u, vt_sigma=(z * inv_root).T @ r)
     return pair, float(np.sum(f.sigma))
 
 

@@ -25,7 +25,10 @@ class LowRankPair:
 
     u_sigma: np.ndarray   # m x k
     vt_sigma: np.ndarray  # k x n
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.u_sigma.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,7 +61,7 @@ def truncate_absorb(f: SvdFactors, k: int) -> LowRankPair:
     if not 1 <= k <= r:
         raise RankError(f"rank {k} outside [1, {r}]")
     root = np.sqrt(f.sigma[:k])
-    return LowRankPair(u_sigma=f.u[:, :k] * root, vt_sigma=root[:, None] * f.vt[:k, :], rank=k)
+    return LowRankPair(u_sigma=f.u[:, :k] * root, vt_sigma=root[:, None] * f.vt[:k, :])
 
 
 def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .container import atomic_path, load_container, save_container
 from .errors import FormatError, IoError, ManifestMismatch, NumericalError, ShapeError
@@ -165,7 +164,7 @@ class ModelHandle:
         ref = self.block(block_id).lowrank.get(slot)
         if ref is None:
             return None
-        return LowRankPair(u_sigma=self.tensors[ref.u], vt_sigma=self.tensors[ref.vt], rank=ref.rank)
+        return LowRankPair(u_sigma=self.tensors[ref.u], vt_sigma=self.tensors[ref.vt])
 
     def slot_weight(self, block_id: int, slot: str) -> np.ndarray:
         """Dense matrix of the slot (materializes the product for low-rank slots)."""
@@ -210,6 +209,11 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "gelu":
+        # Imported here: erf is the package's only use of scipy. Importing
+        # scipy.special takes most of `import lowrank`'s time, about doubles
+        # its memory and loads scipy's own OpenBLAS; relu and identity skip it.
+        from scipy.special import erf
+
         return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
     if name == "identity":
         return x
@@ -418,6 +422,8 @@ def gen_synthetic(
     """
     if min(blocks, d, h, n_samples, tokens) < 1:
         raise ShapeError("all synthetic sizes must be >= 1")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     specs: list[BlockSpec] = []
     tensors: dict[str, np.ndarray] = {}

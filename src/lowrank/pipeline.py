@@ -118,7 +118,7 @@ def calibrate(
     """One walk of the original model: the calibration product later stages read.
 
     Returns the Gram matrix of every slot's input activations, keyed by full
-    slot name, and the raw ``layer_importance`` of every block, keyed by id.
+    slot name, and the mean column cosine of every block, keyed by id.
     With ``with_grams=False`` the walk keeps only the importances and the
     Gram dict is empty. The samples are walked in chunks (see the module
     docstring); several chunks run on a pinned-BLAS worker pool.
@@ -184,8 +184,6 @@ def calibrate_and_plan(
     """
     cfg.validate()
     fit_samples = split_calibration(_load_samples(model, calib_file))[0]
-    if fit_samples.shape[0] < 1:
-        raise ShapeError("no calibration samples left for fitting")
     bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
     del fit_samples  # the buckets are copies; free the loaded samples before the walk
     grams, importances = calibrate(model, bucketed.buckets, with_grams)
@@ -378,14 +376,14 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     )
 
 
-def _histogram_overlap(a: np.ndarray, b: np.ndarray, bins: int = OVERLAP_BINS) -> float:
+def _histogram_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection of the two value histograms over their common 64-bin range."""
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi - lo < 1e-300:
         return 1.0
-    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    ha, _ = np.histogram(a, bins=OVERLAP_BINS, range=(lo, hi))
+    hb, _ = np.histogram(b, bins=OVERLAP_BINS, range=(lo, hi))
     return float(np.minimum(ha / a.size, hb / b.size).sum())
 
 

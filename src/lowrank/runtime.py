@@ -1,11 +1,11 @@
 """Process-wide runtime controls: each loaded OpenBLAS's thread count, and glibc's malloc arenas.
 
-numpy and scipy each bundle their own OpenBLAS, and each reads its thread count
-from the environment once, when it loads. ``blas_controls`` finds every loaded
-copy through ``/proc/self/maps`` and binds its exported getter and setter, so a
-stage can change the count at run time (``threadpoolctl`` does the same, but is
-not a dependency). Where no OpenBLAS can be found, for example off Linux, the
-list is empty.
+numpy and scipy each bundle their own OpenBLAS (scipy's loads only once a gelu
+model runs), and each reads its thread count from the environment once, when
+it loads. ``blas_controls`` finds every loaded copy through ``/proc/self/maps``
+and binds its exported getter and setter, so a stage can change the count at
+run time (``threadpoolctl`` does the same, but is not a dependency). Where no
+OpenBLAS can be found, for example off Linux, the list is empty.
 """
 
 from __future__ import annotations

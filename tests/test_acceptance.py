@@ -16,6 +16,7 @@ from lowrank.cli import run_cli
 from lowrank.compensation import (
     compensate,
     initialize_pair,
+    normal_equations,
     plain_truncation_loss,
     svd_loss,
     update_u,
@@ -93,15 +94,15 @@ def test_criterion_3_lse_optimality():
             g = x @ x.T
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
-            u_star = update_u(pair, w, g)
+            u_star = update_u(normal_equations(pair.vt_sigma, w, g))
 
-            star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma, rank=k)
+            star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
             base = svd_loss(star, w, g)
             scale = 1e-2 * max(1.0, np.linalg.norm(u_star))
             for _ in range(100):
                 delta = rng.normal(size=u_star.shape)
                 delta *= scale / np.linalg.norm(delta)
-                probe = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma, rank=k)
+                probe = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma)
                 assert svd_loss(probe, w, g) >= base - 1e-12 * max(1.0, base)
 
             v = pair.vt_sigma.T
@@ -232,7 +233,7 @@ def test_criterion_8_whitening_identity():
             x = rng.normal(size=(n, t))
             sigma_ws = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
             for k in range(1, min(m, n) + 1):
-                pair = initialize_pair(w, x @ x.T, k, 0.0)
+                pair = initialize_pair(w, x @ x.T, k, 0.0)[0]
                 err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,44 @@ def test_unknown_flag_exits_1(workspace, capsys, flag):
     assert code == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and f"unrecognized arguments: {flag[0]}" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "compress", "importance"])
+def test_negative_seed_exits_1(workspace, capsys, command):
+    base = workspace / "base"
+    argv = {
+        "synth": ["synth", "--out", str(workspace / "x")],
+        "compress": [
+            "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+            "--target-retention", "0.6", "--out", str(workspace / "x"),
+        ],
+        "importance": ["importance", "--model", str(base / "model.json"), "--calib", str(base / "calib.st")],
+    }[command]
+    capsys.readouterr()
+    assert run_cli([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_relu_run_never_imports_scipy(tmp_path):
+    # scipy is needed for gelu's erf only; a relu synth -> compress -> eval must not load it.
+    script = f"""
+import sys
+from lowrank.cli import run_cli
+base, out = {str(tmp_path / "base")!r}, {str(tmp_path / "out")!r}
+assert run_cli(["synth", "--out", base, "--samples", "10", "--tokens", "8"]) == 0
+assert run_cli(["compress", "--model", base + "/model.json", "--calib", base + "/calib.st",
+                "--target-retention", "0.6", "--out", out]) == 0
+assert run_cli(["eval", "--model", base + "/model.json", "--compressed", out + "/model.json",
+                "--calib", base + "/calib.st", "--out", out + "/eval.json"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_model_file_exits_1(workspace, capsys):

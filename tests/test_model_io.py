@@ -307,7 +307,7 @@ class TestSaveCompressed:
     def test_dimension_mismatch_rejected(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=1, d=8, h=16)
         plan = uniform_plan(model, ranks=4)
-        bad = LowRankPair(u_sigma=np.zeros((16, 4)), vt_sigma=np.zeros((4, 16)), rank=4)
+        bad = LowRankPair(u_sigma=np.zeros((16, 4)), vt_sigma=np.zeros((4, 16)))
         factors = {slot_name(b, s): bad for b, s in model.slot_ids()}
         with pytest.raises(ShapeError):
             save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
