@@ -1,8 +1,8 @@
 """Post-training low-rank compression of dense weight matrices.
 
 Factorizes weight matrices by truncated SVD, compensates the truncation error
-with alternating pseudoinverse refits against the Gram matrix of calibration
-activations, and allocates per-layer retention ratios from input/output
+with alternating pseudoinverse refits against each slot's calibration Gram
+matrix (of its inputs, or of its outputs when the slot is wide), and allocates per-layer retention ratios from input/output
 similarity scores.
 """
 
@@ -46,6 +46,7 @@ from .model import (
     save_model,
 )
 from .pipeline import (
+    Calibration,
     EvalReport,
     PipelineConfig,
     calibrate,

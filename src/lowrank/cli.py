@@ -142,7 +142,7 @@ def _cmd_importance(args) -> int:
         seed=args.seed,
     )
     model = load_model(args.model, _container_path(args.model))
-    _, _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
+    _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
     print(json.dumps(plan.to_json(), indent=2))
     return 0
 

@@ -220,16 +220,20 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     raise FormatError(f"unknown activation {name!r}")
 
 
-def block_forward(model: ModelHandle, block_id: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_forward(
+    model: ModelHandle, block_id: int, x: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """One residual block on column tokens x (d x T).
 
-    Returns (x_norm, hidden, y): the normalized input fed to w1, the
-    post-activation hidden state fed to w2, and the block output.
+    Returns ({slot: input}, {slot: output}, y): w1 reads the normalized input
+    and outputs the pre-activation, w2 reads the post-activation hidden state
+    and outputs the product added to the residual, and y is the block output.
     """
     x_norm = rms_norm(x)
-    hidden = apply_activation(model.manifest.activation, model.apply_slot(block_id, "w1", x_norm))
-    y = x + model.apply_slot(block_id, "w2", hidden)
-    return x_norm, hidden, y
+    pre = model.apply_slot(block_id, "w1", x_norm)
+    hidden = apply_activation(model.manifest.activation, pre)
+    update = model.apply_slot(block_id, "w2", hidden)
+    return {"w1": x_norm, "w2": hidden}, {"w1": pre, "w2": update}, x + update
 
 
 def walk_blocks(
@@ -237,10 +241,10 @@ def walk_blocks(
 ) -> np.ndarray:
     """Run the model forward block by block over every token of ``samples``.
 
-    Calls ``visit(block_id, block input, {slot: slot input}, block output)``
-    per block, columns being all tokens in sample order, and returns the last
-    block's output (d x tokens). Only one block's token matrices are alive at
-    a time. Raises NumericalError naming the block if the forward produces
+    Calls ``visit(block_id, block input, {slot: slot input}, {slot: slot
+    output}, block output)`` per block, columns being all tokens in sample
+    order, and returns the last block's output (d x tokens). Only one block's
+    token matrices are alive at a time. Raises NumericalError naming the block if the forward produces
     non-finite values.
     """
     d = model.hidden_dim
@@ -254,12 +258,12 @@ def walk_blocks(
     # columns equals a sample-by-sample forward.
     x = np.concatenate(cols, axis=1)
     for block in model.manifest.blocks:
-        x_norm, hidden, y = block_forward(model, block.block_id, x)
+        slot_inputs, slot_outputs, y = block_forward(model, block.block_id, x)
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"non-finite activations in block {block.block_id}")
         if visit is not None:
-            visit(block.block_id, x, {"w1": x_norm, "w2": hidden}, y)
-        del x_norm, hidden
+            visit(block.block_id, x, slot_inputs, slot_outputs, y)
+        del slot_inputs, slot_outputs
         x = y
     return x
 

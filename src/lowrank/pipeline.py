@@ -6,14 +6,24 @@ score per block), build the retention plan, then refit every planned slot
 independently. Merge order follows the manifest, so outputs are
 deterministic for a fixed seed and CPU count.
 
+Each slot's Gram is on its narrow side. The data-space loss and both refits
+of a slot W (m x n) depend on its inputs X only through G = X @ X.T, and,
+since every Vt the refits produce lies in W's row space, for a wide slot
+(m < n) only through H = W @ G @ W.T = Y @ Y.T, Y = W @ X its outputs (see
+``compensation``). So the walk keeps G for a tall slot (m >= n) and H, from
+the slot output the forward pass forms anyway, for a wide one, plus the
+wide slot's ||X||_F^2, from which the whitening damping
+REL_DAMPING * mean diag G is read. No n x n Gram is formed for a wide slot.
+
 The walk goes over the buckets in chunks of consecutive whole buckets. With
 ``wide`` the widest slot dimension (max of d and every h), a chunk holds as
 many buckets as fit in CHUNK_BYTES // (8 * wide) tokens, and at least one, so
 each of its token matrices stays cache-sized. When that width is below
 ``wide``, a chunk would be narrower than the Gram it feeds, and the walk runs
-as one chunk of every bucket. Each chunk returns its own slot Grams and
-per-column importance cosines. The calling thread adds the Grams and joins
-the cosines in chunk order, so neither depends on the worker count.
+as one chunk of every bucket. Each chunk returns its own slot Grams, each
+wide slot's share of its input Gram's mean diagonal, and per-column
+importance cosines. The calling thread adds the Grams and shares and joins
+the cosines in chunk order, so none of them depends on the worker count.
 
 The walk chunks and the slot refits are both too small to scale across BLAS
 threads, so each of these two pool stages sets its own thread counts at run
@@ -35,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +68,7 @@ from .runtime import blas_controls, cap_malloc_arenas
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors, or one walk chunk
 CHUNK_BYTES = 2 << 20  # bound on one walk chunk's widest token matrix
-REL_DAMPING = 1e-5  # whitening damping, relative to the Gram matrix's mean diagonal
+REL_DAMPING = 1e-5  # whitening damping, relative to the mean diagonal of the slot's input Gram
 
 # Held while a pool stage has the BLAS thread counts pinned, so that two
 # concurrent compress_model calls cannot restore each other's pinned counts.
@@ -112,49 +122,74 @@ def _load_samples(model: ModelHandle, calib_file: str | Path) -> np.ndarray:
     return samples
 
 
-def calibrate(
-    model: ModelHandle, samples: Sequence[np.ndarray], with_grams: bool = True
-) -> tuple[dict[str, np.ndarray], dict[int, float]]:
+class Calibration(NamedTuple):
+    """The calibration product: what later stages read of the walk.
+
+    ``grams`` holds every slot's Gram matrix on its narrow side, keyed by full
+    slot name: X @ X.T of its inputs for a tall slot (m >= n), Y @ Y.T of
+    its outputs Y = W @ X for a wide one. ``mean_diag`` holds the mean
+    diagonal of every slot's input Gram X @ X.T, which sets the whitening
+    damping; a wide slot's is ||X||_F^2 / n. ``importances`` holds the mean
+    column cosine of every block, keyed by id.
+    """
+
+    grams: dict[str, np.ndarray]
+    mean_diag: dict[str, float]
+    importances: dict[int, float]
+
+
+def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: bool = True) -> Calibration:
     """One walk of the original model: the calibration product later stages read.
 
-    Returns the Gram matrix of every slot's input activations, keyed by full
-    slot name, and the mean column cosine of every block, keyed by id.
-    With ``with_grams=False`` the walk keeps only the importances and the
-    Gram dict is empty. The samples are walked in chunks (see the module
-    docstring); several chunks run on a pinned-BLAS worker pool.
+    With ``with_grams=False`` the walk keeps only the importances, and the
+    Gram and mean-diagonal dicts are empty. The samples are walked in chunks
+    (see the module docstring); several chunks run on a pinned-BLAS worker
+    pool.
     """
     if len(samples) < 1:
         raise ShapeError("need at least one calibration sample")
 
     def walk_chunk(chunk):
         grams: dict[str, np.ndarray] = {}
+        wide_diag: dict[str, float] = {}
         cosines: dict[int, np.ndarray] = {}
 
-        def visit(block_id, x_in, slot_inputs, y):
+        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
             if with_grams:
                 for slot, x in slot_inputs.items():
-                    grams[slot_name(block_id, slot)] = gram_accumulate(x)
+                    name, out = slot_name(block_id, slot), slot_outputs[slot]
+                    if out.shape[0] < x.shape[0]:  # wide: the m x m Gram of its outputs
+                        grams[name] = gram_accumulate(out)
+                        wide_diag[name] = float(np.vdot(x, x)) / x.shape[0]
+                    else:
+                        grams[name] = gram_accumulate(x)
             cosines[block_id] = column_cosines(x_in, y)
 
         walk_blocks(model, chunk, visit)
-        return grams, cosines
+        return grams, wide_diag, cosines
 
     grams: dict[str, np.ndarray] = {}
+    mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
     chunks = _walk_chunks(model, samples)
     # One chunk is the plain walk: no pool, and the BLAS left as it is.
     stage = nullcontext(1) if len(chunks) == 1 else _pool_stage(len(chunks))
     with stage as workers:
-        for part_grams, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
+        for part_grams, part_diag, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
             for name, g in part_grams.items():
                 if name in grams:
                     grams[name] += g
                 else:
                     grams[name] = g
+            for name, diag in part_diag.items():
+                mean_diag[name] = mean_diag.get(name, 0.0) + diag
             for block_id, cos in part_cosines.items():
                 cosines.setdefault(block_id, []).append(cos)
+    for name, g in grams.items():
+        if name not in mean_diag:  # tall: read off the input Gram itself
+            mean_diag[name] = float(np.mean(np.diag(g)))
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
-    return grams, importances
+    return Calibration(grams, mean_diag, importances)
 
 
 def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
@@ -177,7 +212,7 @@ def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list
 
 def calibrate_and_plan(
     model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig, with_grams: bool = True
-) -> tuple[dict[str, np.ndarray], dict[int, float], CompressionPlan]:
+) -> tuple[Calibration, CompressionPlan]:
     """Shared prefix of compress and importance: load, split, bucket, calibrate, plan.
 
     ``with_grams`` is passed to ``calibrate``; the plan reads only the importances.
@@ -186,9 +221,9 @@ def calibrate_and_plan(
     fit_samples = split_calibration(_load_samples(model, calib_file))[0]
     bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
     del fit_samples  # the buckets are copies; free the loaded samples before the walk
-    grams, importances = calibrate(model, bucketed.buckets, with_grams)
-    plan = build_plan(importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
-    return grams, importances, plan
+    calibration = calibrate(model, bucketed.buckets, with_grams)
+    plan = build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
+    return calibration, plan
 
 
 def compress_model(
@@ -202,9 +237,10 @@ def compress_model(
     With ``dump_path``, the calibration product (slot Grams and block
     importances) is also written there as a tensor container.
     """
-    grams, importances, plan = calibrate_and_plan(model, calib_file, cfg)
+    calibration, plan = calibrate_and_plan(model, calib_file, cfg)
+    grams = calibration.grams
     if dump_path is not None:
-        dump_activations(grams, importances, dump_path)
+        dump_activations(grams, calibration.importances, dump_path)
 
     ranks = plan.slot_ranks()
     tasks = []  # (full slot name, weight, rank)
@@ -220,7 +256,7 @@ def compress_model(
         name, w, rank = task
         try:
             gram = grams.pop(name)  # freed as soon as this slot is done
-            damping = REL_DAMPING * float(np.mean(np.diag(gram))) if cfg.whiten else None
+            damping = REL_DAMPING * calibration.mean_diag[name] if cfg.whiten else None
             return compensate(w, gram, rank, cfg.iterations, damping)
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
@@ -345,10 +381,10 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     tiny = np.finfo(np.float64).tiny
     per_slot = []
 
-    def visit(block_id, x_in, slot_inputs, y):
+    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
         for slot, x in slot_inputs.items():
             w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
-            wx, what_x = w @ x, compressed.apply_slot(block_id, slot, x)
+            wx, what_x = slot_outputs[slot], compressed.apply_slot(block_id, slot, x)
             frob = float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny))
             data_err = float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny))
             per_slot.append(SlotErrors(slot=slot_name(block_id, slot), frob_rel_err=frob, data_rel_err=data_err))

@@ -232,8 +232,9 @@ def test_criterion_8_whitening_identity():
             w = rng.normal(size=(m, n))
             x = rng.normal(size=(n, t))
             sigma_ws = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
+            narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T  # the Gram on W's narrow side
             for k in range(1, min(m, n) + 1):
-                pair = initialize_pair(w, x @ x.T, k, 0.0)[0]
+                pair = initialize_pair(w, narrow, k, 0.0)[0]
                 err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)

@@ -111,7 +111,7 @@ class TestAssignRatios:
 
 
 def block_importances(model, calib, m_buckets=8, seed=0):
-    return calibrate(model, stack_of_batch(list(calib), m_buckets, seed).buckets)[1]
+    return calibrate(model, stack_of_batch(list(calib), m_buckets, seed).buckets).importances
 
 
 class TestBuildPlan:

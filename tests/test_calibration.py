@@ -102,16 +102,16 @@ class TestCaptureActivations:
         model, calib = gen_synthetic(seed=0, blocks=2, d=6, h=12, n_samples=2, tokens=5)
         for name in model.tensors:
             model.tensors[name] = np.zeros_like(model.tensors[name])
-        grams, importances = calibrate(model, [calib[0], calib[1]])
+        grams, _, importances = calibrate(model, [calib[0], calib[1]])
         # each block passes its input through, so both see the same tokens
         np.testing.assert_array_equal(grams["blocks.1.w1"], grams["blocks.0.w1"])
-        np.testing.assert_array_equal(grams["blocks.0.w2"], np.zeros((12, 12)))
+        np.testing.assert_array_equal(grams["blocks.0.w2"], np.zeros((6, 6)))  # w2 is wide: its output Gram
         assert importances == {0: pytest.approx(1.0, abs=1e-15), 1: pytest.approx(1.0, abs=1e-15)}
 
     def test_w1_input_is_normalized_block_input(self):
         model, _ = gen_synthetic(seed=1, blocks=1, d=2, h=3, n_samples=1, tokens=1)
         sample = np.array([[3.0, 4.0]])
-        grams, _ = calibrate(model, [sample])
+        grams = calibrate(model, [sample]).grams
         x = sample.T
         expected = x / np.sqrt(np.mean(x**2) + RMS_EPS)
         np.testing.assert_allclose(grams["blocks.0.w1"], gram_accumulate(expected), rtol=0, atol=0)
@@ -119,23 +119,26 @@ class TestCaptureActivations:
     def test_w2_input_is_post_activation_state(self):
         model, _ = gen_synthetic(seed=2, blocks=1, d=3, h=5, n_samples=1, tokens=4)
         sample = np.random.default_rng(0).normal(size=(4, 3))
-        grams, _ = calibrate(model, [sample])
-        w1 = model.tensors["blocks.0.w1"]
+        grams, mean_diag, _ = calibrate(model, [sample])
+        w1, w2 = model.tensors["blocks.0.w1"], model.tensors["blocks.0.w2"]
         hidden = np.maximum(w1 @ rms_norm(sample.T), 0.0)
-        np.testing.assert_allclose(grams["blocks.0.w2"], gram_accumulate(hidden), atol=1e-15)
+        # w2 (3 x 5) is wide: it keeps the Gram of its outputs, and its input
+        # Gram's mean diagonal for the damping.
+        np.testing.assert_allclose(grams["blocks.0.w2"], gram_accumulate(w2 @ hidden), atol=1e-15)
+        assert mean_diag["blocks.0.w2"] == pytest.approx(np.mean(np.diag(gram_accumulate(hidden))), rel=1e-15)
 
     def test_capture_is_deterministic(self):
         model, calib = gen_synthetic(seed=3, blocks=3, d=8, h=16, n_samples=4, tokens=6)
-        g1, i1 = calibrate(model, list(calib))
-        g2, i2 = calibrate(model, list(calib))
-        assert list(g1) == list(g2) and i1 == i2
+        g1, d1, i1 = calibrate(model, list(calib))
+        g2, d2, i2 = calibrate(model, list(calib))
+        assert list(g1) == list(g2) and d1 == d2 and i1 == i2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
 
     def test_columns_are_all_bucket_tokens(self):
         model, calib = gen_synthetic(seed=4, blocks=1, d=8, h=16, n_samples=6, tokens=5)
         bucketed = stack_of_batch(list(calib), 3, seed=0)
-        grams, _ = calibrate(model, bucketed.buckets)
+        grams = calibrate(model, bucketed.buckets).grams
         tokens = np.concatenate([b.T for b in bucketed.buckets], axis=1)
         assert tokens.shape == (8, 3 * 5)
         np.testing.assert_array_equal(grams["blocks.0.w1"], gram_accumulate(rms_norm(tokens)))
@@ -188,7 +191,7 @@ class TestGram:
 
 def test_dump_activations_tensor_names(tmp_path):
     model, calib = gen_synthetic(seed=6, blocks=2, d=4, h=8, n_samples=2, tokens=3)
-    grams, importances = calibrate(model, list(calib))
+    grams, _, importances = calibrate(model, list(calib))
     dump_activations(grams, importances, tmp_path / "acts.st")
     tensors = load_container(tmp_path / "acts.st")
     assert set(tensors) == {
@@ -197,4 +200,8 @@ def test_dump_activations_tensor_names(tmp_path):
         "slot.blocks.1.w1.gram", "slot.blocks.1.w2.gram",
     }
     np.testing.assert_array_equal(tensors["slot.blocks.1.w2.gram"], grams["blocks.1.w2"])
+    # Each Gram is on its slot's narrow side: w1 (8 x 4) keeps its 4 x 4 input
+    # Gram, w2 (4 x 8) its 4 x 4 output Gram.
+    assert tensors["slot.blocks.0.w1.gram"].shape == (4, 4)
+    assert tensors["slot.blocks.0.w2.gram"].shape == (4, 4)
     assert tensors["block.0.importance"].tolist() == [importances[0]]

@@ -140,12 +140,12 @@ class TestUpdateV:
         w = rng.normal(size=(7, 5))
         q = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         pair = LowRankPair(u_sigma=q, vt_sigma=rng.normal(size=(3, 5)))
-        np.testing.assert_allclose(update_v(pair, w), q.T @ w, atol=1e-10)
+        np.testing.assert_allclose(update_v(pair.u_sigma, w), q.T @ w, atol=1e-10)
 
     def test_recovers_exact_rank_k(self, rng):
         u_sig, vt, w = random_rank_k(rng, 9, 11, 3)
         pair = LowRankPair(u_sigma=u_sig, vt_sigma=rng.normal(size=(3, 11)))
-        vt_new = update_v(pair, w)
+        vt_new = update_v(pair.u_sigma, w) @ w  # W is wide: the refit returns coordinates pinv(U)
         assert np.linalg.norm(pair.u_sigma @ vt_new - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_loss_never_increases_with_full_rank_gram(self, rng):
@@ -155,7 +155,7 @@ class TestUpdateV:
         pair = truncate_absorb(svd_full(w), 4)
         pair = LowRankPair(u_sigma=update_u(normal_equations(pair.vt_sigma, w, g)), vt_sigma=pair.vt_sigma)
         before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w))
+        updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair.u_sigma, w))
         assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
 
@@ -277,9 +277,10 @@ class TestWhitenedInit:
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, tokens))
         g = x @ x.T
+        narrow = (w @ x) @ (w @ x).T if m < n else g
         damping = rel_damping * float(np.mean(np.diag(g)))
         for k in range(1, min(m, n) + 1):
-            pair = initialize_pair(w, g, k, damping)[0]
+            pair = initialize_pair(w, narrow, k, damping)[0]
             np.testing.assert_allclose(
                 pair.product(), cholesky_oracle(w, g, k, damping), atol=1e-10 * np.linalg.norm(w)
             )
@@ -290,7 +291,8 @@ class TestWhitenedInit:
         k = 8
         w = rng.normal(size=(m, 5)) @ rng.normal(size=(5, n))
         x = rng.normal(size=(n, 40))
-        pair = initialize_pair(w, x @ x.T, k, 0.0)[0]
+        narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
+        pair = initialize_pair(w, narrow, k, 0.0)[0]
         assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
         sigma = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
         tail = float(np.sum(sigma[k:] ** 2))
@@ -318,9 +320,10 @@ class TestWhitenedInit:
             w = rng.normal(size=(m, n))
             damping = REL_DAMPING * float(np.mean(np.diag(g)))
             vals, vecs = np.linalg.eigh(w @ (g + damping * np.eye(n)) @ w.T)
+            narrow = (w @ x) @ (w @ x).T if m < n else g  # only the x @ x.T case is wide
             for k in range(1, min(m, n) + 1):
                 top = vecs[:, np.argsort(-np.abs(vals))[:k]]
-                pair = initialize_pair(w, g, k, damping)[0]
+                pair = initialize_pair(w, narrow, k, damping)[0]
                 np.testing.assert_allclose(pair.product(), top @ top.T @ w, atol=1e-10 * np.linalg.norm(w))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -337,32 +340,40 @@ class TestWhitenedInit:
 
 class TestLossTrace:
     @pytest.mark.parametrize("iters", [0, 1, 2, 3])
-    @pytest.mark.parametrize("tokens", [40, 7], ids=["full-rank-gram", "rank-deficient-gram"])
+    @pytest.mark.parametrize(
+        "m, n, token_counts",
+        [(14, 10, [40]), (14, 10, [7]), (10, 14, [40, 12, 7])],
+        ids=["full-rank-gram", "rank-deficient-gram", "wide"],
+    )
     @pytest.mark.parametrize("whiten", [False, True], ids=["unwhitened", "whitened"])
-    def test_every_loss_is_the_svd_loss_of_its_pair(self, whiten, tokens, iters):
+    def test_every_loss_is_the_svd_loss_of_its_pair(self, whiten, m, n, token_counts, iters):
         # The trace reads each loss off the U-refit's normal equations; replay
-        # the half-steps through the public refits and score each pair directly.
-        rng = np.random.default_rng(tokens + 10 * iters + 100 * whiten)
-        m, n, k = 14, 10, 4
-        for _ in range(5):
-            w = rng.normal(size=(m, n))
-            x = rng.normal(size=(n, tokens))
-            g = x @ x.T
-            damping = 1e-5 * float(np.mean(np.diag(g))) if whiten else None
-            best, trace = compensate(w, g, k, iters, damping)
+        # the half-steps through the public refits and score each pair directly
+        # on the input Gram. A wide W is refit from its output Gram H, here at
+        # T > n, m < T < n and T < m (H rank-deficient).
+        rng = np.random.default_rng(sum(token_counts) + 10 * iters + 100 * whiten)
+        k = 4
+        for tokens in token_counts:
+            for _ in range(5):
+                w = rng.normal(size=(m, n))
+                x = rng.normal(size=(n, tokens))
+                g = x @ x.T
+                narrow = (w @ x) @ (w @ x).T if m < n else g
+                damping = 1e-5 * float(np.mean(np.diag(g))) if whiten else None
+                best, trace = compensate(w, narrow, k, iters, damping)
 
-            pairs = [initialize_pair(w, g, k, damping)[0]]
-            for _ in range(iters):
-                pair = pairs[-1]
-                normal = normal_equations(pair.vt_sigma, w, g)
-                pairs.append(LowRankPair(u_sigma=update_u(normal), vt_sigma=pair.vt_sigma))
-                pair = pairs[-1]
-                pairs.append(LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair, w)))
-            losses = [trace.initial, *trace.per_half_step]
-            assert len(losses) == len(pairs) == 2 * iters + 1
-            for loss, pair in zip(losses, pairs):
-                assert loss == pytest.approx(svd_loss(pair, w, g), rel=1e-12)
+                pair, p, _ = initialize_pair(w, narrow, k, damping)
+                pairs = [pair]
+                for _ in range(iters):
+                    u = update_u(normal_equations(p, w, narrow))
+                    pairs.append(LowRankPair(u_sigma=u, vt_sigma=pairs[-1].vt_sigma))
+                    p = update_v(u, w)
+                    pairs.append(LowRankPair(u_sigma=u, vt_sigma=p @ w if m < n else p))
+                losses = [trace.initial, *trace.per_half_step]
+                assert len(losses) == len(pairs) == 2 * iters + 1
+                for loss, pair in zip(losses, pairs):
+                    assert loss == pytest.approx(svd_loss(pair, w, g), rel=1e-12)
 
-            lowest = pairs[losses.index(min(losses))]
-            np.testing.assert_array_equal(best.u_sigma, lowest.u_sigma)
-            np.testing.assert_array_equal(best.vt_sigma, lowest.vt_sigma)
+                lowest = pairs[losses.index(min(losses))]
+                np.testing.assert_array_equal(best.u_sigma, lowest.u_sigma)
+                np.testing.assert_array_equal(best.vt_sigma, lowest.vt_sigma)

@@ -23,6 +23,7 @@ from lowrank.model import (
     save_calibration,
     save_model,
     slot_name,
+    walk_blocks,
 )
 from strategies import JSON_VALUES
 
@@ -87,6 +88,25 @@ class TestGenSynthetic:
         )
         out = forward(model, calib[0])
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
+    def test_walk_hands_each_slot_its_output(self, activation):
+        model, calib = gen_synthetic(seed=4, blocks=3, d=8, h=16, n_samples=3, tokens=5, activation=activation)
+        factors = {
+            slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 4) for b, s in model.slot_ids()
+        }
+        for handle in (model, as_compressed_handle(model, uniform_plan(model, ranks=4), factors)):
+            visited = []
+
+            def visit(block_id, x_in, slot_inputs, slot_outputs, y):
+                assert list(slot_outputs) == list(slot_inputs) == ["w1", "w2"]
+                for slot, x in slot_inputs.items():
+                    assert slot_outputs[slot].tobytes() == handle.apply_slot(block_id, slot, x).tobytes()
+                assert y.tobytes() == (x_in + slot_outputs["w2"]).tobytes()
+                visited.append(block_id)
+
+            walk_blocks(handle, list(calib), visit)
+            assert visited == [0, 1, 2]
 
     def test_activation_functions(self):
         from lowrank.model import apply_activation

@@ -9,7 +9,7 @@ import pytest
 from lowrank import pipeline
 from lowrank.compensation import plain_truncation_loss
 from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
-from lowrank.model import forward, gen_synthetic, save_calibration
+from lowrank.model import forward, gen_synthetic, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
 from lowrank.runtime import BlasControl, blas_controls
 from lowrank.pipeline import (
@@ -48,6 +48,18 @@ def real_blas_at_two():
     finally:
         for c, n in zip(controls, previous):
             c.set(n)
+
+
+def input_grams(model, samples):
+    """Every slot's input Gram X @ X.T, formed from the walk's slot inputs."""
+    grams = {}
+
+    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
+        for slot, x in slot_inputs.items():
+            grams[slot_name(block_id, slot)] = x @ x.T
+
+    walk_blocks(model, samples, visit)
+    return grams
 
 
 @pytest.fixture
@@ -89,7 +101,7 @@ class TestCompressModel:
         compressed, plan, traces = compress_model(model, calib, cfg)
         report = eval_compression(model, compressed, calib)
         _, heldout = split_calibration(samples)
-        grams, _ = calibrate(model, list(heldout))
+        grams = input_grams(model, list(heldout))
         for entry in report.per_slot:
             block_id = int(entry.slot.split(".")[1])
             slot = entry.slot.split(".")[2]
@@ -104,7 +116,7 @@ class TestCompressModel:
         cfg = PipelineConfig(trr=0.5, mrr=0.4, iterations=2, whiten=True, seed=3)
         compressed, plan, traces = compress_model(model, calib, cfg)
         fit, _ = split_calibration(samples)
-        grams, _ = calibrate(model, stack_of_batch(list(fit), cfg.bucket_size, cfg.seed).buckets)
+        grams = input_grams(model, stack_of_batch(list(fit), cfg.bucket_size, cfg.seed).buckets)
         for name, trace in traces.items():
             block_id = int(name.split(".")[1])
             slot = name.split(".")[2]
@@ -204,9 +216,9 @@ class TestCompressModel:
         calibrate_orig, build_plan_orig = pipeline.calibrate, pipeline.build_plan
 
         def recording_calibrate(*args, **kwargs):
-            grams, importances = calibrate_orig(*args, **kwargs)
-            refs.update({name: weakref.ref(g) for name, g in grams.items()})
-            return grams, importances
+            calibration = calibrate_orig(*args, **kwargs)
+            refs.update({name: weakref.ref(g) for name, g in calibration.grams.items()})
+            return calibration
 
         def block0_dense(*args, **kwargs):
             plan = build_plan_orig(*args, **kwargs)
@@ -395,14 +407,14 @@ class TestChunkedWalk:
             return calibrate(model, buckets), compress_model(model, calib, cfg)
 
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
-        (g1, i1), (c1, p1, _) = run()
+        (g1, d1, i1), (c1, p1, _) = run()
         assert recorded_pools == []
         controls, state = fake_controls(1)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
-        (g2, i2), (c2, p2, _) = run()
+        (g2, d2, i2), (c2, p2, _) = run()
         assert recorded_pools == [4, 4, 4]  # calibrate's walk, compress's walk, its slot stage
         assert state == [1]
-        assert list(g1) == list(g2) and i1 == i2
+        assert list(g1) == list(g2) and d1 == d2 and i1 == i2
         for name in g1:
             assert g1[name].tobytes() == g2[name].tobytes()
         assert p1.to_json() == p2.to_json()
@@ -411,12 +423,13 @@ class TestChunkedWalk:
 
     def test_chunks_match_one_walk(self, small_setup, buckets, monkeypatch):
         model, _, _ = small_setup
-        grams, importances = calibrate(model, buckets)
+        grams, mean_diag, importances = calibrate(model, buckets)
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
-        chunked_grams, chunked_importances = calibrate(model, buckets)
+        chunked_grams, chunked_diag, chunked_importances = calibrate(model, buckets)
         assert list(chunked_grams) == list(grams)
         for name, g in grams.items():
             np.testing.assert_allclose(chunked_grams[name], g, rtol=1e-12, atol=0)
+            assert chunked_diag[name] == pytest.approx(mean_diag[name], rel=1e-12)
         # With whole 16-token buckets the BLAS computes each column's cosine
         # the same at either width, and the mean is taken over the joined
         # columns, so no bit of an importance moves.
@@ -424,12 +437,12 @@ class TestChunkedWalk:
 
     def test_gram_free_walk_is_chunked_too(self, small_setup, buckets, monkeypatch, recorded_pools):
         model, _, _ = small_setup
-        _, importances = calibrate(model, buckets)
+        importances = calibrate(model, buckets).importances
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: fake_controls(2)[0])
-        grams, chunked = calibrate(model, buckets, with_grams=False)
-        assert grams == {} and chunked == importances
+        grams, mean_diag, chunked = calibrate(model, buckets, with_grams=False)
+        assert grams == {} and mean_diag == {} and chunked == importances
         assert recorded_pools == [2]
 
     @pytest.mark.parametrize(
