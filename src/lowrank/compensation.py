@@ -5,56 +5,55 @@ The objective is the data-space compression loss over activations X (n x T)
     loss(U, Vt) = || (U @ Vt - W) @ X ||_F^2 = tr(E @ G @ E.T),   E = U @ Vt - W,
 
 which sees the activations only through their Gram matrix G = X @ X.T. The
-U-update ``update_u`` is the least-squares optimum for fixed Vt,
+U-update is the least-squares optimum for fixed Vt,
 U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same minimum-norm solution as
 pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
 pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
 nonsingular (G cancels), and stays the applied rule otherwise.
 
-Every Vt produced here lies in W's row space: Vt = M @ W for a k x m
-matrix M (the plain init has M = Sigma_k^-1/2 @ U_k.T, the whitened init
-diag(s_k^-1/4) @ Z_k.T @ Q.T below, the V-refit pinv(U)). Then E = (U @ M - I) @ W
-and the loss is tr((U @ M - I) @ H @ (U @ M - I).T) with H = W @ G @ W.T =
-(W @ X) @ (W @ X).T, the Gram matrix of the slot's outputs. So each
-function here takes the Gram on the slot's narrow side: G (n x n) for a tall
-W (m >= n), and H (m x m) for a wide one (m < n), whose refits never form an
-n x n matrix. A pair is computed in coordinates P: P = Vt for a tall W, and
-P = M, Vt = M @ W, for a wide one. Then the wide slot is the tall problem
-with W replaced by I_m and G by H:
+Every slot is solved as one square problem. Write W = Q @ R, r = min(m, n),
+with Q (m x r) having orthonormal columns: the reduced QR for a tall W
+(m > n), Q = I and R = W otherwise. Every U formed here lies in range(Q) and
+every Vt in R's row space, so a pair is U = Q @ U', Vt = M @ R, for an
+r x k factor U' and k x r coordinates M. Then E = Q @ (U' @ M - I) @ R and
 
-    tall:  K = Vt @ G @ Vt.T,   B = W @ G @ Vt.T,   c = tr(W @ G @ W.T),
-    wide:  K = M @ H @ M.T,     B = H @ M.T,        c = tr(H),
+    loss = tr((U' @ M - I) @ H_r @ (U' @ M - I).T),   H_r = R @ G @ R.T,
 
-and the V-refit's coordinates are pinv(U) @ W and pinv(U).
+the identity compressed under an r x r output Gram. ``square_problem`` is
+the one place that reads W's shape. It takes the Gram on the slot's narrow
+side: G (n x n) for m >= n, and H = (W @ X) @ (W @ X).T (m x m) for m < n,
+which is H_r itself. In these coordinates the U-refit solves U' @ K = B with
+
+    K = M @ H_r @ M.T,   B = H_r @ M.T,
+
+the V-refit is M = pinv(U') (pinv(Q @ U') @ W = pinv(U') @ R), and the
+selected pair is lifted once, by ``SquareProblem.lift``.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
 U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
-W @ (G + damping * I) @ W.T (the output-PCA form). So ``initialize_pair``
-computes it from an r x r matrix A, r = min(m, n): A = H + damping * W @ W.T
-for a wide W, and A = R @ (G + damping * I) @ R.T for a tall one, with
-W = Q @ R (Q = I, R = W when m = n, the reduced QR of W otherwise). With
-A = Z @ diag(s) @ Z.T, s holds the squared singular values of W @ S and
+W @ (G + damping * I) @ W.T (the output-PCA form): Q times those of
+A = H_r + damping * R @ R.T. The plain truncated SVD of W is the same with
+G + damping * I replaced by I, A = R @ R.T. So ``initialize_pair`` takes
+one SVD of the r x r matrix A = Z @ diag(s) @ Z.T and returns
 
-    U = Q @ Z_k @ diag(s_k ** 1/4),    Vt = diag(s_k ** -1/4) @ Z_k.T @ R,
+    U' = Z_k @ diag(s_k ** 1/4),    M = diag(s_k ** -1/4) @ Z_k.T.
 
-so no n x n factorization is formed. An s_i at or below A's rounding floor
-r * eps * s_1 counts as zero, and gives a zero column of U and a zero row
-of Vt; the plain init's M cuts W's singular values at W's floor the same way.
+An s_i at or below A's rounding floor r * eps * s_1 counts as zero, and
+gives a zero column of U' and a zero row of M. For the plain init
+s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
 
 ``compensate`` reads every loss off the U-refit's normal equations. At fixed
 coordinates
 
-    loss(U, Vt) = c - 2 <U, B> + <U @ K, U>,
+    loss = c - 2 <U', B> + <U' @ K, U'>,   c = tr(H_r),
 
-so a loss costs m x k work once K and B are formed, and the
-``normal_equations`` formed at each new P are the system the next
-``update_u`` solves. c is fixed per slot: tr(H) for a wide W; for a tall one
-sum(s) minus damping * ||W||_F^2 with damping, which ``initialize_pair``
-returns with the pair, and one m x n x n product without. The identity's
-rounding error scales with c rather than with the loss, so a near-exact fit
-(loss below ~1e-13 * c) reads as rounding noise.
-``svd_loss`` keeps the direct form, on the input Gram G, as the reference.
+so a loss costs r x k work once K and B are formed, and the
+``normal_equations`` formed at each new M are the system the next
+``update_u`` solves. The identity's rounding error scales with c rather
+than with the loss, so a near-exact fit (loss below ~1e-13 * c) reads as
+rounding noise. ``svd_loss`` keeps the direct form, on the input Gram G, as
+the reference.
 """
 
 from __future__ import annotations
@@ -90,55 +89,68 @@ def _check_gram(g: np.ndarray, side: int) -> None:
         raise ShapeError(f"Gram matrix has shape {g.shape}, expected {side}x{side}")
 
 
-def _is_wide(w: np.ndarray, g: np.ndarray) -> bool:
-    """Whether W is wide (m < n); checks that ``g`` is the Gram on W's narrow side."""
+@dataclass(frozen=True)
+class SquareProblem:
+    """A slot W = Q @ R reduced to the identity under the r x r output Gram H_r."""
+
+    q: np.ndarray | None   # m x r, orthonormal columns; None for I
+    r: np.ndarray          # r x n
+    h: np.ndarray          # r x r
+
+    def lift(self, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
+        """The slot's pair U = Q @ U', Vt = M @ R from factor U' and coordinates M."""
+        return LowRankPair(u_sigma=u if self.q is None else self.q @ u, vt_sigma=coords @ self.r)
+
+
+def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
+    """Reduce W and its narrow-side Gram ``g`` to the r x r problem, r = min(m, n)."""
     m, n = w.shape
     _check_gram(g, min(m, n))
-    return m < n
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("Gram matrix contains non-finite entries")
+    if m < n:
+        return SquareProblem(q=None, r=w, h=g)
+    q, r = np.linalg.qr(w) if m > n else (None, w)
+    return SquareProblem(q=q, r=r, h=r @ g @ r.T)
 
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """The U-refit's system U @ K = B at fixed coordinates P (see the module docstring)."""
+    """The U-refit's system U' @ K = B at fixed coordinates M (see the module docstring)."""
 
     k: np.ndarray   # k x k
-    b: np.ndarray   # m x k
+    b: np.ndarray   # r x k
     noise: float    # rounding error of forming K
 
     def loss(self, u: np.ndarray, c: float) -> float:
-        """loss(U, Vt) = c - <U, 2 B - U @ K>, given c = tr(W @ G @ W.T)."""
+        """loss = c - <U', 2 B - U' @ K>, given c = tr(H_r)."""
         return c - float(np.vdot(u, 2.0 * self.b - u @ self.k))
 
 
-def normal_equations(p: np.ndarray, w: np.ndarray, g: np.ndarray) -> NormalEquations:
-    """Form K and B at coordinates ``p`` on ``g``, W's narrow-side Gram.
+def normal_equations(coords: np.ndarray, h: np.ndarray) -> NormalEquations:
+    """Form K = M @ H_r @ M.T and B = H_r @ M.T at coordinates M.
 
-    K's rounding error is max(s, k) * eps * ||P||_F * ||P @ g||_F, s the side of g.
+    K's rounding error is max(r, k) * eps * ||M||_F * ||M @ H_r||_F.
     """
-    wide = _is_wide(w, g)
-    k, side = p.shape
-    pg = p @ g                                             # k x side
-    noise = max(side, k) * np.finfo(np.float64).eps * np.linalg.norm(p) * np.linalg.norm(pg)
-    return NormalEquations(k=pg @ p.T, b=pg.T if wide else w @ pg.T, noise=noise)
+    k, side = coords.shape
+    mh = coords @ h                                        # k x r
+    noise = max(side, k) * np.finfo(np.float64).eps * np.linalg.norm(coords) * np.linalg.norm(mh)
+    return NormalEquations(k=mh @ coords.T, b=mh.T, noise=noise)
 
 
 def update_u(normal: NormalEquations) -> np.ndarray:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
-    Solves U @ K = B, the system ``normal_equations`` forms at the fixed Vt's
+    Solves U' @ K = B, the system ``normal_equations`` forms at the fixed
     coordinates, cutting K's singular values at the rounding error of forming K:
-    directions under it are noise, which a singular G would otherwise invert.
+    directions under it are noise, which a singular Gram would otherwise invert.
     """
-    return normal.b @ pinv(normal.k, atol=normal.noise)   # m x k
+    return normal.b @ pinv(normal.k, atol=normal.noise)   # r x k
 
 
-def update_v(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pseudoinverse refit of the right factor pinv(U) @ W, left factor fixed.
-
-    Returns its coordinates: pinv(U) @ W for a tall W, pinv(U) for a wide one.
-    """
-    m, n = w.shape
-    return pinv(u) if m < n else pinv(u) @ w
+def update_v(u: np.ndarray) -> np.ndarray:
+    """Pseudoinverse refit of the right factor, left factor fixed: the coordinates pinv(U')."""
+    return pinv(u)
 
 
 def compensate(
@@ -154,102 +166,59 @@ def compensate(
     activations for a tall W, (W @ X) @ (W @ X).T of the outputs for a wide
     one. With a ``damping`` (an absolute lambda on the input Gram, not a
     ratio), initialization is the whitened truncation for G + damping * I;
-    with None it is the plain SVD of W. The refit objective is always the raw
-    (undamped) data-space loss. Returns the pair from the half-step with the
-    lowest recorded loss, so extra iterations are never harmful.
+    with None it is the plain truncated SVD of W. The refit objective is
+    always the raw (undamped) data-space loss. Returns the pair from the
+    half-step with the lowest recorded loss, so extra iterations are never
+    harmful.
     """
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
-    wide = _is_wide(w, g)
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("Gram matrix contains non-finite entries")
-    pair, p, energy = initialize_pair(w, g, k, damping)
-    if wide:
-        c = float(np.trace(g))
-    elif damping is None:
-        c = float(np.vdot(w @ g, w))
-    else:
-        c = energy - damping * float(np.vdot(w, w))
+    problem = square_problem(w, g)
+    u, coords = initialize_pair(problem, k, damping)
+    c = float(np.trace(problem.h))
 
-    init_p = p
-    normal = normal_equations(p, w, g)
-    best_loss = normal.loss(pair.u_sigma, c)
-    best = (pair.u_sigma, p)
+    normal = normal_equations(coords, problem.h)
+    best_loss = normal.loss(u, c)
+    best = (u, coords)
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
         u = update_u(normal)
         loss = normal.loss(u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (u, p)
+            best_loss, best = loss, (u, coords)
 
-        p = update_v(u, w)
-        normal = normal_equations(p, w, g)
+        coords = update_v(u)
+        normal = normal_equations(coords, problem.h)
         loss = normal.loss(u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (u, p)
-    u, p = best
-    if p is init_p:
-        return LowRankPair(u_sigma=u, vt_sigma=pair.vt_sigma), trace
-    return LowRankPair(u_sigma=u, vt_sigma=p @ w if wide else p), trace
+            best_loss, best = loss, (u, coords)
+    return problem.lift(*best), trace
 
 
 def initialize_pair(
-    w: np.ndarray, g: np.ndarray, k: int, damping: float | None = None
-) -> tuple[LowRankPair, np.ndarray, float]:
+    problem: SquareProblem, k: int, damping: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
 
-    ``g`` is W's narrow-side Gram, as for ``compensate``. Returns the pair,
-    its coordinates (Vt for a tall W, M with Vt = M @ W for a wide one), and
-    the sum of the squared singular values of what it truncates: W, or W @ S.
+    Returns the factor U' (r x k) and the coordinates M (k x r) of the pair
+    ``problem.lift`` forms.
     """
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    wide = _is_wide(w, g)
-    if damping is None:
-        f = svd_full(w)
-        pair = truncate_absorb(f, k)
-        energy = float(f.sigma @ f.sigma)
-        if not wide:
-            return pair, pair.vt_sigma, energy
-        root = np.sqrt(f.sigma[:k])
-        coords = (f.u[:, :k] * _reciprocal(root, _above_floor(f.sigma, k))).T   # Sigma_k^-1/2 @ U_k.T
-        return LowRankPair(u_sigma=pair.u_sigma, vt_sigma=coords @ w), coords, energy
-    m, n = w.shape
-    if not 1 <= k <= min(m, n):
-        raise RankError(f"rank {k} outside [1, {min(m, n)}]")
-    q, r = np.linalg.qr(w) if m > n else (None, w)
-    if wide:
-        a = g + damping * (w @ w.T)                       # H + damping * W @ W.T
-    else:
-        a = r @ g
-        a += damping * r                                  # R @ (G + damping * I)
-        a = a @ r.T
-    f = svd_full(a)                                       # A = Z @ diag(s) @ Z.T
-    keep = _above_floor(f.sigma, k)
+    side = problem.h.shape[0]
+    if not 1 <= k <= side:
+        raise RankError(f"rank {k} outside [1, {side}]")
+    rrt = problem.r @ problem.r.T
+    f = svd_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(s) @ Z.T
+    keep = f.sigma[:k] > side * np.finfo(np.float64).eps * f.sigma[0]    # A's rounding floor
     root = np.zeros(k)
     root[keep] = np.sqrt(np.sqrt(f.sigma[:k][keep]))
+    inverse = np.zeros(k)
+    inverse[keep] = 1.0 / root[keep]
     z = f.u[:, :k]
-    u = z * root
-    coords = (z * _reciprocal(root, keep)).T
-    vt = coords @ r
-    pair = LowRankPair(u_sigma=u if q is None else q @ u, vt_sigma=vt)
-    return pair, coords if wide else vt, float(np.sum(f.sigma))
-
-
-def _above_floor(sigma: np.ndarray, k: int) -> np.ndarray:
-    """Mask of sigma[:k] above the rounding floor len(sigma) * eps * sigma[0]."""
-    return sigma[:k] > sigma.shape[0] * np.finfo(np.float64).eps * sigma[0]
-
-
-def _reciprocal(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """1 / x where ``keep``, 0 elsewhere."""
-    out = np.zeros_like(x)
-    out[keep] = 1.0 / x[keep]
-    return out
+    return z * root, (z * inverse).T
 
 
 def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:

@@ -18,6 +18,7 @@ from lowrank.compensation import (
     initialize_pair,
     normal_equations,
     plain_truncation_loss,
+    square_problem,
     svd_loss,
     update_u,
 )
@@ -94,7 +95,7 @@ def test_criterion_3_lse_optimality():
             g = x @ x.T
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
-            u_star = update_u(normal_equations(pair.vt_sigma, w, g))
+            u_star = w @ update_u(normal_equations(pair.vt_sigma, g))  # W @ (the identity's refit at Vt)
 
             star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
             base = svd_loss(star, w, g)
@@ -233,8 +234,9 @@ def test_criterion_8_whitening_identity():
             x = rng.normal(size=(n, t))
             sigma_ws = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
             narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T  # the Gram on W's narrow side
+            problem = square_problem(w, narrow)
             for k in range(1, min(m, n) + 1):
-                pair = initialize_pair(w, narrow, k, 0.0)[0]
+                pair = problem.lift(*initialize_pair(problem, k, 0.0))
                 err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)

@@ -4,16 +4,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowrank.compensation as compensation
 from lowrank.compensation import (
     compensate,
     initialize_pair,
     normal_equations,
     plain_truncation_loss,
+    square_problem,
     svd_loss,
     update_u,
     update_v,
 )
-from lowrank.errors import NumericalError, ShapeError
+from lowrank.errors import NumericalError, RankError, ShapeError
 from lowrank.linalg import LowRankPair, pinv, svd_full, truncate_absorb
 from lowrank.pipeline import REL_DAMPING
 
@@ -32,6 +34,12 @@ def brute_force_loss(pair, w, x):
             r = sum((w_hat[i, q] - w[i, q]) * x[q, j] for q in range(n))
             total += r * r
     return total
+
+
+def lifted_init(w, narrow, k, damping):
+    """The starting pair ``compensate`` lifts from the slot's square problem."""
+    problem = square_problem(w, narrow)
+    return problem.lift(*initialize_pair(problem, k, damping))
 
 
 def random_rank_k(rng, m, n, k):
@@ -71,11 +79,15 @@ class TestSvdLoss:
 
 
 class TestUpdateU:
+    """The U-refit of W at a fixed Vt on the input Gram G is W @ U', with U' the
+    refit of the identity on G at coordinates Vt (each row of U solves its own
+    least-squares problem, linear in the matching row of W)."""
+
     def test_recovers_exact_rank_k(self, rng):
         u_sig, vt, w = random_rank_k(rng, 10, 8, 3)
         x = rng.normal(size=(8, 30))  # full row rank
         pair = LowRankPair(u_sigma=rng.normal(size=(10, 3)), vt_sigma=vt)
-        u_new = update_u(normal_equations(pair.vt_sigma, w, x @ x.T))
+        u_new = w @ update_u(normal_equations(pair.vt_sigma, x @ x.T))
         # consistent system: the refit must reproduce W exactly on the factor
         assert np.linalg.norm(u_new @ vt - w) <= 1e-8 * np.linalg.norm(w)
 
@@ -84,7 +96,7 @@ class TestUpdateU:
         pair = truncate_absorb(svd_full(w + rng.normal(size=(9, 9))), 4)
         v = pair.vt_sigma.T
         u_closed = w @ v @ np.linalg.inv(v.T @ v)
-        u_new = update_u(normal_equations(pair.vt_sigma, w, np.eye(9)))
+        u_new = w @ update_u(normal_equations(pair.vt_sigma, np.eye(9)))
         np.testing.assert_allclose(u_new, u_closed, atol=1e-8 * np.linalg.norm(u_closed))
 
     def test_loss_never_increases(self, rng):
@@ -93,7 +105,7 @@ class TestUpdateU:
         g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
         before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=update_u(normal_equations(pair.vt_sigma, w, g)), vt_sigma=pair.vt_sigma)
+        updated = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)), vt_sigma=pair.vt_sigma)
         assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
     def test_beats_random_perturbations(self, rng):
@@ -101,7 +113,7 @@ class TestUpdateU:
         x = rng.normal(size=(16, 64))
         g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
-        u_star = update_u(normal_equations(pair.vt_sigma, w, g))
+        u_star = w @ update_u(normal_equations(pair.vt_sigma, g))
         star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
         base = svd_loss(star, w, g)
         scale = 0.01 * max(1.0, np.linalg.norm(u_star))
@@ -127,11 +139,11 @@ class TestUpdateU:
             w = rng.normal(size=(m, n))
             x = rng.normal(size=(n, t)) * np.exp(rng.uniform(-log_scale, log_scale, size=(n, 1)))
             g = x @ x.T
-            whitened = initialize_pair(w, g, k, 1e-5 * float(np.mean(np.diag(g))))[0]
+            whitened = lifted_init(w, g, k, 1e-5 * float(np.mean(np.diag(g))))
             random = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=rng.normal(size=(k, n)))
             for pair in (whitened, random):
                 token_form = (pinv(x.T @ pair.vt_sigma.T) @ (w @ x).T).T
-                u = update_u(normal_equations(pair.vt_sigma, w, g))
+                u = w @ update_u(normal_equations(pair.vt_sigma, g))
                 assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
 
 
@@ -140,12 +152,12 @@ class TestUpdateV:
         w = rng.normal(size=(7, 5))
         q = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         pair = LowRankPair(u_sigma=q, vt_sigma=rng.normal(size=(3, 5)))
-        np.testing.assert_allclose(update_v(pair.u_sigma, w), q.T @ w, atol=1e-10)
+        np.testing.assert_allclose(update_v(pair.u_sigma) @ w, q.T @ w, atol=1e-10)
 
     def test_recovers_exact_rank_k(self, rng):
         u_sig, vt, w = random_rank_k(rng, 9, 11, 3)
         pair = LowRankPair(u_sigma=u_sig, vt_sigma=rng.normal(size=(3, 11)))
-        vt_new = update_v(pair.u_sigma, w) @ w  # W is wide: the refit returns coordinates pinv(U)
+        vt_new = update_v(pair.u_sigma) @ w  # the refit returns the coordinates pinv(U)
         assert np.linalg.norm(pair.u_sigma @ vt_new - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_loss_never_increases_with_full_rank_gram(self, rng):
@@ -153,20 +165,24 @@ class TestUpdateV:
         x = rng.normal(size=(16, 64))
         g = x @ x.T  # nonsingular
         pair = truncate_absorb(svd_full(w), 4)
-        pair = LowRankPair(u_sigma=update_u(normal_equations(pair.vt_sigma, w, g)), vt_sigma=pair.vt_sigma)
+        pair = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)), vt_sigma=pair.vt_sigma)
         before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair.u_sigma, w))
+        updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair.u_sigma) @ w)
         assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
 
 class TestCompensate:
-    def test_zero_iterations_is_plain_truncation(self, rng):
-        w = rng.normal(size=(10, 8))
-        x = rng.normal(size=(8, 20))
-        pair, trace = compensate(w, x @ x.T, k=3, iters=0)
+    @pytest.mark.parametrize("m, n", [(10, 8), (8, 8), (8, 10)], ids=["m>n", "m=n", "m<n"])
+    def test_zero_iterations_is_plain_truncation(self, rng, m, n):
+        # The plain init takes the top-k eigenvectors of the r x r matrix
+        # R @ R.T, not the SVD of W, so its factors differ from the reference
+        # in signs and last bits; the product is the same rank-k truncation.
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 20))
+        narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
+        pair, trace = compensate(w, narrow, k=3, iters=0)
         ref = truncate_absorb(svd_full(w), 3)
-        np.testing.assert_array_equal(pair.u_sigma, ref.u_sigma)
-        np.testing.assert_array_equal(pair.vt_sigma, ref.vt_sigma)
+        np.testing.assert_allclose(pair.product(), ref.product(), rtol=0, atol=1e-12 * np.linalg.norm(w))
         assert trace.per_half_step == []
         assert min([trace.initial, *trace.per_half_step]) == trace.initial
 
@@ -242,7 +258,7 @@ class TestCompensate:
         w = rng.normal(size=(10, 8))
         x = rng.normal(size=(8, 64))
         s = scipy.linalg.cholesky(x @ x.T, lower=True)
-        pair = initialize_pair(w, x @ x.T, 4, 0.0)[0]
+        pair = lifted_init(w, x @ x.T, 4, 0.0)
         ref = truncate_absorb(svd_full(w @ s), 4)
         np.testing.assert_allclose(
             pair.product(), ref.product() @ np.linalg.inv(s), atol=1e-10 * np.linalg.norm(w)
@@ -280,28 +296,36 @@ class TestWhitenedInit:
         narrow = (w @ x) @ (w @ x).T if m < n else g
         damping = rel_damping * float(np.mean(np.diag(g)))
         for k in range(1, min(m, n) + 1):
-            pair = initialize_pair(w, narrow, k, damping)[0]
+            pair = lifted_init(w, narrow, k, damping)
             np.testing.assert_allclose(
                 pair.product(), cholesky_oracle(w, g, k, damping), atol=1e-10 * np.linalg.norm(w)
             )
 
     @pytest.mark.parametrize("m, n", [(12, 10), (10, 12)], ids=["m>n", "m<n"])
     def test_rank_deficient_weight_gives_finite_factors(self, m, n):
+        """A rank-5 W at k = 8, whitened (damping 0) and plain (damping None).
+
+        Both inits cut at A's rounding floor r * eps * s_1. For the plain init
+        A = R @ R.T has s_i = sigma_i(W) ** 2, so its floor cuts
+        sigma_i <= sqrt(r * eps) * sigma_1, not W's own floor r * eps * sigma_1.
+        """
         rng = np.random.default_rng(m)
         k = 8
         w = rng.normal(size=(m, 5)) @ rng.normal(size=(5, n))
         x = rng.normal(size=(n, 40))
         narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
-        pair = initialize_pair(w, narrow, k, 0.0)[0]
-        assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
         sigma = svd_full(w @ x).sigma  # the singular values of W @ S for any S @ S.T = X @ X.T
-        tail = float(np.sum(sigma[k:] ** 2))
-        assert abs(svd_loss(pair, w, x @ x.T) - tail) <= 1e-12 * float(sigma @ sigma)
+        # The whitened loss is W @ S's tail; the plain one W's tail, which is zero.
+        for damping, tail in ((0.0, float(np.sum(sigma[k:] ** 2))), (None, 0.0)):
+            with np.errstate(all="raise"):
+                pair = lifted_init(w, narrow, k, damping)
+            assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
+            assert abs(svd_loss(pair, w, x @ x.T) - tail) <= 1e-12 * float(sigma @ sigma)
 
     def test_zero_weight_gives_zero_factors(self):
         # Every singular value of A is 0, at its rounding floor: no division.
         with np.errstate(all="raise"):
-            pair = initialize_pair(np.zeros((6, 4)), np.eye(4), 3, 1e-5)[0]
+            pair = lifted_init(np.zeros((6, 4)), np.eye(4), 3, 1e-5)
         assert not pair.u_sigma.any() and not pair.vt_sigma.any()
 
     def test_fixed_damping_needs_no_retry(self, rng):
@@ -323,7 +347,7 @@ class TestWhitenedInit:
             narrow = (w @ x) @ (w @ x).T if m < n else g  # only the x @ x.T case is wide
             for k in range(1, min(m, n) + 1):
                 top = vecs[:, np.argsort(-np.abs(vals))[:k]]
-                pair = initialize_pair(w, narrow, k, damping)[0]
+                pair = lifted_init(w, narrow, k, damping)
                 np.testing.assert_allclose(pair.product(), top @ top.T @ w, atol=1e-10 * np.linalg.norm(w))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -336,6 +360,41 @@ class TestWhitenedInit:
         g[2, 3] = g[3, 2] = bad
         with pytest.raises(NumericalError):
             compensate(w, g, 3, 1, damping)
+
+
+class TestSquareProblem:
+    @pytest.mark.parametrize("m, n", [(10, 6), (6, 10)], ids=["m>n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_rank_outside_range_raises(self, m, n, damping):
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 20))
+        narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
+        for k in (0, min(m, n) + 1):
+            with pytest.raises(RankError):
+                compensate(w, narrow, k, 1, damping)
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    @pytest.mark.parametrize("m, n", [(24, 8), (8, 24)], ids=["m>n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_every_decomposition_is_on_the_narrow_side(self, monkeypatch, m, n, damping, iters):
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(compensation, "svd_full", recording(compensation.svd_full))
+        monkeypatch.setattr(compensation, "pinv", recording(compensation.pinv))
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 40))
+        narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
+        compensate(w, narrow, 3, iters, damping)
+        assert len(shapes) == 1 + 2 * iters   # the init's SVD, then two pinv per iteration
+        assert max(max(shape) for shape in shapes) <= min(m, n)
 
 
 class TestLossTrace:
@@ -362,13 +421,14 @@ class TestLossTrace:
                 damping = 1e-5 * float(np.mean(np.diag(g))) if whiten else None
                 best, trace = compensate(w, narrow, k, iters, damping)
 
-                pair, p, _ = initialize_pair(w, narrow, k, damping)
-                pairs = [pair]
+                problem = square_problem(w, narrow)
+                u, p = initialize_pair(problem, k, damping)
+                pairs = [problem.lift(u, p)]
                 for _ in range(iters):
-                    u = update_u(normal_equations(p, w, narrow))
-                    pairs.append(LowRankPair(u_sigma=u, vt_sigma=pairs[-1].vt_sigma))
-                    p = update_v(u, w)
-                    pairs.append(LowRankPair(u_sigma=u, vt_sigma=p @ w if m < n else p))
+                    u = update_u(normal_equations(p, problem.h))
+                    pairs.append(problem.lift(u, p))
+                    p = update_v(u)
+                    pairs.append(problem.lift(u, p))
                 losses = [trace.initial, *trace.per_half_step]
                 assert len(losses) == len(pairs) == 2 * iters + 1
                 for loss, pair in zip(losses, pairs):
