@@ -244,9 +244,11 @@ def walk_blocks(
     Calls ``visit(block_id, block input, {slot: slot input}, {slot: slot
     output}, block output)`` per block, columns being all tokens in sample
     order, and returns the last block's output (d x tokens). Only one block's
-    token matrices are alive at a time. Raises NumericalError naming the block if the forward produces
-    non-finite values.
+    token matrices are alive at a time. Raises ShapeError for no samples, and
+    NumericalError naming the block if the forward produces non-finite values.
     """
+    if len(samples) < 1:
+        raise ShapeError("need at least one sample to walk")
     d = model.hidden_dim
     cols = []
     for sample in samples:

@@ -11,28 +11,30 @@ of a slot W (m x n) depend on its inputs X only through G = X @ X.T, and,
 since every Vt the refits produce lies in W's row space, for a wide slot
 (m < n) only through H = W @ G @ W.T = Y @ Y.T, Y = W @ X its outputs (see
 ``compensation``). So the walk keeps G for a tall slot (m >= n) and H, from
-the slot output the forward pass forms anyway, for a wide one, plus the
-wide slot's ||X||_F^2, from which the whitening damping
-REL_DAMPING * mean diag G is read. No n x n Gram is formed for a wide slot.
+the slot output the forward pass forms anyway, for a wide one. No n x n Gram
+is formed for a wide slot. For every slot the walk also keeps
+||X||_F^2 / n = mean diag G, from which the whitening damping
+REL_DAMPING * mean diag G is read.
 
-The walk goes over the buckets in chunks of consecutive whole buckets. With
-``wide`` the widest slot dimension (max of d and every h), a chunk holds as
-many buckets as fit in CHUNK_BYTES // (8 * wide) tokens, and at least one, so
-each of its token matrices stays cache-sized. When that width is below
-``wide``, a chunk would be narrower than the Gram it feeds, and the walk runs
-as one chunk of every bucket. Each chunk returns its own slot Grams, each
-wide slot's share of its input Gram's mean diagonal, and per-column
-importance cosines. The calling thread adds the Grams and shares and joins
-the cosines in chunk order, so none of them depends on the worker count.
+The walk goes over the buckets in chunks of consecutive whole buckets, on
+the worker pool below. With ``wide`` the widest slot dimension (max of d and
+every h) and ``narrow`` the widest narrow-side Gram side (max over slots of
+min(m, n)), a chunk holds as many buckets as fit in
+max(CHUNK_BYTES // (8 * wide), narrow) tokens, and at least one: its token
+matrices stay near cache size, and a chunk is never narrower than the Gram
+it feeds. Each chunk returns its own slot Grams, every slot's share of
+||X||_F^2 / n, and per-column importance cosines. The calling thread adds
+the Grams and shares and joins the cosines in chunk order, so none of them
+depends on the worker count.
 
 The walk chunks and the slot refits are both too small to scale across BLAS
 threads, so each of these two pool stages sets its own thread counts at run
 time: workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
 OpenBLAS gets max(1, min(its current count, usable CPUs // workers)) threads,
 so the user's count is never raised. Each library's previous count is
-restored when the stage ends, so planning, eval and a one-chunk walk keep the
-BLAS as it was. Where no OpenBLAS can be controlled, the tasks run serially
-on the calling thread and each BLAS call keeps the library's own count.
+restored when the stage ends, so planning and eval keep the BLAS as it was.
+Where no OpenBLAS can be controlled, the tasks run serially on the calling
+thread and each BLAS call keeps the library's own count.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -67,7 +69,7 @@ from .runtime import blas_controls, cap_malloc_arenas
 
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors, or one walk chunk
-CHUNK_BYTES = 2 << 20  # bound on one walk chunk's widest token matrix
+CHUNK_BYTES = 2 << 20  # target size of one walk chunk's widest token matrix; the Gram side can raise it
 REL_DAMPING = 1e-5  # whitening damping, relative to the mean diagonal of the slot's input Gram
 
 # Held while a pool stage has the BLAS thread counts pinned, so that two
@@ -128,9 +130,9 @@ class Calibration(NamedTuple):
     ``grams`` holds every slot's Gram matrix on its narrow side, keyed by full
     slot name: X @ X.T of its inputs for a tall slot (m >= n), Y @ Y.T of
     its outputs Y = W @ X for a wide one. ``mean_diag`` holds the mean
-    diagonal of every slot's input Gram X @ X.T, which sets the whitening
-    damping; a wide slot's is ||X||_F^2 / n. ``importances`` holds the mean
-    column cosine of every block, keyed by id.
+    diagonal of every slot's input Gram X @ X.T, ||X||_F^2 / n summed over
+    the walk's chunks, which sets the whitening damping. ``importances``
+    holds the mean column cosine of every block, keyed by id.
     """
 
     grams: dict[str, np.ndarray]
@@ -143,61 +145,56 @@ def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: boo
 
     With ``with_grams=False`` the walk keeps only the importances, and the
     Gram and mean-diagonal dicts are empty. The samples are walked in chunks
-    (see the module docstring); several chunks run on a pinned-BLAS worker
-    pool.
+    on the pinned-BLAS worker pool (see the module docstring).
     """
     if len(samples) < 1:
         raise ShapeError("need at least one calibration sample")
 
     def walk_chunk(chunk):
         grams: dict[str, np.ndarray] = {}
-        wide_diag: dict[str, float] = {}
+        scales: dict[str, float] = {}
         cosines: dict[int, np.ndarray] = {}
 
         def visit(block_id, x_in, slot_inputs, slot_outputs, y):
             if with_grams:
                 for slot, x in slot_inputs.items():
                     name, out = slot_name(block_id, slot), slot_outputs[slot]
-                    if out.shape[0] < x.shape[0]:  # wide: the m x m Gram of its outputs
-                        grams[name] = gram_accumulate(out)
-                        wide_diag[name] = float(np.vdot(x, x)) / x.shape[0]
-                    else:
-                        grams[name] = gram_accumulate(x)
+                    # wide: the m x m Gram of its outputs
+                    grams[name] = gram_accumulate(out if out.shape[0] < x.shape[0] else x)
+                    scales[name] = float(np.vdot(x, x)) / x.shape[0]
             cosines[block_id] = column_cosines(x_in, y)
 
         walk_blocks(model, chunk, visit)
-        return grams, wide_diag, cosines
+        return grams, scales, cosines
 
     grams: dict[str, np.ndarray] = {}
     mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
     chunks = _walk_chunks(model, samples)
-    # One chunk is the plain walk: no pool, and the BLAS left as it is.
-    stage = nullcontext(1) if len(chunks) == 1 else _pool_stage(len(chunks))
-    with stage as workers:
-        for part_grams, part_diag, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
+    with _pool_stage(len(chunks)) as workers:
+        for part_grams, part_scales, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
             for name, g in part_grams.items():
                 if name in grams:
                     grams[name] += g
                 else:
                     grams[name] = g
-            for name, diag in part_diag.items():
-                mean_diag[name] = mean_diag.get(name, 0.0) + diag
+            for name, scale in part_scales.items():
+                mean_diag[name] = mean_diag.get(name, 0.0) + scale
             for block_id, cos in part_cosines.items():
                 cosines.setdefault(block_id, []).append(cos)
-    for name, g in grams.items():
-        if name not in mean_diag:  # tall: read off the input Gram itself
-            mean_diag[name] = float(np.mean(np.diag(g)))
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
     return Calibration(grams, mean_diag, importances)
 
 
 def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
-    """Consecutive whole samples, as many per chunk as fit the chunk width (at least one)."""
-    wide = max(max(model.slot_shape(block_id, slot)) for block_id, slot in model.slot_ids())
-    width = CHUNK_BYTES // (8 * wide)
-    if width < wide:
-        return [list(samples)]
+    """Consecutive whole samples, as many per chunk as fit the chunk width (at least one).
+
+    The width is CHUNK_BYTES // (8 * the widest slot dimension) tokens, raised
+    to the widest narrow-side Gram side so that no chunk is narrower than the
+    Gram it feeds.
+    """
+    shapes = [model.slot_shape(block_id, slot) for block_id, slot in model.slot_ids()]
+    width = max(CHUNK_BYTES // (8 * max(map(max, shapes))), max(map(min, shapes)))
     chunks: list[list[np.ndarray]] = []
     room = 0
     for sample in samples:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from lowrank.calibration import dump_activations, gram_accumulate, stack_of_batch
 from lowrank.container import load_container
 from lowrank.errors import NumericalError, ShapeError
-from lowrank.model import RMS_EPS, gen_synthetic, rms_norm
+from lowrank import pipeline
+from lowrank.model import RMS_EPS, gen_synthetic, rms_norm, slot_name, walk_blocks
 from lowrank.pipeline import calibrate
 
 
@@ -127,6 +128,25 @@ class TestCaptureActivations:
         np.testing.assert_allclose(grams["blocks.0.w2"], gram_accumulate(w2 @ hidden), atol=1e-15)
         assert mean_diag["blocks.0.w2"] == pytest.approx(np.mean(np.diag(gram_accumulate(hidden))), rel=1e-15)
 
+    def test_damping_scale_of_every_slot(self, monkeypatch):
+        # Each slot's mean_diag is its chunks' ||X||_F^2 / n summed, tall w1
+        # and wide w2 alike. Against mean(diag(X @ X.T)) of the whole input it
+        # differs only in the order of the sums: rtol 1e-13.
+        model, calib = gen_synthetic(seed=2, blocks=2, d=8, h=16, n_samples=6, tokens=5)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8 * 16 * 10)  # 10-token chunks of two samples
+        assert len(pipeline._walk_chunks(model, list(calib))) == 3
+        mean_diag = calibrate(model, list(calib)).mean_diag
+        expected = {}
+
+        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
+            for slot, x in slot_inputs.items():
+                expected[slot_name(block_id, slot)] = float(np.mean(np.diag(x @ x.T)))
+
+        walk_blocks(model, list(calib), visit)
+        assert sorted(mean_diag) == sorted(expected) == ["blocks.0.w1", "blocks.0.w2", "blocks.1.w1", "blocks.1.w2"]
+        for name, value in expected.items():
+            assert mean_diag[name] == pytest.approx(value, rel=1e-13, abs=0)
+
     def test_capture_is_deterministic(self):
         model, calib = gen_synthetic(seed=3, blocks=3, d=8, h=16, n_samples=4, tokens=6)
         g1, d1, i1 = calibrate(model, list(calib))
@@ -147,6 +167,11 @@ class TestCaptureActivations:
         model, _ = gen_synthetic(seed=5, blocks=1, d=4, h=8, n_samples=1, tokens=1)
         with pytest.raises(ShapeError, match="at least one"):
             calibrate(model, [])
+
+    def test_walking_no_samples_is_a_shape_error(self):
+        model, _ = gen_synthetic(seed=5, blocks=1, d=4, h=8, n_samples=1, tokens=1)
+        with pytest.raises(ShapeError, match="at least one"):
+            walk_blocks(model, [])
 
     def test_nonfinite_forward_names_block(self):
         model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)

@@ -179,6 +179,46 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+AFFINITY_CHILD = """
+import os, sys
+usable = sorted(os.sched_getaffinity(0))
+# One CPU, or every usable CPU up to the pool's 8 workers; set before numpy loads
+# so that OpenBLAS sizes its default thread count from it.
+os.sched_setaffinity(0, usable[:1] if sys.argv[1] == "one" else usable[:8])
+from lowrank.cli import run_cli
+sys.exit(run_cli(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs and sched_setaffinity"
+)
+def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
+    # 8 walk chunks of 4 buckets (256 tokens each) and 8 planned slots: on 1 to
+    # 8 CPUs every pool stage runs one BLAS thread per worker, so compress on
+    # one CPU and on all of them must write the same bytes. The children get
+    # no thread variable, so OpenBLAS starts at its own per-CPU default.
+    base = tmp_path / "base"
+    assert run_cli([
+        "synth", "--out", str(base), "--seed", "2", "--blocks", "4", "--hidden-dim", "64",
+        "--mlp-dim", "1024", "--samples", "40", "--tokens", "64",
+    ]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for cpus in ("one", "all"):
+        done = subprocess.run(
+            [sys.executable, "-c", AFFINITY_CHILD, cpus, "compress", "--model", str(base / "model.json"),
+             "--calib", str(base / "calib.st"), "--target-retention", "0.6", "--out", str(tmp_path / cpus)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+    plan = json.loads((tmp_path / "all" / "plan.json").read_text())
+    assert sum(rank is not None for block in plan["blocks"] for rank in block["ranks"].values()) == 8
+    for name in ("model.st", "plan.json", "traces.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
 def test_missing_model_file_exits_1(workspace, capsys):
     code = run_cli([
         "compress", "--model", str(workspace / "nope.json"),

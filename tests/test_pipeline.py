@@ -446,21 +446,34 @@ class TestChunkedWalk:
         assert recorded_pools == [2]
 
     @pytest.mark.parametrize(
-        "shape, chunk_bytes",
-        [((32, 64), 8 * 64 * 63), ((512, 2048), None)],  # one token short of h; desk's widths
+        "shape, chunk_bytes, tokens",
+        [((32, 64), 8 * 64 * 31, 8), ((512, 2048), None, 32)],  # one token short of d; desk's widths
         ids=["narrower-than-h", "desk"],
     )
-    def test_narrow_chunks_walk_in_one_piece(self, shape, chunk_bytes, monkeypatch, recorded_pools):
+    def test_narrow_chunks_walk_in_one_piece(self, shape, chunk_bytes, tokens, monkeypatch, recorded_pools):
+        """No chunk but the last is narrower than the d x d Grams, and one chunk keeps the BLAS count.
+
+        Here the byte target alone would cut chunks narrower than d tokens;
+        the chunk width is raised to d instead.
+        """
         d, h = shape
-        model, samples = gen_synthetic(seed=5, blocks=2, d=d, h=h, n_samples=8, tokens=32)
+        model, samples = gen_synthetic(seed=5, blocks=2, d=d, h=h, n_samples=24, tokens=tokens)
         if chunk_bytes is not None:
             monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
-        looked_up = []
-        monkeypatch.setattr(pipeline, "blas_controls", lambda: looked_up.append(1) or fake_controls(2)[0])
+        assert pipeline.CHUNK_BYTES // (8 * h) < d
+        chunks = pipeline._walk_chunks(model, list(samples))
+        assert len(chunks) > 1 and sum(map(len, chunks)) == len(samples)
+        assert all(len(chunk) * tokens >= d for chunk in chunks[:-1])
+
+        controls, state = fake_controls(2)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-        assert len(pipeline._walk_chunks(model, list(samples))) == 1
-        calibrate(model, list(samples))
-        assert recorded_pools == [] and looked_up == []  # no pool, and the BLAS left alone
+        seen = []
+        walk = pipeline.walk_blocks
+        monkeypatch.setattr(pipeline, "walk_blocks", lambda *args: seen.append(state[0]) or walk(*args))
+        assert len(pipeline._walk_chunks(model, chunks[0])) == 1
+        calibrate(model, chunks[0])
+        assert recorded_pools == [] and seen == [2] and state == [2]  # one worker, the BLAS count as it was
 
 
 class TestEval:
