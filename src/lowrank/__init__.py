@@ -27,8 +27,10 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    EighFactors,
     LowRankPair,
     SvdFactors,
+    eigh_full,
     pinv,
     rank_for_retention,
     svd_full,

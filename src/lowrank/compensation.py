@@ -35,13 +35,21 @@ U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
 W @ (G + damping * I) @ W.T (the output-PCA form): Q times those of
 A = H_r + damping * R @ R.T. The plain truncated SVD of W is the same with
 G + damping * I replaced by I, A = R @ R.T. So ``initialize_pair`` takes
-one SVD of the r x r matrix A = Z @ diag(s) @ Z.T and returns
+one symmetric eigendecomposition of the r x r matrix
+A = Z @ diag(lam) @ Z.T, ordered by |lam| descending, and with s = |lam|
+returns
 
     U' = Z_k @ diag(s_k ** 1/4),    M = diag(s_k ** -1/4) @ Z_k.T.
 
 An s_i at or below A's rounding floor r * eps * s_1 counts as zero, and
 gives a zero column of U' and a zero row of M. For the plain init
 s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
+An indefinite G can make A indefinite. A's singular values are then |lam|,
+so the order and the floor are those of an SVD of A.
+
+K is symmetric too, so ``update_u`` forms K^+ = Z @ diag(1 / lam) @ Z.T from
+K's eigenpairs, keeping each lam's sign and cutting as ``pinv`` does. U' is
+not square, so the V-refit keeps ``pinv`` and its SVD.
 
 ``compensate`` reads every loss off the U-refit's normal equations. At fixed
 coordinates
@@ -63,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .linalg import LowRankPair, pinv, svd_full, truncate_absorb
+from .linalg import LowRankPair, eigh_full, pinv, svd_full, truncate_absorb
 
 
 @dataclass
@@ -142,10 +150,11 @@ def update_u(normal: NormalEquations) -> np.ndarray:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
     Solves U' @ K = B, the system ``normal_equations`` forms at the fixed
-    coordinates, cutting K's singular values at the rounding error of forming K:
-    directions under it are noise, which a singular Gram would otherwise invert.
+    coordinates, with K^+ from K's eigenpairs. Eigenvalues are cut at the
+    rounding error of forming K: directions under it are noise, which a
+    singular Gram would otherwise invert.
     """
-    return normal.b @ pinv(normal.k, atol=normal.noise)   # r x k
+    return normal.b @ eigh_full(normal.k).pinv(atol=normal.noise)   # r x k
 
 
 def update_v(u: np.ndarray) -> np.ndarray:
@@ -211,13 +220,14 @@ def initialize_pair(
     if not 1 <= k <= side:
         raise RankError(f"rank {k} outside [1, {side}]")
     rrt = problem.r @ problem.r.T
-    f = svd_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(s) @ Z.T
-    keep = f.sigma[:k] > side * np.finfo(np.float64).eps * f.sigma[0]    # A's rounding floor
+    f = eigh_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(lam) @ Z.T
+    s = np.abs(f.lam)
+    keep = s[:k] > side * np.finfo(np.float64).eps * s[0]    # A's rounding floor
     root = np.zeros(k)
-    root[keep] = np.sqrt(np.sqrt(f.sigma[:k][keep]))
+    root[keep] = np.sqrt(np.sqrt(s[:k][keep]))
     inverse = np.zeros(k)
     inverse[keep] = 1.0 / root[keep]
-    z = f.u[:, :k]
+    z = f.z[:, :k]
     return z * root, (z * inverse).T
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: SVD, truncation, pseudoinverse, rank budget."""
+"""Dense linear-algebra kernels: SVD, symmetric eigh, truncation, pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -17,6 +17,22 @@ class SvdFactors:
     u: np.ndarray        # m x r
     sigma: np.ndarray    # r, non-negative, sorted descending
     vt: np.ndarray       # r x n
+
+
+@dataclass(frozen=True)
+class EighFactors:
+    """Symmetric eigendecomposition ``a = z @ diag(lam) @ z.T`` with |lam| non-increasing."""
+
+    z: np.ndarray     # n x n, orthonormal columns
+    lam: np.ndarray   # n, signed, sorted by |lam| descending
+
+    def pinv(self, atol: float = 0.0) -> np.ndarray:
+        """Pseudoinverse ``z @ diag(1 / lam) @ z.T`` under ``pinv``'s cutoff rule.
+
+        Eigenvalues with ``|lam_i| <= max(n * eps * |lam|_max, atol)`` are
+        treated as exactly zero; an all-zero matrix yields the zero matrix.
+        """
+        return (self.z * _cut_reciprocal(self.lam, self.lam.shape[0], atol)) @ self.z.T
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,21 @@ def svd_full(a: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, vt=vt)
 
 
+def eigh_full(a: np.ndarray) -> EighFactors:
+    """Eigendecomposition of a finite-valued symmetric matrix, read from its lower triangle."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix contains non-finite entries")
+    try:
+        lam, z = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    order = np.argsort(-np.abs(lam), kind="stable")
+    return EighFactors(z=z[:, order], lam=lam[order])
+
+
 def truncate_absorb(f: SvdFactors, k: int) -> LowRankPair:
     """Keep the top-k singular triplets and absorb ``sqrt(sigma_k)`` into both factors."""
     r = f.sigma.shape[0]
@@ -73,12 +104,20 @@ def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     f = svd_full(a)
-    sigma_max = f.sigma[0] if f.sigma.size else 0.0
-    cutoff = max(max(m, n) * np.finfo(np.float64).eps * sigma_max, atol)
-    keep = f.sigma > cutoff
-    inv_sigma = np.zeros_like(f.sigma)
-    inv_sigma[keep] = 1.0 / f.sigma[keep]
-    return (f.vt.T * inv_sigma) @ f.u.T
+    return (f.vt.T * _cut_reciprocal(f.sigma, max(m, n), atol)) @ f.u.T
+
+
+def _cut_reciprocal(values: np.ndarray, side: int, atol: float) -> np.ndarray:
+    """1 / values, with every |value| <= max(side * eps * |values[0]|, atol) set to 0.
+
+    ``values`` is sorted by magnitude, largest first.
+    """
+    top = abs(values[0]) if values.size else 0.0
+    cutoff = max(side * np.finfo(np.float64).eps * top, atol)
+    keep = np.abs(values) > cutoff
+    out = np.zeros_like(values)
+    out[keep] = 1.0 / values[keep]
+    return out
 
 
 def rank_for_retention(m: int, n: int, r: float) -> int:

@@ -378,23 +378,28 @@ class TestSquareProblem:
     @pytest.mark.parametrize("m, n", [(24, 8), (8, 24)], ids=["m>n", "m<n"])
     @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
     def test_every_decomposition_is_on_the_narrow_side(self, monkeypatch, m, n, damping, iters):
-        shapes = []
+        shapes, kernels = [], []
 
-        def recording(fn):
+        def recording(name):
+            fn = getattr(compensation, name)
+
             def wrapper(a, *args, **kwargs):
                 shapes.append(np.shape(a))
+                kernels.append(name)
                 return fn(a, *args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(compensation, name, wrapper)
 
-        monkeypatch.setattr(compensation, "svd_full", recording(compensation.svd_full))
-        monkeypatch.setattr(compensation, "pinv", recording(compensation.pinv))
+        for name in ("eigh_full", "pinv", "svd_full"):
+            recording(name)
         rng = np.random.default_rng(m)
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 40))
         narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
         compensate(w, narrow, 3, iters, damping)
-        assert len(shapes) == 1 + 2 * iters   # the init's SVD, then two pinv per iteration
+        assert len(shapes) == 1 + 2 * iters   # the init's decomposition, then two per iteration
         assert max(max(shape) for shape in shapes) <= min(m, n)
+        # A and K are symmetric; only the V-refit's pinv(U') takes a general SVD.
+        assert kernels == ["eigh_full"] + ["eigh_full", "pinv"] * iters
 
 
 class TestLossTrace:

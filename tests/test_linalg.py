@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lowrank.errors import NumericalError, RankError
 from lowrank.linalg import (
+    eigh_full,
     pinv,
     rank_for_retention,
     svd_full,
@@ -41,6 +42,68 @@ class TestSvdFull:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericalError):
             svd_full(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestEighFull:
+    @pytest.mark.parametrize(
+        "spectrum, expected",
+        [
+            # The indefinite A of a whitened init: ascending order puts -5e-5 first.
+            ([1.0, -5e-5, 1.0, 1.0], [1.0, 1.0, 1.0, -5e-5]),
+            # Signed descending order would put -3 last.
+            ([2.0, -3.0, 1e-3, 0.5], [-3.0, 2.0, 0.5, 1e-3]),
+        ],
+    )
+    def test_ordered_by_magnitude_with_signs(self, rng, spectrum, expected):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        a = (q * spectrum) @ q.T
+        f = eigh_full(a)
+        np.testing.assert_allclose(f.lam, expected, rtol=1e-10)
+        assert np.all(np.diff(np.abs(f.lam)) <= 0)
+        np.testing.assert_allclose(f.z.T @ f.z, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose((f.z * f.lam) @ f.z.T, a, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["psd", "indefinite", "rank-deficient", "rank-deficient-indefinite"])
+    @pytest.mark.parametrize("cut", [0.0, 1e-3, 0.3])
+    def test_pseudoinverse_matches_pinv(self, rng, kind, cut):
+        n = 12
+        b = rng.normal(size=(n, 5 if kind.startswith("rank-deficient") else 2 * n))
+        signs = np.where(np.arange(b.shape[1]) % 3 == 0, -1.0, 1.0) if "indefinite" in kind else 1.0
+        a = (b * signs) @ b.T
+        atol = cut * np.linalg.norm(a, 2)
+        expected = pinv(a, atol=atol)
+        got = eigh_full(a).pinv(atol=atol)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # The same directions are kept: both inverses have the same rank.
+        tol = 1e-8 * np.linalg.norm(expected, 2)
+        assert np.linalg.matrix_rank(got, tol=tol) == np.linalg.matrix_rank(expected, tol=tol)
+
+    def test_zero_matrix_gives_zero_inverse(self):
+        out = eigh_full(np.zeros((4, 4))).pinv()
+        assert out.shape == (4, 4)
+        assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.ones((2, 3)),
+            np.ones(3),
+        ],
+        ids=["nan", "inf", "non-square", "1-d"],
+    )
+    def test_bad_input_rejected(self, a):
+        with pytest.raises(NumericalError):
+            eigh_full(a)
+
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError):
+            eigh_full(np.eye(3))
 
 
 class TestTruncateAbsorb:
