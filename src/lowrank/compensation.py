@@ -27,7 +27,8 @@ which is H_r itself. In these coordinates the U-refit solves U' @ K = B with
     K = M @ H_r @ M.T,   B = H_r @ M.T,
 
 the V-refit is M = pinv(U') (pinv(Q @ U') @ W = pinv(U') @ R), and the
-selected pair is lifted once, by ``SquareProblem.lift``.
+selected pair is lifted once, by ``SquareProblem.lift``, which also fixes
+the sign of each factor column.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
@@ -106,8 +107,23 @@ class SquareProblem:
     h: np.ndarray          # r x r
 
     def lift(self, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
-        """The slot's pair U = Q @ U', Vt = M @ R from factor U' and coordinates M."""
-        return LowRankPair(u_sigma=u if self.q is None else self.q @ u, vt_sigma=coords @ self.r)
+        """The slot's pair U = Q @ U', Vt = M @ R from factor U' and coordinates M, in a fixed sign.
+
+        Each column of U is negated, with the matching row of Vt, so that its
+        largest-magnitude entry (the first, on ties) is positive; a zero
+        column is left alone. An eigensolver may return either sign of an
+        eigenvector; negation is exact, so the product keeps its bits and the
+        stored factors do not depend on which sign it returned.
+        """
+        u = u.copy() if self.q is None else self.q @ u
+        # Each column's extremes, read without forming |U|: the lead is negative where -min > max.
+        hi, lo = u.max(axis=0), u.min(axis=0)
+        flip = -lo > hi
+        for j in np.flatnonzero((-lo == hi) & (hi > 0)):  # +hi and -hi both occur: the first one leads
+            flip[j] = np.argmin(u[:, j]) < np.argmax(u[:, j])
+        sign = np.where(flip, -1.0, 1.0)
+        u *= sign
+        return LowRankPair(u_sigma=u, vt_sigma=(coords * sign[:, None]) @ self.r)
 
 
 def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:

@@ -27,12 +27,19 @@ it feeds. Each chunk returns its own slot Grams, every slot's share of
 the Grams and shares and joins the cosines in chunk order, so none of them
 depends on the worker count.
 
+Evaluation walks the held-out samples in chunks of the same width, as a
+pool stage of its own: ``_pool_walk`` is the one chunk -> stage -> in-order
+results loop of both walks. Each eval chunk walks the original model, adding
+up every slot's ||W_hat x - W x||^2 and ||W x||^2, then walks the compressed
+model over the same samples; the calling thread adds the sums and joins both
+outputs in chunk order.
+
 The walk chunks and the slot refits are both too small to scale across BLAS
-threads, so each of these two pool stages sets its own thread counts at run
+threads, so each of these pool stages sets its own thread counts at run
 time: workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
 OpenBLAS gets max(1, min(its current count, usable CPUs // workers)) threads,
 so the user's count is never raised. Each library's previous count is
-restored when the stage ends, so planning and eval keep the BLAS as it was.
+restored when the stage ends, so planning keeps the BLAS as it was.
 Where no OpenBLAS can be controlled, the tasks run serially on the calling
 thread and each BLAS call keeps the library's own count.
 """
@@ -60,7 +67,6 @@ from .linalg import LowRankPair
 from .model import (
     ModelHandle,
     as_compressed_handle,
-    forward,
     load_calibration,
     slot_name,
     walk_blocks,
@@ -170,20 +176,25 @@ def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: boo
     grams: dict[str, np.ndarray] = {}
     mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
-    chunks = _walk_chunks(model, samples)
-    with _pool_stage(len(chunks)) as workers:
-        for part_grams, part_scales, part_cosines in _pool_map(walk_chunk, chunks, workers):  # in chunk order
-            for name, g in part_grams.items():
-                if name in grams:
-                    grams[name] += g
-                else:
-                    grams[name] = g
-            for name, scale in part_scales.items():
-                mean_diag[name] = mean_diag.get(name, 0.0) + scale
-            for block_id, cos in part_cosines.items():
-                cosines.setdefault(block_id, []).append(cos)
+    for part_grams, part_scales, part_cosines in _pool_walk(model, samples, walk_chunk):
+        for name, g in part_grams.items():
+            if name in grams:
+                grams[name] += g
+            else:
+                grams[name] = g
+        for name, scale in part_scales.items():
+            mean_diag[name] = mean_diag.get(name, 0.0) + scale
+        for block_id, cos in part_cosines.items():
+            cosines.setdefault(block_id, []).append(cos)
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
     return Calibration(grams, mean_diag, importances)
+
+
+def _pool_walk(model: ModelHandle, samples: Sequence[np.ndarray], walk_chunk):
+    """Yield ``walk_chunk(chunk)`` for every walk chunk of ``samples``, in chunk order, from one pool stage."""
+    chunks = _walk_chunks(model, samples)
+    with _pool_stage(len(chunks)) as workers:
+        yield from _pool_map(walk_chunk, chunks, workers)
 
 
 def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
@@ -367,6 +378,15 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
 
     A set of fewer than 5 samples has no tail; then every sample is scored and
     the report's ``scored_on_all`` is set.
+
+    The scored samples are walked in chunks on the pinned-BLAS worker pool,
+    as calibration's are (see the module docstring). Each chunk walks the
+    original model, adding up every slot's ||W_hat x - W x||^2 and ||W x||^2
+    as it goes, then walks the compressed model over the same samples. The
+    calling thread adds the sums and joins both outputs in chunk order, so
+    no result depends on the worker count. Every squared norm is summed by
+    ``einsum``, not by the BLAS, whose order of summation can follow its
+    thread count.
     """
     _check_aligned(original, compressed)
     samples = _load_samples(original, data)
@@ -375,20 +395,39 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     if scored_on_all:
         heldout = samples
 
+    def walk_chunk(chunk):
+        sums: dict[str, tuple[float, float]] = {}  # slot: (||W_hat x - W x||^2, ||W x||^2)
+
+        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
+            for slot, x in slot_inputs.items():
+                wx = slot_outputs[slot]
+                diff = compressed.apply_slot(block_id, slot, x)
+                diff -= wx
+                sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
+
+        out_orig = walk_blocks(original, chunk, visit)
+        return sums, out_orig, walk_blocks(compressed, chunk)
+
+    totals: dict[str, tuple[float, float]] = {}
+    orig_parts, comp_parts = [], []
+    for sums, out_orig, out_comp in _pool_walk(original, heldout, walk_chunk):
+        for name, (err, ref) in sums.items():
+            total_err, total_ref = totals.get(name, (0.0, 0.0))
+            totals[name] = (total_err + err, total_ref + ref)
+        orig_parts.append(out_orig)
+        comp_parts.append(out_comp)
+    out_orig = np.concatenate(orig_parts, axis=1).T  # tokens x d, in sample order
+    out_comp = np.concatenate(comp_parts, axis=1).T
+    del orig_parts, comp_parts
+
     tiny = np.finfo(np.float64).tiny
     per_slot = []
+    for block_id, slot in original.slot_ids():
+        name = slot_name(block_id, slot)
+        w = original.slot_weight(block_id, slot)
+        frob = _relative_norm(_sum_squares(compressed.slot_weight(block_id, slot) - w), _sum_squares(w))
+        per_slot.append(SlotErrors(slot=name, frob_rel_err=frob, data_rel_err=_relative_norm(*totals[name])))
 
-    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-        for slot, x in slot_inputs.items():
-            w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
-            wx, what_x = slot_outputs[slot], compressed.apply_slot(block_id, slot, x)
-            frob = float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny))
-            data_err = float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny))
-            per_slot.append(SlotErrors(slot=slot_name(block_id, slot), frob_rel_err=frob, data_rel_err=data_err))
-
-    out_orig = walk_blocks(original, heldout, visit).T
-    stacked = heldout.reshape(-1, heldout.shape[2])  # block ops are per-token
-    out_comp = forward(compressed, stacked)
     mse = float(np.mean((out_orig - out_comp) ** 2))
     norms = np.linalg.norm(out_orig, axis=1) * np.linalg.norm(out_comp, axis=1)
     dots = np.sum(out_orig * out_comp, axis=1)
@@ -407,6 +446,16 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         achieved_retention=p_comp / p_orig,
         scored_on_all=scored_on_all,
     )
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of the squared entries of a matrix, without a BLAS call or a temporary."""
+    return float(np.einsum("ij,ij->", a, a))
+
+
+def _relative_norm(err: float, ref: float) -> float:
+    """sqrt(err) / sqrt(ref), from two sums of squares, with ref floored at the smallest normal float."""
+    return float(np.sqrt(err) / max(np.sqrt(ref), np.finfo(np.float64).tiny))
 
 
 def _histogram_overlap(a: np.ndarray, b: np.ndarray) -> float:

@@ -194,28 +194,40 @@ sys.exit(run_cli(sys.argv[2:]))
     len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs and sched_setaffinity"
 )
 def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
-    # 8 walk chunks of 4 buckets (256 tokens each) and 8 planned slots: on 1 to
-    # 8 CPUs every pool stage runs one BLAS thread per worker, so compress on
-    # one CPU and on all of them must write the same bytes. The children get
-    # no thread variable, so OpenBLAS starts at its own per-CPU default.
+    # 8 walk chunks of 4 buckets (256 tokens each), 8 planned slots and a
+    # held-out tail of 2 chunks of 256 tokens: on 1 to 8 CPUs every pool stage
+    # runs one BLAS thread per worker, so compress and eval on one CPU and on
+    # all of them must write the same bytes. The children get no thread
+    # variable, so OpenBLAS starts at its own per-CPU default.
+    from lowrank import pipeline
+
     base = tmp_path / "base"
     assert run_cli([
         "synth", "--out", str(base), "--seed", "2", "--blocks", "4", "--hidden-dim", "64",
         "--mlp-dim", "1024", "--samples", "40", "--tokens", "64",
     ]) == 0
+    heldout = pipeline.split_calibration(load_container(base / "calib.st")["samples"])[1]
+    chunks = pipeline._walk_chunks(load_model(base / "model.json", base / "model.st"), heldout)
+    assert [sum(map(len, chunk)) for chunk in chunks] == [256, 256]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for cpus in ("one", "all"):
-        done = subprocess.run(
-            [sys.executable, "-c", AFFINITY_CHILD, cpus, "compress", "--model", str(base / "model.json"),
-             "--calib", str(base / "calib.st"), "--target-retention", "0.6", "--out", str(tmp_path / cpus)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        out = tmp_path / cpus
+        for argv in (
+            ["compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+             "--target-retention", "0.6", "--out", str(out)],
+            ["eval", "--model", str(base / "model.json"), "--compressed", str(out / "model.json"),
+             "--calib", str(base / "calib.st"), "--out", str(out / "report.json")],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", AFFINITY_CHILD, cpus, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
     plan = json.loads((tmp_path / "all" / "plan.json").read_text())
     assert sum(rank is not None for block in plan["blocks"] for rank in block["ranks"].values()) == 8
-    for name in ("model.st", "plan.json", "traces.csv"):
+    for name in ("model.st", "plan.json", "traces.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
@@ -337,6 +349,46 @@ def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().err == "numerical error: non-finite activations in block 0\n"
     assert walkers and all(w == (False, 1) for w in walkers)  # pool threads, 2 workers x 1 thread
+    assert state == [2]
+
+
+def test_numerical_error_in_an_eval_worker(workspace, capsys, monkeypatch):
+    import threading
+
+    import lowrank.pipeline
+    from lowrank.container import save_container
+    from lowrank.runtime import BlasControl
+
+    base = workspace / "base"
+    flags = ["--model", str(base / "model.json"), "--calib", str(base / "calib.st")]
+    assert run_cli(["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "c")]) == 0
+    container = workspace / "c" / "model.st"
+    tensors = load_container(container)
+    tensors["blocks.1.w1.u"] = tensors["blocks.1.w1.u"].copy()
+    tensors["blocks.1.w1.u"][0, 0] = np.nan
+    save_container(container, tensors)
+
+    state = [2]
+    controls = [BlasControl("lib0", lambda: state[0], lambda n: state.__setitem__(0, n))]
+    monkeypatch.setattr(lowrank.pipeline, "blas_controls", lambda: controls)
+    monkeypatch.setattr(lowrank.pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lowrank.pipeline, "CHUNK_BYTES", 8 * 64 * 32)  # the 4 held-out samples in 2 chunks
+    walkers = []
+    walk_blocks = lowrank.pipeline.walk_blocks
+
+    def recording(*args, **kwargs):
+        walkers.append((threading.current_thread() is threading.main_thread(), state[0]))
+        return walk_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(lowrank.pipeline, "walk_blocks", recording)
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        code = run_cli(["eval", *flags, "--compressed", str(workspace / "c" / "model.json")])
+    assert code == 2
+    assert capsys.readouterr() == ("", "numerical error: non-finite activations in block 1\n")
+    # Each chunk walks both models on a pool thread at 2 workers x 1 thread; once the first chunk
+    # fails, the pool cancels the other if it has not started, so the count of walks varies.
+    assert len(walkers) >= 2 and all(w == (False, 1) for w in walkers)
     assert state == [2]
 
 

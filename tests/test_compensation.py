@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import lowrank.compensation as compensation
 from lowrank.compensation import (
+    SquareProblem,
     compensate,
     initialize_pair,
     normal_equations,
@@ -400,6 +401,33 @@ class TestSquareProblem:
         assert max(max(shape) for shape in shapes) <= min(m, n)
         # A and K are symmetric; only the V-refit's pinv(U') takes a general SVD.
         assert kernels == ["eigh_full"] + ["eigh_full", "pinv"] * iters
+
+    @pytest.mark.parametrize("m, n", [(12, 7), (7, 7), (7, 12)], ids=["m>n", "m=n", "m<n"])
+    def test_lift_fixes_every_column_sign(self, m, n):
+        rng = np.random.default_rng(m * n)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 30))
+        problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
+        side = min(m, n)
+        u, coords = rng.normal(size=(side, 4)), rng.normal(size=(4, side))
+        u[:, 3] = coords[3] = 0.0  # a zero column is left alone
+        flip = np.array([-1.0, 1.0, -1.0, 1.0])
+        pair = problem.lift(u, coords)
+        negated = problem.lift(u * flip, coords * flip[:, None])  # an eigensolver's other signs
+        assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
+        assert pair.vt_sigma.tobytes() == negated.vt_sigma.tobytes()
+        lead = pair.u_sigma[np.argmax(np.abs(pair.u_sigma), axis=0), np.arange(4)]
+        assert np.all(lead[:3] > 0) and not np.any(pair.u_sigma[:, 3])
+        np.testing.assert_allclose(pair.product(), (problem.q if m > n else np.eye(m)) @ u @ coords @ problem.r,
+                                   rtol=0, atol=1e-12)
+
+    def test_lift_sign_ties_go_to_the_first_entry(self):
+        problem = SquareProblem(q=None, r=np.eye(3), h=np.eye(3))
+        u = np.array([[-2.0, 2.0], [1.0, 0.0], [2.0, -2.0]])
+        pair = problem.lift(u, np.eye(2, 3))
+        assert pair.u_sigma.tolist() == [[2.0, 2.0], [-1.0, 0.0], [-2.0, -2.0]]
+        assert pair.vt_sigma.tolist() == [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert u[0, 0] == -2.0  # the caller's factor is not changed
 
 
 class TestLossTrace:

@@ -523,6 +523,85 @@ class TestEval:
             eval_compression(model, other, calib)
 
 
+@pytest.fixture
+def two_chunk_eval(tmp_path):
+    """A model, its compressed form and a calibration file whose held-out tail is 2 walk chunks.
+
+    h = 1024 makes the chunks 256 tokens wide, and the tail is 8 samples of 64 tokens.
+    """
+    model, samples = gen_synthetic(seed=2, blocks=4, d=64, h=1024, n_samples=40, tokens=64)
+    calib = tmp_path / "calib.st"
+    save_calibration(calib, samples)
+    compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+    heldout = split_calibration(samples)[1]
+    assert [len(chunk) for chunk in pipeline._walk_chunks(model, heldout)] == [4, 4]
+    return model, compressed, calib, heldout
+
+
+def one_piece_eval(original, compressed, heldout):
+    """The held-out report formed in one piece: one walk of each model over every held-out token."""
+    tiny = np.finfo(np.float64).tiny
+    per_slot = {}
+
+    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
+        for slot, x in slot_inputs.items():
+            w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
+            wx, what_x = slot_outputs[slot], compressed.apply_slot(block_id, slot, x)
+            per_slot[slot_name(block_id, slot)] = (
+                float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny)),
+                float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny)),
+            )
+
+    out_orig = walk_blocks(original, heldout, visit).T
+    out_comp = forward(compressed, heldout.reshape(-1, heldout.shape[2]))
+    norms = np.linalg.norm(out_orig, axis=1) * np.linalg.norm(out_comp, axis=1)
+    cosine = float(np.mean(np.sum(out_orig * out_comp, axis=1) / np.maximum(norms, tiny)))
+    overlap = pipeline._histogram_overlap(out_orig.ravel(), out_comp.ravel())
+    return per_slot, float(np.mean((out_orig - out_comp) ** 2)), cosine, overlap
+
+
+class TestChunkedEval:
+    def test_matches_the_one_piece_eval(self, two_chunk_eval):
+        model, compressed, calib, heldout = two_chunk_eval
+        per_slot, mse, cosine, overlap = one_piece_eval(model, compressed, heldout)
+        report = eval_compression(model, compressed, calib)
+        # Every token's output is the same at either walk width, and the
+        # end-to-end numbers are formed from the joined outputs as before.
+        assert report.output_mse == mse
+        assert report.output_cosine_mean == cosine
+        assert report.overlap_statistic == overlap
+        # The squared norms are summed per chunk and without the BLAS: only the order of the sums moves.
+        assert [entry.slot for entry in report.per_slot] == list(per_slot)
+        for entry in report.per_slot:
+            frob, data = per_slot[entry.slot]
+            assert entry.frob_rel_err == pytest.approx(frob, rel=1e-12, abs=0)
+            assert entry.data_rel_err == pytest.approx(data, rel=1e-12, abs=0)
+
+    def test_chunks_run_on_the_pool_at_one_blas_thread(self, two_chunk_eval, monkeypatch, real_blas_at_two,
+                                                       recorded_pools):
+        model, compressed, calib, _ = two_chunk_eval
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
+        serial = eval_compression(model, compressed, calib).to_json()
+        assert recorded_pools == []
+
+        monkeypatch.setattr(pipeline, "blas_controls", blas_controls)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        walkers = []
+        walk = pipeline.walk_blocks
+
+        def recording(*args, **kwargs):
+            walkers.append((threading.current_thread() is threading.main_thread(),
+                            [c.get() for c in real_blas_at_two]))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "walk_blocks", recording)
+        assert eval_compression(model, compressed, calib).to_json() == serial
+        assert recorded_pools == [2]
+        # two chunks, each walking both models on a pool thread at 2 workers x 1 thread
+        assert walkers == [(False, [1] * len(real_blas_at_two))] * 4
+        assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
+
+
 def test_traces_csv_round_trip(tmp_path, small_setup):
     model, _, calib = small_setup
     cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=False, seed=2)
