@@ -13,7 +13,7 @@ from .allocation import (
     build_plan,
     normalize_importance,
 )
-from .calibration import BucketedCalib, gram_accumulate, stack_of_batch
+from .calibration import BucketedCalib, Calibration, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate, plain_truncation_loss, svd_loss, update_u, update_v
 from .errors import (
     BudgetError,
@@ -48,7 +48,6 @@ from .model import (
     save_model,
 )
 from .pipeline import (
-    Calibration,
     EvalReport,
     PipelineConfig,
     calibrate,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -236,29 +236,32 @@ def block_forward(
     return {"w1": x_norm, "w2": hidden}, {"w1": pre, "w2": update}, x + update
 
 
-def walk_blocks(
-    model: ModelHandle, samples: Sequence[np.ndarray], visit: Callable | None = None
-) -> np.ndarray:
+def as_samples(model: ModelHandle, samples: np.ndarray) -> np.ndarray:
+    """``samples`` as a float64 (samples, tokens, d) array; ShapeError if empty or of another shape."""
+    samples = np.asarray(samples, dtype=np.float64)
+    d = model.hidden_dim
+    if samples.size == 0 or samples.ndim != 3 or samples.shape[2] != d:
+        raise ShapeError(f"need at least one token in a (samples, tokens, {d}) array, got shape {samples.shape}")
+    return samples
+
+
+def walk_blocks(model: ModelHandle, samples: np.ndarray, visit: Callable | None = None) -> np.ndarray:
     """Run the model forward block by block over every token of ``samples``.
 
-    Calls ``visit(block_id, block input, {slot: slot input}, {slot: slot
-    output}, block output)`` per block, columns being all tokens in sample
-    order, and returns the last block's output (d x tokens). Only one block's
-    token matrices are alive at a time. Raises ShapeError for no samples, and
-    NumericalError naming the block if the forward produces non-finite values.
+    ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
+    samples. Calls ``visit(block_id, block input, {slot: slot input}, {slot:
+    slot output}, block output)`` per block, columns being all tokens in
+    sample order, and returns the last block's output (d x tokens). The first
+    block's input is a view of ``samples``, so a visitor must not write to it.
+    Only one block's token matrices are alive at a time. Raises ShapeError
+    for no samples or another shape, and NumericalError naming the block if
+    the forward produces non-finite values.
     """
-    if len(samples) < 1:
-        raise ShapeError("need at least one sample to walk")
-    d = model.hidden_dim
-    cols = []
-    for sample in samples:
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim != 2 or sample.shape[1] != d:
-            raise ShapeError(f"sample shape {sample.shape} does not match hidden_dim {d}")
-        cols.append(sample.T)
-    # Every block op is per-column, so one pass over the concatenated token
-    # columns equals a sample-by-sample forward.
-    x = np.concatenate(cols, axis=1)
+    samples = as_samples(model, samples)
+    # Every block op is per-column, so one pass over all token columns equals
+    # a sample-by-sample forward. The transposed view is F-ordered; a copy to
+    # C order would move the last bits of the block GEMMs.
+    x = samples.reshape(-1, model.hidden_dim).T
     for block in model.manifest.blocks:
         slot_inputs, slot_outputs, y = block_forward(model, block.block_id, x)
         if not np.all(np.isfinite(y)):
@@ -275,7 +278,7 @@ def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
 
     Raises NumericalError naming the first block whose output is non-finite.
     """
-    return walk_blocks(model, [sample]).T
+    return walk_blocks(model, np.asarray(sample)[None]).T
 
 
 # --- validation, load, save -------------------------------------------------

@@ -16,27 +16,28 @@ is formed for a wide slot. For every slot the walk also keeps
 ||X||_F^2 / n = mean diag G, from which the whitening damping
 REL_DAMPING * mean diag G is read.
 
-The walk goes over the buckets in chunks of consecutive whole buckets, on
-the worker pool below. With ``wide`` the widest slot dimension (max of d and
-every h) and ``narrow`` the widest narrow-side Gram side (max over slots of
-min(m, n)), a chunk holds as many buckets as fit in
-max(CHUNK_BYTES // (8 * wide), narrow) tokens, and at least one: its token
-matrices stay near cache size, and a chunk is never narrower than the Gram
-it feeds. Each chunk returns its own slot Grams, every slot's share of
-||X||_F^2 / n, and per-column importance cosines. The calling thread adds
-the Grams and shares and joins the cosines in chunk order, so none of them
-depends on the worker count.
+The buckets are one (buckets, tokens, d) array, and the walk goes over
+slices of it on the worker pool below. With ``wide`` the widest slot
+dimension (max of d and every h) and ``narrow`` the widest narrow-side Gram
+side (max over slots of min(m, n)), the chunk width is
+max(CHUNK_BYTES // (8 * wide), narrow) tokens, and every chunk but the last
+holds max(1, width // tokens) buckets: its token matrices stay near cache
+size, and the width is never narrower than the Gram it feeds. Each chunk
+returns its own slot Grams, every slot's share of ||X||_F^2 / n, and
+per-column importance cosines. The calling thread adds the Grams and shares
+and joins the cosines in chunk order, so none of them depends on the worker
+count.
 
 Evaluation walks the held-out samples in chunks of the same width, as a
-pool stage of its own: ``_pool_walk`` is the one chunk -> stage -> in-order
-results loop of both walks. Each eval chunk walks the original model, adding
+pool stage of its own. Each eval chunk walks the original model, adding
 up every slot's ||W_hat x - W x||^2 and ||W x||^2, then walks the compressed
 model over the same samples; the calling thread adds the sums and joins both
 outputs in chunk order.
 
 The walk chunks and the slot refits are both too small to scale across BLAS
 threads, so each of these pool stages sets its own thread counts at run
-time: workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
+time (``_pool_run`` runs every stage and yields its results in task
+order): workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
 OpenBLAS gets max(1, min(its current count, usable CPUs // workers)) threads,
 so the user's count is never raised. Each library's previous count is
 restored when the stage ends, so planning keeps the BLAS as it was.
@@ -54,12 +55,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_cosines
-from .calibration import dump_activations, gram_accumulate, stack_of_batch
+from .calibration import Calibration, dump_activations, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .container import atomic_path
 from .errors import LowrankError, ManifestMismatch, ShapeError
@@ -67,6 +67,7 @@ from .linalg import LowRankPair
 from .model import (
     ModelHandle,
     as_compressed_handle,
+    as_samples,
     load_calibration,
     slot_name,
     walk_blocks,
@@ -130,31 +131,15 @@ def _load_samples(model: ModelHandle, calib_file: str | Path) -> np.ndarray:
     return samples
 
 
-class Calibration(NamedTuple):
-    """The calibration product: what later stages read of the walk.
-
-    ``grams`` holds every slot's Gram matrix on its narrow side, keyed by full
-    slot name: X @ X.T of its inputs for a tall slot (m >= n), Y @ Y.T of
-    its outputs Y = W @ X for a wide one. ``mean_diag`` holds the mean
-    diagonal of every slot's input Gram X @ X.T, ||X||_F^2 / n summed over
-    the walk's chunks, which sets the whitening damping. ``importances``
-    holds the mean column cosine of every block, keyed by id.
-    """
-
-    grams: dict[str, np.ndarray]
-    mean_diag: dict[str, float]
-    importances: dict[int, float]
-
-
-def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: bool = True) -> Calibration:
+def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) -> Calibration:
     """One walk of the original model: the calibration product later stages read.
 
-    With ``with_grams=False`` the walk keeps only the importances, and the
-    Gram and mean-diagonal dicts are empty. The samples are walked in chunks
-    on the pinned-BLAS worker pool (see the module docstring).
+    ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
+    samples. With ``with_grams=False`` the walk keeps only the importances,
+    and the Gram and mean-diagonal dicts are empty. The samples are walked in
+    chunks on the pinned-BLAS worker pool (see the module docstring).
     """
-    if len(samples) < 1:
-        raise ShapeError("need at least one calibration sample")
+    samples = as_samples(model, samples)
 
     def walk_chunk(chunk):
         grams: dict[str, np.ndarray] = {}
@@ -176,7 +161,7 @@ def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: boo
     grams: dict[str, np.ndarray] = {}
     mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
-    for part_grams, part_scales, part_cosines in _pool_walk(model, samples, walk_chunk):
+    for part_grams, part_scales, part_cosines in _pool_run(walk_chunk, _walk_chunks(model, samples)):
         for name, g in part_grams.items():
             if name in grams:
                 grams[name] += g
@@ -190,15 +175,8 @@ def calibrate(model: ModelHandle, samples: Sequence[np.ndarray], with_grams: boo
     return Calibration(grams, mean_diag, importances)
 
 
-def _pool_walk(model: ModelHandle, samples: Sequence[np.ndarray], walk_chunk):
-    """Yield ``walk_chunk(chunk)`` for every walk chunk of ``samples``, in chunk order, from one pool stage."""
-    chunks = _walk_chunks(model, samples)
-    with _pool_stage(len(chunks)) as workers:
-        yield from _pool_map(walk_chunk, chunks, workers)
-
-
-def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
-    """Consecutive whole samples, as many per chunk as fit the chunk width (at least one).
+def _walk_chunks(model: ModelHandle, samples: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of ``samples``, max(1, width // tokens) samples each (the last may hold fewer).
 
     The width is CHUNK_BYTES // (8 * the widest slot dimension) tokens, raised
     to the widest narrow-side Gram side so that no chunk is narrower than the
@@ -206,16 +184,8 @@ def _walk_chunks(model: ModelHandle, samples: Sequence[np.ndarray]) -> list[list
     """
     shapes = [model.slot_shape(block_id, slot) for block_id, slot in model.slot_ids()]
     width = max(CHUNK_BYTES // (8 * max(map(max, shapes))), max(map(min, shapes)))
-    chunks: list[list[np.ndarray]] = []
-    room = 0
-    for sample in samples:
-        tokens = len(sample)
-        if not chunks or tokens > room:
-            chunks.append([])
-            room = width
-        chunks[-1].append(sample)
-        room -= tokens
-    return chunks
+    step = max(1, width // samples.shape[1])
+    return [samples[i : i + step] for i in range(0, len(samples), step)]
 
 
 def calibrate_and_plan(
@@ -227,7 +197,7 @@ def calibrate_and_plan(
     """
     cfg.validate()
     fit_samples = split_calibration(_load_samples(model, calib_file))[0]
-    bucketed = stack_of_batch(list(fit_samples), cfg.bucket_size, cfg.seed)
+    bucketed = stack_of_batch(fit_samples, cfg.bucket_size, cfg.seed)
     del fit_samples  # the buckets are copies; free the loaded samples before the walk
     calibration = calibrate(model, bucketed.buckets, with_grams)
     plan = build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
@@ -248,7 +218,7 @@ def compress_model(
     calibration, plan = calibrate_and_plan(model, calib_file, cfg)
     grams = calibration.grams
     if dump_path is not None:
-        dump_activations(grams, calibration.importances, dump_path)
+        dump_activations(calibration, dump_path)
 
     ranks = plan.slot_ranks()
     tasks = []  # (full slot name, weight, rank)
@@ -269,8 +239,7 @@ def compress_model(
         except LowrankError as exc:
             raise type(exc)(f"slot {name}: {exc}") from exc
 
-    with _pool_stage(len(tasks)) as workers:
-        results = list(_pool_map(run, tasks, workers))
+    results = list(_pool_run(run, tasks))
 
     factors: dict[str, LowRankPair] = {}
     traces: dict[str, LossTrace] = {}
@@ -311,13 +280,14 @@ def _pool_stage(n_tasks: int):
                 control.set(count)
 
 
-def _pool_map(fn, tasks, workers: int):
-    """Yield ``fn(task)`` in task order, computed on ``workers`` threads when there are several."""
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
+def _pool_run(fn, tasks: list):
+    """Yield ``fn(task)`` for every task, in task order, from one pool stage (serially with one worker)."""
+    with _pool_stage(len(tasks)) as workers:
+        if workers <= 1:
+            yield from map(fn, tasks)
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, tasks)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -410,7 +380,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
 
     totals: dict[str, tuple[float, float]] = {}
     orig_parts, comp_parts = [], []
-    for sums, out_orig, out_comp in _pool_walk(original, heldout, walk_chunk):
+    for sums, out_orig, out_comp in _pool_run(walk_chunk, _walk_chunks(original, heldout)):
         for name, (err, ref) in sums.items():
             total_err, total_ref = totals.get(name, (0.0, 0.0))
             totals[name] = (total_err + err, total_ref + ref)

@@ -134,7 +134,7 @@ class TestCaptureActivations:
         # differs only in the order of the sums: rtol 1e-13.
         model, calib = gen_synthetic(seed=2, blocks=2, d=8, h=16, n_samples=6, tokens=5)
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", 8 * 16 * 10)  # 10-token chunks of two samples
-        assert len(pipeline._walk_chunks(model, list(calib))) == 3
+        assert len(pipeline._walk_chunks(model, calib)) == 3
         mean_diag = calibrate(model, list(calib)).mean_diag
         expected = {}
 
@@ -172,6 +172,15 @@ class TestCaptureActivations:
         model, _ = gen_synthetic(seed=5, blocks=1, d=4, h=8, n_samples=1, tokens=1)
         with pytest.raises(ShapeError, match="at least one"):
             walk_blocks(model, [])
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 3)], ids=["rank-2", "last-axis-not-d"])
+    def test_other_sample_shapes_are_shape_errors(self, shape):
+        model, _ = gen_synthetic(seed=5, blocks=1, d=4, h=8, n_samples=1, tokens=1)
+        samples = np.ones(shape)
+        with pytest.raises(ShapeError, match=r"\(samples, tokens, 4\) array, got shape"):
+            walk_blocks(model, samples)
+        with pytest.raises(ShapeError, match=r"\(samples, tokens, 4\) array, got shape"):
+            calibrate(model, samples)
 
     def test_nonfinite_forward_names_block(self):
         model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)
@@ -216,17 +225,19 @@ class TestGram:
 
 def test_dump_activations_tensor_names(tmp_path):
     model, calib = gen_synthetic(seed=6, blocks=2, d=4, h=8, n_samples=2, tokens=3)
-    grams, _, importances = calibrate(model, list(calib))
-    dump_activations(grams, importances, tmp_path / "acts.st")
+    calibration = calibrate(model, calib)
+    dump_activations(calibration, tmp_path / "acts.st")
     tensors = load_container(tmp_path / "acts.st")
-    assert set(tensors) == {
-        "block.0.importance", "block.1.importance",
-        "slot.blocks.0.w1.gram", "slot.blocks.0.w2.gram",
-        "slot.blocks.1.w1.gram", "slot.blocks.1.w2.gram",
+    slots = [slot_name(b, slot) for b in range(2) for slot in ("w1", "w2")]
+    assert set(tensors) == {"block.0.importance", "block.1.importance"} | {
+        f"slot.{name}.{field}" for name in slots for field in ("gram", "mean_diag")
     }
-    np.testing.assert_array_equal(tensors["slot.blocks.1.w2.gram"], grams["blocks.1.w2"])
+    for block_id, importance in calibration.importances.items():
+        np.testing.assert_array_equal(tensors[f"block.{block_id}.importance"], [importance])
+    for name in slots:
+        np.testing.assert_array_equal(tensors[f"slot.{name}.gram"], calibration.grams[name])
+        np.testing.assert_array_equal(tensors[f"slot.{name}.mean_diag"], [calibration.mean_diag[name]])
     # Each Gram is on its slot's narrow side: w1 (8 x 4) keeps its 4 x 4 input
     # Gram, w2 (4 x 8) its 4 x 4 output Gram.
     assert tensors["slot.blocks.0.w1.gram"].shape == (4, 4)
     assert tensors["slot.blocks.0.w2.gram"].shape == (4, 4)
-    assert tensors["block.0.importance"].tolist() == [importances[0]]

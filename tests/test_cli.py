@@ -252,7 +252,7 @@ def test_dump_activations_flag(workspace):
     assert code == 0
     names = set(load_container(acts))
     assert names == {f"block.{b}.importance" for b in range(4)} | {
-        f"slot.blocks.{b}.{slot}.gram" for b in range(4) for slot in ("w1", "w2")
+        f"slot.blocks.{b}.{slot}.{field}" for b in range(4) for slot in ("w1", "w2") for field in ("gram", "mean_diag")
     }
 
 

@@ -2,9 +2,12 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank import pipeline
 from lowrank.compensation import plain_truncation_loss
@@ -461,7 +464,7 @@ class TestChunkedWalk:
         if chunk_bytes is not None:
             monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
         assert pipeline.CHUNK_BYTES // (8 * h) < d
-        chunks = pipeline._walk_chunks(model, list(samples))
+        chunks = pipeline._walk_chunks(model, samples)
         assert len(chunks) > 1 and sum(map(len, chunks)) == len(samples)
         assert all(len(chunk) * tokens >= d for chunk in chunks[:-1])
 
@@ -474,6 +477,20 @@ class TestChunkedWalk:
         assert len(pipeline._walk_chunks(model, chunks[0])) == 1
         calibrate(model, chunks[0])
         assert recorded_pools == [] and seen == [2] and state == [2]  # one worker, the BLAS count as it was
+
+
+    @given(d=st.integers(2, 16), h=st.integers(2, 16), n=st.integers(1, 30), tokens=st.integers(1, 20),
+           chunk_bytes=st.integers(8, 8 * 16 * 64))
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_are_consecutive_slices_of_one_size(self, d, h, n, tokens, chunk_bytes):
+        model, _ = gen_synthetic(seed=0, blocks=1, d=d, h=h, n_samples=1, tokens=1)
+        samples = np.arange(n * tokens * d, dtype=np.float64).reshape(n, tokens, d)
+        with mock.patch.object(pipeline, "CHUNK_BYTES", chunk_bytes):
+            chunks = pipeline._walk_chunks(model, samples)
+        size = max(1, max(chunk_bytes // (8 * max(d, h)), min(d, h)) // tokens)
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= size
+        np.testing.assert_array_equal(np.concatenate(chunks), samples)
 
 
 class TestEval:
