@@ -14,7 +14,7 @@ from .allocation import (
     normalize_importance,
 )
 from .calibration import BucketedCalib, Calibration, gram_accumulate, stack_of_batch
-from .compensation import LossTrace, compensate, plain_truncation_loss, svd_loss, update_u, update_v
+from .compensation import LossTrace, compensate, update_u, update_v
 from .errors import (
     BudgetError,
     DegenerateImportance,
@@ -26,21 +26,11 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from .linalg import (
-    EighFactors,
-    LowRankPair,
-    SvdFactors,
-    eigh_full,
-    pinv,
-    rank_for_retention,
-    svd_full,
-    truncate_absorb,
-)
+from .linalg import EighFactors, LowRankPair, eigh_full, pinv, rank_for_retention
 from .model import (
     BlockSpec,
     ModelHandle,
     ModelManifest,
-    forward,
     gen_synthetic,
     load_calibration,
     load_model,

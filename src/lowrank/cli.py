@@ -9,7 +9,6 @@ converted to a retention ratio at the boundary.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .pipeline import (
     PipelineConfig,
     calibrate_and_plan,
     compress_model,
+    dump_json,
     eval_compression,
     write_json,
     write_traces_csv,
@@ -143,7 +143,7 @@ def _cmd_importance(args) -> int:
     )
     model = load_model(args.model, _container_path(args.model))
     _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
-    print(json.dumps(plan.to_json(), indent=2))
+    print(dump_json(plan.to_json(), "the plan"))
     return 0
 
 
@@ -157,7 +157,7 @@ def _cmd_eval(args) -> int:
         write_json(report.to_json(), args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(report.to_json(), indent=2))
+        print(dump_json(report.to_json(), "the eval report"))
     return 0
 
 

@@ -61,8 +61,8 @@ so a loss costs r x k work once K and B are formed, and the
 ``normal_equations`` formed at each new M are the system the next
 ``update_u`` solves. The identity's rounding error scales with c rather
 than with the loss, so a near-exact fit (loss below ~1e-13 * c) reads as
-rounding noise. ``svd_loss`` keeps the direct form, on the input Gram G, as
-the reference.
+rounding noise. The tests check it against the direct form on the input
+Gram G, ``svd_loss`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .linalg import LowRankPair, eigh_full, pinv, svd_full, truncate_absorb
+from .linalg import LowRankPair, eigh_full, pinv
 
 
 @dataclass
@@ -81,16 +81,6 @@ class LossTrace:
 
     initial: float
     per_half_step: list[float] = field(default_factory=list)
-
-
-def svd_loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
-    """tr(E @ G @ E.T) with E = U @ Vt - W: the squared norm of (U @ Vt - W) @ X."""
-    m, n = w.shape
-    if pair.u_sigma.shape[0] != m or pair.vt_sigma.shape[1] != n:
-        raise ShapeError(f"factor pair {pair.shape} does not match matrix {w.shape}")
-    _check_gram(g, n)
-    e = pair.product() - w
-    return float(np.sum((e @ g) * e))
 
 
 def _check_gram(g: np.ndarray, side: int) -> None:
@@ -245,8 +235,3 @@ def initialize_pair(
     inverse[keep] = 1.0 / root[keep]
     z = f.z[:, :k]
     return z * root, (z * inverse).T
-
-
-def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:
-    """Data-space loss of unwhitened, uncompensated rank-k truncation (baseline), on the input Gram G."""
-    return svd_loss(truncate_absorb(svd_full(w), k), w, g)

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: SVD, symmetric eigh, truncation, pseudoinverse, rank budget."""
+"""Dense linear-algebra kernels: symmetric eigh, pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -8,15 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RankError
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``a = u @ diag(sigma) @ vt`` with sigma non-increasing."""
-
-    u: np.ndarray        # m x r
-    sigma: np.ndarray    # r, non-negative, sorted descending
-    vt: np.ndarray       # r x n
 
 
 @dataclass(frozen=True)
@@ -57,20 +48,6 @@ class LowRankPair:
         return self.u_sigma.size + self.vt_sigma.size
 
 
-def svd_full(a: np.ndarray) -> SvdFactors:
-    """Thin SVD of a finite-valued matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise NumericalError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix contains non-finite entries")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=u, sigma=s, vt=vt)
-
-
 def eigh_full(a: np.ndarray) -> EighFactors:
     """Eigendecomposition of a finite-valued symmetric matrix, read from its lower triangle."""
     a = np.asarray(a, dtype=np.float64)
@@ -86,25 +63,22 @@ def eigh_full(a: np.ndarray) -> EighFactors:
     return EighFactors(z=z[:, order], lam=lam[order])
 
 
-def truncate_absorb(f: SvdFactors, k: int) -> LowRankPair:
-    """Keep the top-k singular triplets and absorb ``sqrt(sigma_k)`` into both factors."""
-    r = f.sigma.shape[0]
-    if not 1 <= k <= r:
-        raise RankError(f"rank {k} outside [1, {r}]")
-    root = np.sqrt(f.sigma[:k])
-    return LowRankPair(u_sigma=f.u[:, :k] * root, vt_sigma=root[:, None] * f.vt[:k, :])
-
-
 def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse of a finite-valued matrix via its thin SVD.
 
     Singular values ``sigma_i <= max(max(m, n) * eps * sigma_max, atol)`` are
     treated as exactly zero; an all-zero matrix yields the zero n x m matrix.
     """
     a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    f = svd_full(a)
-    return (f.vt.T * _cut_reciprocal(f.sigma, max(m, n), atol)) @ f.u.T
+    if a.ndim != 2:
+        raise NumericalError(f"expected a 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix contains non-finite entries")
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return (vt.T * _cut_reciprocal(s, max(a.shape), atol)) @ u.T
 
 
 def _cut_reciprocal(values: np.ndarray, side: int, atol: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Model container: manifest schema, loading/saving, forward pass, synthetic generator.
+"""Model container: manifest schema, loading/saving, the block walk (``walk_blocks``), synthetic generator.
 
 A model is a stack of residual MLP blocks over a hidden dimension d. Each block
 holds two dense slots, applied to column-token activations x (d x T):
@@ -196,7 +196,7 @@ class ModelHandle:
         return sum(self.slot_param_count(b, s) for b, s in self.slot_ids())
 
 
-# --- forward pass -----------------------------------------------------------
+# --- block walk -------------------------------------------------------------
 
 
 def rms_norm(x: np.ndarray) -> np.ndarray:
@@ -271,14 +271,6 @@ def walk_blocks(model: ModelHandle, samples: np.ndarray, visit: Callable | None 
         del slot_inputs, slot_outputs
         x = y
     return x
-
-
-def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
-    """Full forward over one sample (tokens x d); returns the final (tokens x d) output.
-
-    Raises NumericalError naming the first block whose output is non-finite.
-    """
-    return walk_blocks(model, np.asarray(sample)[None]).T
 
 
 # --- validation, load, save -------------------------------------------------

@@ -62,7 +62,7 @@ from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_co
 from .calibration import Calibration, dump_activations, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .container import atomic_path
-from .errors import LowrankError, ManifestMismatch, ShapeError
+from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
 from .linalg import LowRankPair
 from .model import (
     ModelHandle,
@@ -453,6 +453,15 @@ def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
                 writer.writerow([slot, i, repr(loss)])
 
 
+def dump_json(doc: dict, name: str) -> str:
+    """``doc`` as indented JSON; NumericalError naming the output ``name`` if it holds NaN or inf."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {name}: it holds a non-finite value ({exc})") from exc
+
+
 def write_json(doc: dict, path: str | Path) -> None:
+    text = dump_json(doc, str(path))
     with atomic_path(path) as tmp:
-        tmp.write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
+        tmp.write_text(text + "\n", "utf-8")

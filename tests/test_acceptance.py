@@ -17,20 +17,13 @@ from lowrank.compensation import (
     compensate,
     initialize_pair,
     normal_equations,
-    plain_truncation_loss,
     square_problem,
-    svd_loss,
     update_u,
 )
-from lowrank.linalg import (
-    LowRankPair,
-    pinv,
-    rank_for_retention,
-    svd_full,
-    truncate_absorb,
-)
+from lowrank.linalg import LowRankPair, pinv, rank_for_retention
 from lowrank.model import gen_synthetic, save_calibration
 from lowrank.pipeline import PipelineConfig, compress_model, eval_compression
+from oracles import plain_truncation_loss, svd_full, svd_loss, truncate_absorb
 
 
 @contextmanager

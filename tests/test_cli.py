@@ -320,6 +320,30 @@ def test_nonfinite_calibration_exits_2(workspace, capsys, command, bad):
     assert not (workspace / "x").exists()
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_nonfinite_report_exits_2(workspace, capsys, to_file):
+    from lowrank.container import save_container
+
+    base = workspace / "base"
+    flags = ["--model", str(base / "model.json"), "--calib", str(base / "calib.st")]
+    assert run_cli(["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "c")]) == 0
+    # Finite calibration whose norms overflow: eval's output cosine is NaN.
+    save_container(workspace / "big.st", {"samples": load_container(base / "calib.st")["samples"] * 1e160})
+    report = workspace / "report.json"
+    argv = [
+        "eval", "--model", str(base / "model.json"), "--compressed", str(workspace / "c" / "model.json"),
+        "--calib", str(workspace / "big.st"), *(["--out", str(report)] if to_file else []),
+    ]
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: cannot write ")
+    assert "NaN" not in captured.out
+    assert sorted(p.name for p in workspace.iterdir()) == ["base", "big.st", "c"]
+
+
 def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):
     import threading
 

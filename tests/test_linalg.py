@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowrank
+import lowrank.compensation
+import lowrank.model
 from lowrank.errors import NumericalError, RankError
-from lowrank.linalg import (
-    eigh_full,
-    pinv,
-    rank_for_retention,
-    svd_full,
-    truncate_absorb,
-)
+from lowrank.linalg import eigh_full, pinv, rank_for_retention
+from oracles import svd_full, truncate_absorb
 
 
 class TestSvdFull:
@@ -153,6 +151,23 @@ class TestPinv:
         assert out.shape == (6, 4)
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(3)],
+        ids=["nan", "inf", "1-d"],
+    )
+    def test_bad_input_rejected(self, a):
+        with pytest.raises(NumericalError):
+            pinv(a)
+
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        def fail(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError):
+            pinv(np.eye(3))
+
     def test_moore_penrose_conditions(self, rng):
         a = rng.normal(size=(6, 4))
         ap = pinv(a)
@@ -161,6 +176,12 @@ class TestPinv:
         assert np.linalg.norm(ap @ a @ ap - ap) <= scale
         assert np.linalg.norm((a @ ap).T - a @ ap) <= scale
         assert np.linalg.norm((ap @ a).T - ap @ a) <= scale
+
+
+@pytest.mark.parametrize("module", [lowrank, lowrank.linalg, lowrank.compensation, lowrank.model])
+def test_no_test_oracle_is_in_the_package(module):
+    moved = {"SvdFactors", "svd_full", "truncate_absorb", "svd_loss", "plain_truncation_loss", "forward"}
+    assert not {name for name in moved if hasattr(module, name)}
 
 
 class TestRankForRetention:

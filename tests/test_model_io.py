@@ -12,11 +12,10 @@ from lowrank.allocation import BlockPlan, CompressionPlan
 from lowrank import container
 from lowrank.container import load_container
 from lowrank.errors import FormatError, IoError, LowrankError, ManifestMismatch, ShapeError
-from lowrank.linalg import LowRankPair, svd_full, truncate_absorb
+from lowrank.linalg import LowRankPair
 from lowrank.model import (
     ModelHandle,
     as_compressed_handle,
-    forward,
     gen_synthetic,
     load_calibration,
     load_model,
@@ -25,6 +24,7 @@ from lowrank.model import (
     slot_name,
     walk_blocks,
 )
+from oracles import forward, svd_full, truncate_absorb
 from strategies import JSON_VALUES
 
 

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank import pipeline
-from lowrank.compensation import plain_truncation_loss
 from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
-from lowrank.model import forward, gen_synthetic, save_calibration, slot_name, walk_blocks
+from lowrank.model import gen_synthetic, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
 from lowrank.runtime import BlasControl, blas_controls
 from lowrank.pipeline import (
@@ -23,6 +22,7 @@ from lowrank.pipeline import (
     split_calibration,
     write_traces_csv,
 )
+from oracles import forward, plain_truncation_loss
 
 
 def fake_controls(*counts):
