@@ -3,17 +3,30 @@
 The JSON header maps tensor name -> {"dtype": "F32"|"F64", "shape": [...],
 "data_offsets": [begin, end]} with offsets relative to the end of the header.
 Tensor data is row-major, little-endian. Write order follows dict insertion
-order, so a load/save round trip is byte-identical.
+order, so a load/save round trip is byte-identical. The writer pads the
+header with ASCII spaces (counted in its length) so that the data starts at a
+multiple of 8 bytes into the file.
+
+A load maps the file read-only and returns each tensor as a view into the
+map, so no payload byte is copied and the pages are read as they are used. A
+tensor whose file offset is not a multiple of its itemsize (as in files
+written before the padding, or after an F32 tensor of odd length) is copied
+into aligned memory. Every loaded tensor is read-only. The map lives as long
+as any of its views.
 
 Every output file is written through ``atomic_path``: to a temp name beside
 it, then moved onto it with ``os.replace``, so a failed or interrupted write
-leaves the previous file as it was.
+leaves the previous file as it was. Replacing a file gives it a new inode, so
+a run may write over the very files it has mapped. Rewriting or truncating a
+mapped file in place (rather than replacing it) while a run reads it can kill
+that run with SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import uuid
@@ -26,6 +39,7 @@ from .errors import FormatError, IoError
 
 _DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _DTYPE_TAGS = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
+_ALIGN = 8  # the payload's start in the file, as a multiple of this
 
 
 def dtype_tag(arr: np.ndarray) -> str:
@@ -69,6 +83,7 @@ def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         end += data.nbytes
         blocks.append(data)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    blob += b" " * (-(8 + len(blob)) % _ALIGN)
     try:
         with atomic_path(path) as tmp, open(tmp, "xb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
@@ -80,37 +95,45 @@ def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_container(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container; returns tensors in file order, in their stored dtype.
+    """Map a container read-only; returns tensors in file order, in their stored dtype.
 
-    Each tensor's byte range is read straight into its own array, so a load
-    holds one copy of the payload.
+    Each tensor is a read-only view into the map, or a read-only aligned copy
+    if its file offset is not a multiple of its itemsize. Every header check
+    runs before any view is made.
     """
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            prefix = fh.read(8)
-            if len(prefix) < 8:
+            if os.fstat(fh.fileno()).st_size < 8:
                 raise FormatError(f"{path}: file too short for a container header")
-            (header_len,) = struct.unpack("<Q", prefix)
-            if 8 + header_len > size:
-                raise FormatError(f"{path}: declared header length {header_len} exceeds file size")
             try:
-                header = json.loads(fh.read(header_len).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                raise FormatError(f"{path}: unreadable container header: {exc}") from exc
-            if not isinstance(header, dict):
-                raise FormatError(f"{path}: container header must be a JSON object")
-            start, length = 8 + header_len, size - 8 - header_len  # the payload's range
-            return {name: _read_entry(path, fh, name, entry, start, length) for name, entry in header.items()}
+                view = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), dtype=np.uint8)
+            except (OSError, ValueError) as exc:
+                raise IoError(f"cannot map container {path}: {exc}") from exc
     except OSError as exc:
         raise IoError(f"cannot read container {path}: {exc}") from exc
+    (header_len,) = struct.unpack("<Q", view[:8])
+    if 8 + header_len > len(view):
+        raise FormatError(f"{path}: declared header length {header_len} exceeds file size")
+    try:
+        header = json.loads(view[8 : 8 + header_len].tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: unreadable container header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: container header must be a JSON object")
+    payload = view[8 + header_len :]
+    entries = {name: _check_entry(path, name, entry, len(payload)) for name, entry in header.items()}
+    return {
+        name: _aligned(payload[begin:end].view(dtype).reshape(shape))
+        for name, (dtype, shape, begin, end) in entries.items()
+    }
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _read_entry(path, fh, name: str, entry, start: int, length: int) -> np.ndarray:
+def _check_entry(path, name: str, entry, length: int) -> tuple[np.dtype, list[int], int, int]:
+    """(dtype, shape, begin, end) of a header entry whose range lies within ``length`` payload bytes."""
     try:
         tag = entry["dtype"]
         shape = entry["shape"]
@@ -133,9 +156,13 @@ def _read_entry(path, fh, name: str, entry, start: int, length: int) -> np.ndarr
             f"{path}: tensor {name!r} holds {end - begin} bytes, "
             f"shape {shape} ({tag}) requires {expected}"
         )
-    buf = np.empty(expected, dtype=np.uint8)
-    fh.seek(start + begin)
-    got = fh.readinto(buf)  # a buffered read fills buf unless the file ends first
-    if got != expected:
-        raise FormatError(f"{path}: tensor {name!r} is cut short after {got} of {expected} bytes")
-    return buf.view(dtype).reshape(shape)
+    return dtype, shape, begin, end
+
+
+def _aligned(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a read-only copy in aligned memory if its address is not aligned for its dtype."""
+    if arr.flags.aligned:
+        return arr
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr

@@ -137,10 +137,11 @@ def slot_name(block_id: int, slot: str) -> str:
 
 @dataclass
 class ModelHandle:
-    """An in-memory model: manifest plus float64 working copies of all tensors.
+    """An in-memory model: manifest plus every tensor as float64.
 
     ``storage_dtypes`` remembers each tensor's on-disk dtype tag so a save
-    round-trips bit-identically. Treat a loaded handle as immutable.
+    round-trips bit-identically. Treat a loaded handle as immutable: its F64
+    tensors are read-only views into the mapped container.
     """
 
     manifest: ModelManifest
@@ -327,7 +328,7 @@ def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHandle:
-    """Load and validate a model; tensors are materialized as float64 working copies."""
+    """Load and validate a model; F64 tensors are read-only views into the mapped container."""
     try:
         doc = json.loads(Path(manifest_path).read_text("utf-8"))
     except OSError as exc:
@@ -454,7 +455,7 @@ def save_calibration(path: str | Path, samples: np.ndarray) -> None:
 
 
 def load_calibration(path: str | Path) -> np.ndarray:
-    """Read the calibration tensor; validates rank-3 shape."""
+    """Read the calibration tensor (a read-only view into the mapped file if F64); validates rank-3 shape."""
     tensors = load_container(path)
     if "samples" not in tensors:
         raise ManifestMismatch(f"{path}: calibration container lacks a 'samples' tensor")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -198,7 +199,7 @@ def calibrate_and_plan(
     cfg.validate()
     fit_samples = split_calibration(_load_samples(model, calib_file))[0]
     bucketed = stack_of_batch(fit_samples, cfg.bucket_size, cfg.seed)
-    del fit_samples  # the buckets are copies; free the loaded samples before the walk
+    del fit_samples  # the buckets are copies; drop the mapped samples before the walk
     calibration = calibrate(model, bucketed.buckets, with_grams)
     plan = build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
     return calibration, plan
@@ -213,7 +214,8 @@ def compress_model(
     """Run the whole compression pipeline; deterministic for fixed inputs and seed.
 
     With ``dump_path``, the calibration product (slot Grams and block
-    importances) is also written there as a tensor container.
+    importances) is also written there as a tensor container. A NaN or inf
+    loss in any slot's trace is a NumericalError (see ``check_traces``).
     """
     calibration, plan = calibrate_and_plan(model, calib_file, cfg)
     grams = calibration.grams
@@ -246,6 +248,7 @@ def compress_model(
     for (name, _, _), (pair, trace) in zip(tasks, results):
         factors[name] = pair
         traces[name] = trace
+    check_traces(traces)
     compressed = as_compressed_handle(model, plan, factors)
     return compressed, plan, traces
 
@@ -442,8 +445,20 @@ def _histogram_overlap(a: np.ndarray, b: np.ndarray) -> float:
 # --- report emission ----------------------------------------------------------
 
 
+def check_traces(traces: dict[str, LossTrace]) -> None:
+    """NumericalError naming the first slot and half-step whose loss is NaN or inf."""
+    for slot, trace in traces.items():
+        for step, loss in enumerate([trace.initial, *trace.per_half_step]):
+            if not math.isfinite(loss):
+                raise NumericalError(f"slot {slot}: half-step {step} has a non-finite loss ({loss!r})")
+
+
 def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
-    """Per-slot loss trace: one row per half-step, half_step 0 is the initial loss."""
+    """Per-slot loss trace: one row per half-step, half_step 0 is the initial loss.
+
+    A non-finite loss is a NumericalError, raised before any file is made.
+    """
+    check_traces(traces)
     with atomic_path(path) as tmp, open(tmp, "x", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "half_step", "loss"])

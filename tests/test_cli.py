@@ -51,6 +51,41 @@ def test_compress_happy_path(workspace, capsys):
     assert compressed.param_count() < 4 * 2 * 32 * 64
 
 
+def test_compress_may_write_over_the_model_it_maps(workspace):
+    base = workspace / "base"
+    args = [
+        "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+        "--target-retention", "0.6", "--mrr", "0.5", "--seed", "3",
+    ]
+    assert run_cli([*args, "--out", str(workspace / "fresh")]) == 0
+    # the outputs replace the model.json and model.st this run has loaded (and mapped)
+    assert run_cli([*args, "--out", str(base)]) == 0
+    for name in ("model.json", "model.st", "plan.json", "traces.csv"):
+        assert (base / name).read_bytes() == (workspace / "fresh" / name).read_bytes()
+
+
+def test_nonfinite_loss_trace_exits_2_and_writes_nothing(workspace, capsys, monkeypatch):
+    import lowrank.pipeline
+
+    compensate = lowrank.pipeline.compensate
+
+    def nan_trace(*args, **kwargs):
+        pair, trace = compensate(*args, **kwargs)
+        trace.per_half_step[-1] = float("nan")
+        return pair, trace
+
+    monkeypatch.setattr(lowrank.pipeline, "compensate", nan_trace)
+    base = workspace / "base"
+    capsys.readouterr()
+    code = run_cli([
+        "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+        "--target-retention", "0.6", "--out", str(workspace / "x"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical error: slot blocks.0.w1: half-step 2 has a non-finite loss (nan)\n"
+    assert not (workspace / "x").exists()
+
+
 def test_compression_ratio_flag_converts(workspace):
     out = workspace / "out_cr"
     code = run_cli([

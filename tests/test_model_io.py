@@ -131,6 +131,20 @@ class TestLoadSave:
         assert (tmp_path / "a.st").read_bytes() == (tmp_path / "b.st").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_save_over_the_loaded_files(self, tmp_path):
+        model, _ = gen_synthetic(seed=5, blocks=2, d=8, h=16)
+        save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        before = (tmp_path / "m.st").read_bytes()
+        loaded = load_model(tmp_path / "m.json", tmp_path / "m.st")
+        assert not any(arr.flags.writeable for arr in loaded.tensors.values())  # views into the mapped file
+        save_model(loaded, tmp_path / "m.json", tmp_path / "m.st")  # replaces the mapped file
+        for name in model.tensors:
+            np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
+        assert (tmp_path / "m.st").read_bytes() == before
+        again = load_model(tmp_path / "m.json", tmp_path / "m.st")
+        for name in model.tensors:
+            np.testing.assert_array_equal(again.tensors[name], model.tensors[name])
+
     def test_f32_storage_round_trip(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
         model.storage_dtypes = {name: "F32" for name in model.tensors}

@@ -14,6 +14,7 @@ from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
 from lowrank.model import gen_synthetic, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
 from lowrank.runtime import BlasControl, blas_controls
+from lowrank.compensation import LossTrace
 from lowrank.pipeline import (
     PipelineConfig,
     calibrate,
@@ -632,3 +633,14 @@ def test_traces_csv_round_trip(tmp_path, small_setup):
     assert [r[1] for r in rows] == ["0", "1", "2"]
     assert float(rows[0][2]) == traces[name].initial
     assert float(rows[1][2]) == traces[name].per_half_step[0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("step", [0, 2])
+def test_nonfinite_trace_writes_no_csv(tmp_path, bad, step):
+    losses = [1.0, 0.5, 0.25]
+    losses[step] = bad
+    traces = {"blocks.0.w1": LossTrace(1.0, [0.5]), "blocks.1.w2": LossTrace(losses[0], losses[1:])}
+    with pytest.raises(NumericalError, match=f"slot blocks.1.w2: half-step {step} has a non-finite loss"):
+        write_traces_csv(traces, tmp_path / "traces.csv")
+    assert list(tmp_path.iterdir()) == []
