@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateImportance, ShapeError
 from .linalg import rank_for_retention
-from .model import BLOCK_SLOTS, ModelHandle, slot_name
+from .model import BLOCK_SLOTS, ModelHandle, slot_name, token_squares
 
 IMPORTANCE_MODES = ("cos", "one_minus_cos")
 BUDGET_TOL = 0.01  # fraction of trr
@@ -73,10 +73,17 @@ class CompressionPlan:
         }
 
 
-def column_cosines(block_in: np.ndarray, block_out: np.ndarray) -> np.ndarray:
+def column_cosines(
+    block_in: np.ndarray,
+    block_out: np.ndarray,
+    in_squares: np.ndarray | None = None,
+    out_squares: np.ndarray | None = None,
+) -> np.ndarray:
     """Cosine similarity between each input token column and its output column.
 
-    A zero-norm column gets similarity 0.
+    ``in_squares`` and ``out_squares`` are ``token_squares`` of the two
+    matrices, formed here unless the caller has them. A zero-norm column gets
+    similarity 0.
     """
     block_in = np.asarray(block_in, dtype=np.float64)
     block_out = np.asarray(block_out, dtype=np.float64)
@@ -84,8 +91,12 @@ def column_cosines(block_in: np.ndarray, block_out: np.ndarray) -> np.ndarray:
         raise ShapeError(f"input {block_in.shape} and output {block_out.shape} shapes differ")
     if block_in.ndim != 2 or block_in.shape[1] < 1:
         raise ShapeError(f"expected matrices with >= 1 token column, got shape {block_in.shape}")
+    if in_squares is None:
+        in_squares = token_squares(block_in)
+    if out_squares is None:
+        out_squares = token_squares(block_out)
     num = np.sum(block_in * block_out, axis=0)
-    denom = np.linalg.norm(block_in, axis=0) * np.linalg.norm(block_out, axis=0)
+    denom = np.sqrt(in_squares) * np.sqrt(out_squares)
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 

@@ -8,6 +8,15 @@ holds two dense slots, applied to column-token activations x (d x T):
 A slot is represented by exactly one of a dense matrix or an absorbed low-rank
 pair (u: m x k, vt: k x n). All tensors live in a companion container file; the
 manifest (JSON) names them.
+
+``walk_blocks`` is the one forward. It calls a slot visitor right after each
+slot's product and a block visitor once y is formed, and reuses each
+activation's memory as soon as its last reader is done: act() overwrites the
+pre-activation, and y overwrites the update. So a visitor reads what it is
+handed during the call and keeps none of it. Each token's sum of squares is
+formed once per activation; it feeds the next block's ``rms_norm``, the
+block visitor (for the importance cosines) and the walk's one finiteness
+check.
 """
 
 from __future__ import annotations
@@ -200,41 +209,47 @@ class ModelHandle:
 # --- block walk -------------------------------------------------------------
 
 
-def rms_norm(x: np.ndarray) -> np.ndarray:
-    """Per-column RMS normalization of a (d x T) activation matrix."""
-    scale = np.sqrt(np.mean(np.square(x), axis=0, keepdims=True) + RMS_EPS)
-    return x / scale
+def token_squares(x: np.ndarray) -> np.ndarray:
+    """Each token's sum of squares: the column sums of x**2 of a (d x T) activation matrix.
+
+    Summed under ``np.errstate(over="ignore")``, so a column with
+    |x| >~ 1.3e154 gives inf without a warning; the walk raises for it.
+    """
+    with np.errstate(over="ignore"):
+        return np.add.reduce(np.square(x), axis=0)
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
+def rms_norm(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """Per-column RMS normalization of a (d x T) activation matrix.
+
+    ``squares`` is ``token_squares(x)``, formed here unless the caller has it.
+    """
+    if squares is None:
+        squares = token_squares(x)
+    return x / np.sqrt(squares / x.shape[0] + RMS_EPS)
+
+
+def apply_activation(name: str, x: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """The activation of x; with ``in_place`` it overwrites x and returns it (the same bits)."""
+    out = x if in_place else None
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if name == "gelu":
         # Imported here: erf is the package's only use of scipy. Importing
         # scipy.special takes most of `import lowrank`'s time, about doubles
         # its memory and loads scipy's own OpenBLAS; relu and identity skip it.
         from scipy.special import erf
 
-        return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        # 0.5 * x * (1 + erf(x / sqrt(2))), evaluated in that order, with one temporary
+        phi = np.divide(x, np.sqrt(2.0))
+        erf(phi, out=phi)
+        phi += 1.0
+        out = np.multiply(x, 0.5, out=out)
+        out *= phi
+        return out
     if name == "identity":
         return x
     raise FormatError(f"unknown activation {name!r}")
-
-
-def block_forward(
-    model: ModelHandle, block_id: int, x: np.ndarray
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """One residual block on column tokens x (d x T).
-
-    Returns ({slot: input}, {slot: output}, y): w1 reads the normalized input
-    and outputs the pre-activation, w2 reads the post-activation hidden state
-    and outputs the product added to the residual, and y is the block output.
-    """
-    x_norm = rms_norm(x)
-    pre = model.apply_slot(block_id, "w1", x_norm)
-    hidden = apply_activation(model.manifest.activation, pre)
-    update = model.apply_slot(block_id, "w2", hidden)
-    return {"w1": x_norm, "w2": hidden}, {"w1": pre, "w2": update}, x + update
 
 
 def as_samples(model: ModelHandle, samples: np.ndarray) -> np.ndarray:
@@ -246,31 +261,69 @@ def as_samples(model: ModelHandle, samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def walk_blocks(model: ModelHandle, samples: np.ndarray, visit: Callable | None = None) -> np.ndarray:
+def _checked_squares(x: np.ndarray, block_id: int) -> np.ndarray:
+    """``token_squares(x)``; NumericalError naming the block if one of them is not finite."""
+    squares = token_squares(x)
+    if not np.all(np.isfinite(squares)):
+        if np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"activations overflow in block {block_id}: a token's sum of squares exceeds 1.8e308"
+            )
+        raise NumericalError(f"non-finite activations in block {block_id}")
+    return squares
+
+
+def walk_blocks(
+    model: ModelHandle,
+    samples: np.ndarray,
+    visit_slot: Callable | None = None,
+    visit_block: Callable | None = None,
+) -> np.ndarray:
     """Run the model forward block by block over every token of ``samples``.
 
     ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
-    samples. Calls ``visit(block_id, block input, {slot: slot input}, {slot:
-    slot output}, block output)`` per block, columns being all tokens in
-    sample order, and returns the last block's output (d x tokens). The first
-    block's input is a view of ``samples``, so a visitor must not write to it.
-    Only one block's token matrices are alive at a time. Raises ShapeError
-    for no samples or another shape, and NumericalError naming the block if
-    the forward produces non-finite values.
+    samples; the columns of every activation are all tokens in sample order.
+    Returns the last block's output (d x tokens). Per block, right after
+    each slot's product, calls ``visit_slot(block_id, slot, x, out)``: w1
+    with (rms_norm(block input), pre-activation), then w2 with (hidden state,
+    update). Once the block output y = x + update is formed, calls
+    ``visit_block(block_id, x, y, x_squares, y_squares)``, the last two being
+    ``token_squares`` of x and y, which the next block's ``rms_norm`` reads
+    too.
+
+    Each activation lives only until its last reader is done: the hidden
+    state overwrites the pre-activation, and y overwrites the update. So a
+    visitor must not write to, or keep, an array it is handed once it
+    returns; the first block's input is moreover a view of ``samples``.
+
+    Raises ShapeError for no samples or another shape, and NumericalError
+    naming the block whose input or output has a non-finite token, or a
+    token whose sum of squares overflows. Only those sums are checked: a
+    slot visitor can see non-finite values that the block then reports.
     """
     samples = as_samples(model, samples)
     # Every block op is per-column, so one pass over all token columns equals
     # a sample-by-sample forward. The transposed view is F-ordered; a copy to
     # C order would move the last bits of the block GEMMs.
     x = samples.reshape(-1, model.hidden_dim).T
+    x_squares = _checked_squares(x, model.manifest.blocks[0].block_id)
     for block in model.manifest.blocks:
-        slot_inputs, slot_outputs, y = block_forward(model, block.block_id, x)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"non-finite activations in block {block.block_id}")
-        if visit is not None:
-            visit(block.block_id, x, slot_inputs, slot_outputs, y)
-        del slot_inputs, slot_outputs
-        x = y
+        block_id = block.block_id
+        x_norm = rms_norm(x, x_squares)
+        pre = model.apply_slot(block_id, "w1", x_norm)
+        if visit_slot is not None:
+            visit_slot(block_id, "w1", x_norm, pre)
+        del x_norm
+        hidden = apply_activation(model.manifest.activation, pre, in_place=True)
+        update = model.apply_slot(block_id, "w2", hidden)
+        if visit_slot is not None:
+            visit_slot(block_id, "w2", hidden, update)
+        del pre, hidden
+        update += x
+        y, y_squares = update, _checked_squares(update, block_id)
+        if visit_block is not None:
+            visit_block(block_id, x, y, x_squares, y_squares)
+        x, x_squares = y, y_squares
     return x
 
 

@@ -22,17 +22,22 @@ dimension (max of d and every h) and ``narrow`` the widest narrow-side Gram
 side (max over slots of min(m, n)), the chunk width is
 max(CHUNK_BYTES // (8 * wide), narrow) tokens, and every chunk but the last
 holds max(1, width // tokens) buckets: its token matrices stay near cache
-size, and the width is never narrower than the Gram it feeds. Each chunk
-returns its own slot Grams, every slot's share of ||X||_F^2 / n, and
-per-column importance cosines. The calling thread adds the Grams and shares
-and joins the cosines in chunk order, so none of them depends on the worker
-count.
+size, and the width is never narrower than the Gram it feeds. The walk
+hands each slot's input and output to a visitor right after the slot's
+product, and overwrites them once the visit returns (see
+``model.walk_blocks``). The visitor forms the chunk's slot Gram there and
+hands it at once to a lock-guarded merge, which adds chunk i's Gram only
+after chunk i - 1's and holds one that arrives early until its turn; no
+worker waits, and no chunk keeps its Grams. Each chunk returns only every
+slot's share of ||X||_F^2 / n and every block's per-column importance
+cosines, which the calling thread adds and joins in chunk order. So none of
+them depends on the worker count or on the order in which chunks finish.
 
 Evaluation walks the held-out samples in chunks of the same width, as a
 pool stage of its own. Each eval chunk walks the original model, adding
-up every slot's ||W_hat x - W x||^2 and ||W x||^2, then walks the compressed
-model over the same samples; the calling thread adds the sums and joins both
-outputs in chunk order.
+up every slot's ||W_hat x - W x||^2 and ||W x||^2 in the slot visits, then
+walks the compressed model over the same samples; the calling thread adds
+the sums and joins both outputs in chunk order.
 
 The walk chunks and the slot refits are both too small to scale across BLAS
 threads, so each of these pool stages sets its own thread counts at run
@@ -138,42 +143,71 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
     ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
     samples. With ``with_grams=False`` the walk keeps only the importances,
     and the Gram and mean-diagonal dicts are empty. The samples are walked in
-    chunks on the pinned-BLAS worker pool (see the module docstring).
+    chunks on the pinned-BLAS worker pool, and each chunk's Grams are merged
+    as they form (see the module docstring).
     """
     samples = as_samples(model, samples)
+    grams = _OrderedSum()
 
-    def walk_chunk(chunk):
-        grams: dict[str, np.ndarray] = {}
+    def walk_chunk(task):
+        index, chunk = task
         scales: dict[str, float] = {}
         cosines: dict[int, np.ndarray] = {}
 
-        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-            if with_grams:
-                for slot, x in slot_inputs.items():
-                    name, out = slot_name(block_id, slot), slot_outputs[slot]
-                    # wide: the m x m Gram of its outputs
-                    grams[name] = gram_accumulate(out if out.shape[0] < x.shape[0] else x)
-                    scales[name] = float(np.vdot(x, x)) / x.shape[0]
-            cosines[block_id] = column_cosines(x_in, y)
+        def visit_slot(block_id, slot, x, out):
+            name = slot_name(block_id, slot)
+            try:
+                gram = gram_accumulate(out if out.shape[0] < x.shape[0] else x)  # wide: the Gram of its outputs
+            except NumericalError as exc:
+                raise NumericalError(f"non-finite activations in block {block_id}") from exc
+            grams.add(name, index, gram)
+            scales[name] = float(np.vdot(x, x)) / x.shape[0]
 
-        walk_blocks(model, chunk, visit)
-        return grams, scales, cosines
+        def visit_block(block_id, x, y, x_squares, y_squares):
+            cosines[block_id] = column_cosines(x, y, x_squares, y_squares)
 
-    grams: dict[str, np.ndarray] = {}
+        walk_blocks(model, chunk, visit_slot if with_grams else None, visit_block)
+        return scales, cosines
+
     mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
-    for part_grams, part_scales, part_cosines in _pool_run(walk_chunk, _walk_chunks(model, samples)):
-        for name, g in part_grams.items():
-            if name in grams:
-                grams[name] += g
-            else:
-                grams[name] = g
+    for part_scales, part_cosines in _pool_run(walk_chunk, list(enumerate(_walk_chunks(model, samples)))):
         for name, scale in part_scales.items():
             mean_diag[name] = mean_diag.get(name, 0.0) + scale
         for block_id, cos in part_cosines.items():
             cosines.setdefault(block_id, []).append(cos)
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
-    return Calibration(grams, mean_diag, importances)
+    return Calibration(grams.sums, mean_diag, importances)
+
+
+class _OrderedSum:
+    """Per-name sums of terms that pool workers hand in, in any order, each tagged with its chunk index.
+
+    Chunk i's term for a name is added only after chunk i - 1's; a term that
+    arrives before its turn is held here until then, so no worker waits on
+    another. Each sum is bit for bit that of adding the chunks in order, and
+    chunk 0's term becomes the sum array itself.
+    """
+
+    def __init__(self) -> None:
+        self.sums: dict[str, np.ndarray] = {}
+        self._next: dict[str, int] = {}  # name: chunk index of the next term to add
+        self._early: dict[tuple[str, int], np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def add(self, name: str, index: int, term: np.ndarray) -> None:
+        with self._lock:
+            if index != self._next.get(name, 0):
+                self._early[name, index] = term
+                return
+            while term is not None:
+                if index == 0:
+                    self.sums[name] = term
+                else:
+                    self.sums[name] += term
+                index += 1
+                term = self._early.pop((name, index), None)
+            self._next[name] = index
 
 
 def _walk_chunks(model: ModelHandle, samples: np.ndarray) -> list[np.ndarray]:
@@ -355,7 +389,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     The scored samples are walked in chunks on the pinned-BLAS worker pool,
     as calibration's are (see the module docstring). Each chunk walks the
     original model, adding up every slot's ||W_hat x - W x||^2 and ||W x||^2
-    as it goes, then walks the compressed model over the same samples. The
+    in the slot visits, then walks the compressed model over the same samples. The
     calling thread adds the sums and joins both outputs in chunk order, so
     no result depends on the worker count. Every squared norm is summed by
     ``einsum``, not by the BLAS, whose order of summation can follow its
@@ -371,14 +405,12 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     def walk_chunk(chunk):
         sums: dict[str, tuple[float, float]] = {}  # slot: (||W_hat x - W x||^2, ||W x||^2)
 
-        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-            for slot, x in slot_inputs.items():
-                wx = slot_outputs[slot]
-                diff = compressed.apply_slot(block_id, slot, x)
-                diff -= wx
-                sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
+        def visit_slot(block_id, slot, x, wx):
+            diff = compressed.apply_slot(block_id, slot, x)
+            diff -= wx
+            sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
 
-        out_orig = walk_blocks(original, chunk, visit)
+        out_orig = walk_blocks(original, chunk, visit_slot)
         return sums, out_orig, walk_blocks(compressed, chunk)
 
     totals: dict[str, tuple[float, float]] = {}

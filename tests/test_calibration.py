@@ -1,3 +1,4 @@
+import warnings
 import math
 
 import numpy as np
@@ -138,11 +139,10 @@ class TestCaptureActivations:
         mean_diag = calibrate(model, list(calib)).mean_diag
         expected = {}
 
-        def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-            for slot, x in slot_inputs.items():
-                expected[slot_name(block_id, slot)] = float(np.mean(np.diag(x @ x.T)))
+        def visit_slot(block_id, slot, x, out):
+            expected[slot_name(block_id, slot)] = float(np.mean(np.diag(x @ x.T)))
 
-        walk_blocks(model, list(calib), visit)
+        walk_blocks(model, list(calib), visit_slot)
         assert sorted(mean_diag) == sorted(expected) == ["blocks.0.w1", "blocks.0.w2", "blocks.1.w1", "blocks.1.w2"]
         for name, value in expected.items():
             assert mean_diag[name] == pytest.approx(value, rel=1e-13, abs=0)
@@ -189,6 +189,17 @@ class TestCaptureActivations:
             with pytest.raises(NumericalError, match="block 1"):
                 calibrate(model, [calib[0]])
 
+
+    def test_overflowing_tokens_name_the_block(self):
+        """A token whose sum of squares overflows is a NumericalError naming the block, with no warning."""
+        model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="activations overflow in block 0"):
+                calibrate(model, calib * 1e160)
+            model.tensors["blocks.1.w2"] = model.tensors["blocks.1.w2"] * 1e160
+            with pytest.raises(NumericalError, match="activations overflow in block 1"):
+                walk_blocks(model, calib)
 
 class TestGram:
     def test_identity(self):

@@ -356,27 +356,64 @@ def test_nonfinite_calibration_exits_2(workspace, capsys, command, bad):
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_nonfinite_report_exits_2(workspace, capsys, to_file):
-    from lowrank.container import save_container
+def test_nonfinite_report_exits_2(workspace, capsys, monkeypatch, to_file):
+    import lowrank.cli
 
     base = workspace / "base"
     flags = ["--model", str(base / "model.json"), "--calib", str(base / "calib.st")]
     assert run_cli(["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "c")]) == 0
-    # Finite calibration whose norms overflow: eval's output cosine is NaN.
-    save_container(workspace / "big.st", {"samples": load_container(base / "calib.st")["samples"] * 1e160})
+    eval_compression = lowrank.cli.eval_compression
+
+    def nan_cosine(*args, **kwargs):
+        report = eval_compression(*args, **kwargs)
+        report.output_cosine_mean = float("nan")
+        return report
+
+    monkeypatch.setattr(lowrank.cli, "eval_compression", nan_cosine)
     report = workspace / "report.json"
     argv = [
-        "eval", "--model", str(base / "model.json"), "--compressed", str(workspace / "c" / "model.json"),
-        "--calib", str(workspace / "big.st"), *(["--out", str(report)] if to_file else []),
+        "eval", *flags, "--compressed", str(workspace / "c" / "model.json"),
+        *(["--out", str(report)] if to_file else []),
     ]
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli(argv)
+    code = run_cli(argv)
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical error: cannot write ")
     assert "NaN" not in captured.out
-    assert sorted(p.name for p in workspace.iterdir()) == ["base", "big.st", "c"]
+    assert sorted(p.name for p in workspace.iterdir()) == ["base", "c"]
+
+
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_overflowing_calibration_exits_2(workspace, capsys, command):
+    """Finite calibration data whose per-token sums of squares overflow is a numerical error, with no warning."""
+    from lowrank.container import save_container
+
+    base = workspace / "base"
+    flags = ["--model", str(base / "model.json"), "--calib", str(workspace / "big.st")]
+    if command == "eval":
+        assert run_cli([
+            "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+            "--target-retention", "0.6", "--out", str(workspace / "c"),
+        ]) == 0
+        argv = ["eval", *flags, "--compressed", str(workspace / "c" / "model.json"),
+                "--out", str(workspace / "report.json")]
+    elif command == "compress":
+        argv = ["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "x")]
+    else:
+        argv = ["importance", *flags, "--target-retention", "0.6"]
+    save_container(workspace / "big.st", {"samples": load_container(base / "calib.st")["samples"] * 1e160})
+    before = sorted(p.name for p in workspace.rglob("*"))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: ") and "block 0" in captured.err
+    assert "Warning" not in captured.err and caught == []
+    assert captured.out == ""
+    assert sorted(p.name for p in workspace.rglob("*")) == before
 
 
 def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):

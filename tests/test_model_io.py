@@ -96,17 +96,50 @@ class TestGenSynthetic:
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 4) for b, s in model.slot_ids()
         }
         for handle in (model, as_compressed_handle(model, uniform_plan(model, ranks=4), factors)):
-            visited = []
+            visited, updates = [], {}
 
-            def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-                assert list(slot_outputs) == list(slot_inputs) == ["w1", "w2"]
-                for slot, x in slot_inputs.items():
-                    assert slot_outputs[slot].tobytes() == handle.apply_slot(block_id, slot, x).tobytes()
-                assert y.tobytes() == (x_in + slot_outputs["w2"]).tobytes()
+            def visit_slot(block_id, slot, x, out):
+                # at visit time: the walk overwrites w1's output and turns w2's into the block output
+                assert out.tobytes() == handle.apply_slot(block_id, slot, x).tobytes()
+                updates[slot] = out.copy()
+                visited.append((block_id, slot))
+
+            def visit_block(block_id, x_in, y, x_squares, y_squares):
+                assert y.tobytes() == (x_in + updates["w2"]).tobytes()
                 visited.append(block_id)
 
-            walk_blocks(handle, list(calib), visit)
-            assert visited == [0, 1, 2]
+            walk_blocks(handle, list(calib), visit_slot, visit_block)
+            assert visited == [step for b in range(3) for step in ((b, "w1"), (b, "w2"), b)]
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
+    def test_walk_overwrites_each_activation(self, activation):
+        """The hidden state is w1's output overwritten, and the block output is w2's."""
+        model, calib = gen_synthetic(seed=4, blocks=2, d=8, h=16, n_samples=3, tokens=5, activation=activation)
+        seen = {}
+
+        def visit_slot(block_id, slot, x, out):
+            seen[block_id, slot] = x, out  # kept only to compare addresses
+
+        def visit_block(block_id, x_in, y, x_squares, y_squares):
+            assert np.shares_memory(seen[block_id, "w2"][0], seen[block_id, "w1"][1])
+            assert np.shares_memory(y, seen[block_id, "w2"][1])
+
+        walk_blocks(model, calib, visit_slot, visit_block)
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
+    def test_in_place_activation_keeps_the_bits(self, activation, order):
+        from lowrank.model import apply_activation
+
+        x = np.random.default_rng(8).normal(scale=3.0, size=(16, 40))
+        x[0, :6] = [0.0, -0.0, 40.0, -40.0, 1e-310, -1e-310]
+        x = np.asarray(x, order=order)
+        expected = apply_activation(activation, x)
+        work = x.copy(order="K")
+        out = apply_activation(activation, work, in_place=True)
+        assert out is work
+        assert out.tobytes() == expected.tobytes()
 
     def test_activation_functions(self):
         from lowrank.model import apply_activation

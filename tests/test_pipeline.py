@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -58,11 +59,10 @@ def input_grams(model, samples):
     """Every slot's input Gram X @ X.T, formed from the walk's slot inputs."""
     grams = {}
 
-    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-        for slot, x in slot_inputs.items():
-            grams[slot_name(block_id, slot)] = x @ x.T
+    def visit_slot(block_id, slot, x, out):
+        grams[slot_name(block_id, slot)] = x @ x.T
 
-    walk_blocks(model, samples, visit)
+    walk_blocks(model, samples, visit_slot)
     return grams
 
 
@@ -480,6 +480,63 @@ class TestChunkedWalk:
         assert recorded_pools == [] and seen == [2] and state == [2]  # one worker, the BLAS count as it was
 
 
+    def test_grams_do_not_depend_on_the_order_chunks_finish(self, small_setup, buckets, monkeypatch,
+                                                           recorded_pools):
+        """Chunk 0 finishes last, so every other chunk's Grams arrive first; each sum is still the serial one."""
+        model, _, _ = small_setup
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
+        serial = calibrate(model, buckets)
+
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: fake_controls(1)[0])
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        others_done, finished = threading.Event(), []
+        walk = pipeline.walk_blocks
+
+        def chunk_zero_last(model, chunk, *visitors):
+            first = np.shares_memory(chunk, buckets[0])
+            if first:
+                assert others_done.wait(timeout=60)
+            out = walk(model, chunk, *visitors)
+            finished.append(first)
+            if len(finished) == 3:
+                others_done.set()
+            return out
+
+        monkeypatch.setattr(pipeline, "walk_blocks", chunk_zero_last)
+        pooled = calibrate(model, buckets)
+        assert recorded_pools == [2] and finished == [False, False, False, True]
+        assert list(pooled.grams) == list(serial.grams)
+        for name, gram in serial.grams.items():
+            assert pooled.grams[name].tobytes() == gram.tobytes()
+        assert pooled.mean_diag == serial.mean_diag and pooled.importances == serial.importances
+
+    def test_ordered_sum_under_contention(self):
+        """Eight threads hand in every chunk's terms in a shuffled order; each sum is the in-order one, bit for bit."""
+        rng = np.random.default_rng(3)
+        names, chunks = ["a", "b", "c"], 40
+        # magnitudes 1e-8 to 1e8, so another order of the sums moves the bits
+        terms = {(name, i): rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-8, 9)
+                 for name in names for i in range(chunks)}
+        expected = {}
+        for name in names:
+            expected[name] = terms[name, 0].copy()
+            for i in range(1, chunks):
+                expected[name] += terms[name, i]
+        order = list(terms)
+        rng.shuffle(order)
+        merge = pipeline._OrderedSum()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(lambda key: merge.add(*key, terms[key].copy()), order, timeout=60))
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(merge.sums) == names
+        for name in names:
+            assert merge.sums[name].tobytes() == expected[name].tobytes()
+
     @given(d=st.integers(2, 16), h=st.integers(2, 16), n=st.integers(1, 30), tokens=st.integers(1, 20),
            chunk_bytes=st.integers(8, 8 * 16 * 64))
     @settings(max_examples=60, deadline=None)
@@ -561,16 +618,15 @@ def one_piece_eval(original, compressed, heldout):
     tiny = np.finfo(np.float64).tiny
     per_slot = {}
 
-    def visit(block_id, x_in, slot_inputs, slot_outputs, y):
-        for slot, x in slot_inputs.items():
-            w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
-            wx, what_x = slot_outputs[slot], compressed.apply_slot(block_id, slot, x)
-            per_slot[slot_name(block_id, slot)] = (
-                float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny)),
-                float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny)),
-            )
+    def visit_slot(block_id, slot, x, wx):
+        w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
+        what_x = compressed.apply_slot(block_id, slot, x)
+        per_slot[slot_name(block_id, slot)] = (
+            float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny)),
+            float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny)),
+        )
 
-    out_orig = walk_blocks(original, heldout, visit).T
+    out_orig = walk_blocks(original, heldout, visit_slot).T
     out_comp = forward(compressed, heldout.reshape(-1, heldout.shape[2]))
     norms = np.linalg.norm(out_orig, axis=1) * np.linalg.norm(out_comp, axis=1)
     cosine = float(np.mean(np.sum(out_orig * out_comp, axis=1) / np.maximum(norms, tiny)))
@@ -619,6 +675,35 @@ class TestChunkedEval:
         assert walkers == [(False, [1] * len(real_blas_at_two))] * 4
         assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
 
+
+@pytest.mark.parametrize("stage, bound", [("calibrate", 2), ("eval", 3)])
+def test_walk_holds_few_token_matrices(two_chunk_eval, monkeypatch, stage, bound):
+    """The traced peak of a serial walk stays under ``bound`` of a chunk's widest token matrix.
+
+    That matrix is w1's h x T output (h = 1024, T = 256 tokens: 2 MiB). A
+    relu walk holds it, overwritten by the hidden state, plus d x T
+    matrices; eval's slot visit adds ||W_hat x - W x||'s h x T difference.
+    Holding the pre-activation, hidden state, update and block output of a
+    block until one visit at its end takes 2.7 and 3.5 of them.
+    """
+    model, compressed, calib, heldout = two_chunk_eval
+    monkeypatch.setattr(pipeline, "blas_controls", lambda: [])  # one chunk at a time, on this thread
+    widest = 8 * 1024 * 256
+    if stage == "calibrate":
+        def run():
+            calibrate(model, heldout)
+    else:
+        def run():
+            eval_compression(model, compressed, calib)
+    run()  # imports and first-call caches are not the walk's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * widest
 
 def test_traces_csv_round_trip(tmp_path, small_setup):
     model, _, calib = small_setup

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,20 @@ def test_reference_checker_gates_and_never_writes(capsys):
     assert checker.check("refit_unwhitened", 1, doctored) == 1
     assert "refit_unwhitened: 0/1 variants pass" in capsys.readouterr().out
     assert REFERENCE.read_bytes() == recorded
+
+
+def test_same_outputs_finds_only_real_differences(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("same_outputs", SCRIPTS / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+
+    assert same_outputs.compare(ROOT, ROOT, ["refit_unwhitened"], [0]) == []
+    assert capsys.readouterr().out == "refit_unwhitened variant 0: identical\n"
+
+    # a copy of the sources whose eval report bins the output histogram differently
+    shutil.copytree(ROOT / "src" / "lowrank", tmp_path / "src" / "lowrank",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pipeline = tmp_path / "src" / "lowrank" / "pipeline.py"
+    pipeline.write_text(pipeline.read_text().replace("OVERLAP_BINS = 64", "OVERLAP_BINS = 32"))
+    assert same_outputs.compare(tmp_path, ROOT, ["refit_unwhitened"], [0]) == ["refit_unwhitened/0/report.json"]
+    assert capsys.readouterr().out == "refit_unwhitened variant 0: differ in report.json\n"
