@@ -684,7 +684,7 @@ def test_walk_holds_few_token_matrices(two_chunk_eval, monkeypatch, stage, bound
     relu walk holds it, overwritten by the hidden state, plus d x T
     matrices; eval's slot visit adds ||W_hat x - W x||'s h x T difference.
     Holding the pre-activation, hidden state, update and block output of a
-    block until one visit at its end takes 2.7 and 3.5 of them.
+    block until one visit at its end takes 2.6 and 3.5 of them.
     """
     model, compressed, calib, heldout = two_chunk_eval
     monkeypatch.setattr(pipeline, "blas_controls", lambda: [])  # one chunk at a time, on this thread
