@@ -81,13 +81,22 @@ def gram_accumulate(x: np.ndarray) -> np.ndarray:
     On a C- or F-contiguous operand numpy computes ``x @ x.T`` with one BLAS
     ``syrk`` and mirrors its triangle, so no symmetrization is needed. Any
     other operand is copied to C order first.
+
+    Raises NumericalError "non-finite activations" for a NaN or inf in X,
+    and "activations overflow" when a row's sum of squares exceeds the float
+    range. The product is formed with overflow ignored and only its diagonal
+    checked: |G_ij| <= max(G_ii, G_jj), so a finite diagonal bounds the rest.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (x.flags.c_contiguous or x.flags.f_contiguous):
         x = np.ascontiguousarray(x)
     if not np.all(np.isfinite(x)):
-        raise NumericalError("activations contain non-finite entries")
-    return x @ x.T
+        raise NumericalError("non-finite activations")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+    if not np.all(np.isfinite(np.diagonal(gram))):
+        raise NumericalError("activations overflow")
+    return gram
 
 
 def dump_activations(calibration: Calibration, path: str | Path) -> None:

@@ -30,6 +30,18 @@ the V-refit is M = pinv(U') (pinv(Q @ U') @ W = pinv(U') @ R), and the
 selected pair is lifted once, by ``SquareProblem.lift``, which also fixes
 the sign of each factor column.
 
+Q itself is never formed. A tall slot's R is the triangle of
+``np.linalg.qr(w, mode="r")``, from the same ``geqrf`` as the reduced QR.
+Every U' formed here is a least-squares fit in r-coordinates,
+
+    U' = R @ P @ R.T @ N.T @ X,
+
+for an n x n P, k x r coordinates N and a k x k X: the U-refit has P = G,
+N = M and X = K^+, and the inits below have P = G + damping * I or I, their
+own M and a diagonal X. So Q @ U' = W @ (P @ R.T @ N.T @ X), and the lift
+reads W and G, with one m x n x k product. H_r, K, B, M and every loss are
+r-space arithmetic; only the lifted U differs from Q @ U' in its last bits.
+
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
 U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
@@ -47,6 +59,12 @@ gives a zero column of U' and a zero row of M. For the plain init
 s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
 An indefinite G can make A indefinite. A's singular values are then |lam|,
 so the order and the floor are those of an SVD of A.
+
+Since A @ Z_k = Z_k @ diag(lam_k), the init's factor is
+U' = A @ M.T @ diag(sign(lam_k) / s_k ** 1/2), with 0 for a cut s_i: the
+lift's form, with A = R @ P @ R.T. Its lift divides A @ M.T by s_k ** 1/2,
+so it loses about eps * s_1 / s_i of relative precision in direction i,
+the most in the directions A weighs least.
 
 K is symmetric too, so ``update_u`` forms K^+ = Z @ diag(1 / lam) @ Z.T from
 K's eigenpairs, keeping each lam's sign and cutting as ``pinv`` does. U' is
@@ -89,15 +107,33 @@ def _check_gram(g: np.ndarray, side: int) -> None:
 
 
 @dataclass(frozen=True)
+class LeftFactor:
+    """A factor U' (r x k) with the terms that lift it without Q: U' = R @ P @ R.T @ N.T @ X.
+
+    Every U' formed here has that form (see the module docstring), so
+    Q @ U' = W @ (P @ R.T @ N.T @ X) for a tall slot.
+    """
+
+    u: np.ndarray                # r x k, U'
+    basis: np.ndarray            # k x r, N: the coordinates its solve read
+    solve: np.ndarray            # k x k, X
+    damping: float | None        # P = G + damping * I; None for P = I
+
+
+@dataclass(frozen=True)
 class SquareProblem:
     """A slot W = Q @ R reduced to the identity under the r x r output Gram H_r."""
 
-    q: np.ndarray | None   # m x r, orthonormal columns; None for I
-    r: np.ndarray          # r x n
-    h: np.ndarray          # r x r
+    r: np.ndarray                # r x n
+    h: np.ndarray                # r x r
+    w: np.ndarray | None = None  # a tall slot's W (m > n); None where Q = I
+    g: np.ndarray | None = None  # a tall slot's input Gram G (n x n)
 
-    def lift(self, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
-        """The slot's pair U = Q @ U', Vt = M @ R from factor U' and coordinates M, in a fixed sign.
+    def lift(self, factor: LeftFactor, coords: np.ndarray) -> LowRankPair:
+        """The slot's pair U = Q @ U', Vt = M @ R from a factor and coordinates M, in a fixed sign.
+
+        Q is never formed: for a tall slot U = W @ (P @ R.T @ N.T @ X), from
+        the factor's own terms, and U = U' where Q = I.
 
         Each column of U is negated, with the matching row of Vt, so that its
         largest-magnitude entry (the first, on ties) is positive; a zero
@@ -105,7 +141,13 @@ class SquareProblem:
         eigenvector; negation is exact, so the product keeps its bits and the
         stored factors do not depend on which sign it returned.
         """
-        u = u.copy() if self.q is None else self.q @ u
+        if self.w is None:
+            u = factor.u.copy()
+        else:
+            right = (factor.basis @ self.r).T                       # R.T @ N.T, n x k
+            if factor.damping is not None:
+                right = self.g @ right + factor.damping * right
+            u = self.w @ (right @ factor.solve)
         # Each column's extremes, read without forming |U|: the lead is negative where -min > max.
         hi, lo = u.max(axis=0), u.min(axis=0)
         flip = -lo > hi
@@ -117,24 +159,30 @@ class SquareProblem:
 
 
 def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
-    """Reduce W and its narrow-side Gram ``g`` to the r x r problem, r = min(m, n)."""
+    """Reduce W and its narrow-side Gram ``g`` to the r x r problem, r = min(m, n).
+
+    A tall W's R is the triangle of its QR, taken without Q (``mode="r"``).
+    """
     m, n = w.shape
     _check_gram(g, min(m, n))
     if not np.all(np.isfinite(g)):
         raise NumericalError("Gram matrix contains non-finite entries")
     if m < n:
-        return SquareProblem(q=None, r=w, h=g)
-    q, r = np.linalg.qr(w) if m > n else (None, w)
-    return SquareProblem(q=q, r=r, h=r @ g @ r.T)
+        return SquareProblem(r=w, h=g)
+    if m == n:
+        return SquareProblem(r=w, h=w @ g @ w.T)
+    r = np.linalg.qr(w, mode="r")
+    return SquareProblem(r=r, h=r @ g @ r.T, w=w, g=g)
 
 
 @dataclass(frozen=True)
 class NormalEquations:
     """The U-refit's system U' @ K = B at fixed coordinates M (see the module docstring)."""
 
-    k: np.ndarray   # k x k
-    b: np.ndarray   # r x k
-    noise: float    # rounding error of forming K
+    coords: np.ndarray  # k x r, M
+    k: np.ndarray       # k x k
+    b: np.ndarray       # r x k
+    noise: float        # rounding error of forming K
 
     def loss(self, u: np.ndarray, c: float) -> float:
         """loss = c - <U', 2 B - U' @ K>, given c = tr(H_r)."""
@@ -149,18 +197,20 @@ def normal_equations(coords: np.ndarray, h: np.ndarray) -> NormalEquations:
     k, side = coords.shape
     mh = coords @ h                                        # k x r
     noise = max(side, k) * np.finfo(np.float64).eps * np.linalg.norm(coords) * np.linalg.norm(mh)
-    return NormalEquations(k=mh @ coords.T, b=mh.T, noise=noise)
+    return NormalEquations(coords=coords, k=mh @ coords.T, b=mh.T, noise=noise)
 
 
-def update_u(normal: NormalEquations) -> np.ndarray:
+def update_u(normal: NormalEquations) -> LeftFactor:
     """Minimum-norm least-squares refit of the left factor, right factor fixed.
 
     Solves U' @ K = B, the system ``normal_equations`` forms at the fixed
     coordinates, with K^+ from K's eigenpairs. Eigenvalues are cut at the
     rounding error of forming K: directions under it are noise, which a
-    singular Gram would otherwise invert.
+    singular Gram would otherwise invert. U' = R @ G @ R.T @ M.T @ K^+, so the
+    factor lifts with P = G, N = M and X = K^+.
     """
-    return normal.b @ eigh_full(normal.k).pinv(atol=normal.noise)   # r x k
+    solve = eigh_full(normal.k).pinv(atol=normal.noise)
+    return LeftFactor(u=normal.b @ solve, basis=normal.coords, solve=solve, damping=0.0)
 
 
 def update_v(u: np.ndarray) -> np.ndarray:
@@ -191,36 +241,37 @@ def compensate(
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
     problem = square_problem(w, g)
-    u, coords = initialize_pair(problem, k, damping)
+    factor, coords = initialize_pair(problem, k, damping)
     c = float(np.trace(problem.h))
 
     normal = normal_equations(coords, problem.h)
-    best_loss = normal.loss(u, c)
-    best = (u, coords)
+    best_loss = normal.loss(factor.u, c)
+    best = (factor, coords)
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        u = update_u(normal)
-        loss = normal.loss(u, c)
+        factor = update_u(normal)
+        loss = normal.loss(factor.u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (u, coords)
+            best_loss, best = loss, (factor, coords)
 
-        coords = update_v(u)
+        coords = update_v(factor.u)
         normal = normal_equations(coords, problem.h)
-        loss = normal.loss(u, c)
+        loss = normal.loss(factor.u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (u, coords)
+            best_loss, best = loss, (factor, coords)
     return problem.lift(*best), trace
 
 
 def initialize_pair(
     problem: SquareProblem, k: int, damping: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[LeftFactor, np.ndarray]:
     """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
 
     Returns the factor U' (r x k) and the coordinates M (k x r) of the pair
-    ``problem.lift`` forms.
+    ``problem.lift`` forms. U' = A @ M.T @ X with X = diag(sign(lam) / s ** 1/2)
+    (0 where s is cut), so the factor lifts with A's own P, N = M and that X.
     """
     side = problem.h.shape[0]
     if not 1 <= k <= side:
@@ -234,4 +285,6 @@ def initialize_pair(
     inverse = np.zeros(k)
     inverse[keep] = 1.0 / root[keep]
     z = f.z[:, :k]
-    return z * root, (z * inverse).T
+    coords = (z * inverse).T
+    solve = np.diag(np.sign(f.lam[:k]) * inverse**2)
+    return LeftFactor(u=z * root, basis=coords, solve=solve, damping=damping), coords

@@ -159,7 +159,7 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
             try:
                 gram = gram_accumulate(out if out.shape[0] < x.shape[0] else x)  # wide: the Gram of its outputs
             except NumericalError as exc:
-                raise NumericalError(f"non-finite activations in block {block_id}") from exc
+                raise NumericalError(f"{exc} in block {block_id}") from exc
             grams.add(name, index, gram)
             scales[name] = float(np.vdot(x, x)) / x.shape[0]
 

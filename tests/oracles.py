@@ -4,8 +4,10 @@ Each keeps the textbook form of something the program computes another way:
 the plain truncated SVD (the program takes the init from one symmetric
 eigendecomposition, ``compensation.initialize_pair``), the data-space loss in
 its direct form on the input Gram G (the program reads every loss off the
-U-refit's normal equations), and a forward over one sample (the program walks
-one (samples, tokens, d) array, ``model.walk_blocks``).
+U-refit's normal equations), the lift of a pair through an explicit Q (the
+program lifts a tall slot's pair through W, ``SquareProblem.lift``), and a
+forward over one sample (the program walks one (samples, tokens, d) array,
+``model.walk_blocks``).
 """
 
 from __future__ import annotations
@@ -65,6 +67,18 @@ def svd_loss(pair: LowRankPair, w: np.ndarray, g: np.ndarray) -> float:
 def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:
     """Data-space loss of unwhitened, uncompensated rank-k truncation (baseline), on the input Gram G."""
     return svd_loss(truncate_absorb(svd_full(w), k), w, g)
+
+
+def explicit_q_lift(w: np.ndarray, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
+    """The pair U = Q @ U', Vt = M @ R of factor U' and coordinates M, from the reduced QR W = Q @ R.
+
+    Q = I and R = W when m <= n. The columns keep the signs they have.
+    """
+    m, n = w.shape
+    if m <= n:
+        return LowRankPair(u_sigma=u.copy(), vt_sigma=coords @ w)
+    q, r = np.linalg.qr(w)
+    return LowRankPair(u_sigma=q @ u, vt_sigma=coords @ r)
 
 
 def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:

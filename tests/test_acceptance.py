@@ -88,7 +88,7 @@ def test_criterion_3_lse_optimality():
             g = x @ x.T
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
-            u_star = w @ update_u(normal_equations(pair.vt_sigma, g))  # W @ (the identity's refit at Vt)
+            u_star = w @ update_u(normal_equations(pair.vt_sigma, g)).u  # W @ (the identity's refit at Vt)
 
             star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
             base = svd_loss(star, w, g)

@@ -200,6 +200,8 @@ class TestCaptureActivations:
             model.tensors["blocks.1.w2"] = model.tensors["blocks.1.w2"] * 1e160
             with pytest.raises(NumericalError, match="activations overflow in block 1"):
                 walk_blocks(model, calib)
+            with pytest.raises(NumericalError, match="activations overflow in block 1"):
+                calibrate(model, calib)  # the wide slot's output Gram overflows first
 
 class TestGram:
     def test_identity(self):

@@ -416,6 +416,44 @@ def test_overflowing_calibration_exits_2(workspace, capsys, command):
     assert sorted(p.name for p in workspace.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_overflowing_weights_exit_2(workspace, capsys, command):
+    """Finite weights whose slot outputs overflow are a numerical error naming the block, with no warning."""
+    import shutil
+
+    from lowrank.container import save_container
+
+    base, big = workspace / "base", workspace / "big"
+    big.mkdir()
+    shutil.copy(base / "model.json", big / "model.json")
+    tensors = {name: np.array(t) for name, t in load_container(base / "model.st").items()}
+    tensors["blocks.1.w2"] *= 1e160
+    save_container(big / "model.st", tensors)
+    flags = ["--model", str(big / "model.json"), "--calib", str(base / "calib.st")]
+    if command == "eval":
+        assert run_cli([
+            "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+            "--target-retention", "0.6", "--out", str(workspace / "c"),
+        ]) == 0
+        argv = ["eval", *flags, "--compressed", str(workspace / "c" / "model.json"),
+                "--out", str(workspace / "report.json")]
+    elif command == "compress":
+        argv = ["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "x")]
+    else:
+        argv = ["importance", *flags, "--target-retention", "0.6"]
+    before = sorted(p.name for p in workspace.rglob("*"))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: ") and "block 1" in captured.err
+    assert "Warning" not in captured.err and caught == []
+    assert captured.out == ""
+    assert sorted(p.name for p in workspace.rglob("*")) == before
+
+
 def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):
     import threading
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import lowrank.compensation as compensation
 from lowrank.compensation import (
+    LeftFactor,
     SquareProblem,
     compensate,
     initialize_pair,
@@ -17,7 +18,7 @@ from lowrank.compensation import (
 from lowrank.errors import NumericalError, RankError, ShapeError
 from lowrank.linalg import LowRankPair, pinv
 from lowrank.pipeline import REL_DAMPING
-from oracles import plain_truncation_loss, svd_full, svd_loss, truncate_absorb
+from oracles import explicit_q_lift, plain_truncation_loss, svd_full, svd_loss, truncate_absorb
 
 
 def brute_force_loss(pair, w, x):
@@ -40,6 +41,21 @@ def lifted_init(w, narrow, k, damping):
     """The starting pair ``compensate`` lifts from the slot's square problem."""
     problem = square_problem(w, narrow)
     return problem.lift(*initialize_pair(problem, k, damping))
+
+
+def half_step_pairs(problem, k, iters, damping):
+    """Every (factor, coordinates) pair ``compensate`` scores, replayed through the public refits.
+
+    The init's pair, then the U-refit's and the V-refit's of each iteration.
+    """
+    factor, coords = initialize_pair(problem, k, damping)
+    pairs = [(factor, coords)]
+    for _ in range(iters):
+        factor = update_u(normal_equations(coords, problem.h))
+        pairs.append((factor, coords))
+        coords = update_v(factor.u)
+        pairs.append((factor, coords))
+    return pairs
 
 
 def random_rank_k(rng, m, n, k):
@@ -87,7 +103,7 @@ class TestUpdateU:
         u_sig, vt, w = random_rank_k(rng, 10, 8, 3)
         x = rng.normal(size=(8, 30))  # full row rank
         pair = LowRankPair(u_sigma=rng.normal(size=(10, 3)), vt_sigma=vt)
-        u_new = w @ update_u(normal_equations(pair.vt_sigma, x @ x.T))
+        u_new = w @ update_u(normal_equations(pair.vt_sigma, x @ x.T)).u
         # consistent system: the refit must reproduce W exactly on the factor
         assert np.linalg.norm(u_new @ vt - w) <= 1e-8 * np.linalg.norm(w)
 
@@ -96,7 +112,7 @@ class TestUpdateU:
         pair = truncate_absorb(svd_full(w + rng.normal(size=(9, 9))), 4)
         v = pair.vt_sigma.T
         u_closed = w @ v @ np.linalg.inv(v.T @ v)
-        u_new = w @ update_u(normal_equations(pair.vt_sigma, np.eye(9)))
+        u_new = w @ update_u(normal_equations(pair.vt_sigma, np.eye(9))).u
         np.testing.assert_allclose(u_new, u_closed, atol=1e-8 * np.linalg.norm(u_closed))
 
     def test_loss_never_increases(self, rng):
@@ -105,7 +121,7 @@ class TestUpdateU:
         g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
         before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)), vt_sigma=pair.vt_sigma)
+        updated = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)).u, vt_sigma=pair.vt_sigma)
         assert svd_loss(updated, w, g) <= before + 1e-9 * before
 
     def test_beats_random_perturbations(self, rng):
@@ -113,7 +129,7 @@ class TestUpdateU:
         x = rng.normal(size=(16, 64))
         g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
-        u_star = w @ update_u(normal_equations(pair.vt_sigma, g))
+        u_star = w @ update_u(normal_equations(pair.vt_sigma, g)).u
         star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
         base = svd_loss(star, w, g)
         scale = 0.01 * max(1.0, np.linalg.norm(u_star))
@@ -143,7 +159,7 @@ class TestUpdateU:
             random = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=rng.normal(size=(k, n)))
             for pair in (whitened, random):
                 token_form = (pinv(x.T @ pair.vt_sigma.T) @ (w @ x).T).T
-                u = w @ update_u(normal_equations(pair.vt_sigma, g))
+                u = w @ update_u(normal_equations(pair.vt_sigma, g)).u
                 assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
 
 
@@ -165,7 +181,7 @@ class TestUpdateV:
         x = rng.normal(size=(16, 64))
         g = x @ x.T  # nonsingular
         pair = truncate_absorb(svd_full(w), 4)
-        pair = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)), vt_sigma=pair.vt_sigma)
+        pair = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)).u, vt_sigma=pair.vt_sigma)
         before = svd_loss(pair, w, g)
         updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair.u_sigma) @ w)
         assert svd_loss(updated, w, g) <= before + 1e-9 * before
@@ -401,29 +417,74 @@ class TestSquareProblem:
         # A and K are symmetric; only the V-refit's pinv(U') takes a general SVD.
         assert kernels == ["eigh_full"] + ["eigh_full", "pinv"] * iters
 
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    @pytest.mark.parametrize("m, n", [(24, 8), (8, 8), (8, 24)], ids=["m>n", "m=n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_no_explicit_q_is_formed(self, monkeypatch, m, n, damping, iters):
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append((np.shape(a), args, kwargs))
+            return qr(a, *args, **kwargs)
+        monkeypatch.setattr(compensation.np.linalg, "qr", spy)
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 40))
+        compensate(w, (w @ x) @ (w @ x).T if m < n else x @ x.T, 3, iters, damping)
+        # One triangle-only QR of a tall W; none where Q = I.
+        assert calls == ([((m, n), (), {"mode": "r"})] if m > n else [])
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    @pytest.mark.parametrize("rel_damping", [None, 1e-5], ids=["plain", "whitened"])
+    @pytest.mark.parametrize(
+        "w_rank, tokens",
+        [(10, 40), (10, 4), (5, 40), (5, 4)],  # 4 tokens: T < k
+        ids=["full-rank", "rank-deficient-gram", "rank-deficient-w", "both-rank-deficient"],
+    )
+    def test_lift_matches_the_explicit_q_lift(self, w_rank, tokens, rel_damping, iters):
+        # compensate lifts the selected pair through W; the oracle lifts the
+        # same r-space pair through the reduced QR's Q.
+        rng = np.random.default_rng(w_rank * tokens + iters)
+        m, n, k = 24, 10, 6
+        for _ in range(5):
+            w = rng.normal(size=(m, w_rank)) @ rng.normal(size=(w_rank, n))
+            x = rng.normal(size=(n, tokens))
+            g = x @ x.T
+            damping = None if rel_damping is None else rel_damping * float(np.mean(np.diag(g)))
+            best, trace = compensate(w, g, k, iters, damping)
+            losses = [trace.initial, *trace.per_half_step]
+            factor, coords = half_step_pairs(square_problem(w, g), k, iters, damping)[losses.index(min(losses))]
+            np.testing.assert_allclose(best.product(), explicit_q_lift(w, factor.u, coords).product(),
+                                       rtol=0, atol=1e-10 * np.linalg.norm(w))
+
     @pytest.mark.parametrize("m, n", [(12, 7), (7, 7), (7, 12)], ids=["m>n", "m=n", "m<n"])
     def test_lift_fixes_every_column_sign(self, m, n):
         rng = np.random.default_rng(m * n)
-        w = rng.normal(size=(m, n))
+        w = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n))  # rank 3: the rank-4 init cuts its last column
         x = rng.normal(size=(n, 30))
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
-        side = min(m, n)
-        u, coords = rng.normal(size=(side, 4)), rng.normal(size=(4, side))
-        u[:, 3] = coords[3] = 0.0  # a zero column is left alone
+        init, coords = initialize_pair(problem, 4)
+        assert not init.u[:, 3].any() and not coords[3].any()  # a zero column is left alone
         flip = np.array([-1.0, 1.0, -1.0, 1.0])
-        pair = problem.lift(u, coords)
-        negated = problem.lift(u * flip, coords * flip[:, None])  # an eigensolver's other signs
-        assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
-        assert pair.vt_sigma.tobytes() == negated.vt_sigma.tobytes()
-        lead = pair.u_sigma[np.argmax(np.abs(pair.u_sigma), axis=0), np.arange(4)]
-        assert np.all(lead[:3] > 0) and not np.any(pair.u_sigma[:, 3])
-        np.testing.assert_allclose(pair.product(), (problem.q if m > n else np.eye(m)) @ u @ coords @ problem.r,
-                                   rtol=0, atol=1e-12)
+        for factor in (init, update_u(normal_equations(coords, problem.h))):
+            pair = problem.lift(factor, coords)
+            negated = problem.lift(  # the factor an eigensolver's other signs give
+                LeftFactor(u=factor.u * flip, basis=factor.basis * flip[:, None],
+                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping),
+                coords * flip[:, None],
+            )
+            assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
+            assert pair.vt_sigma.tobytes() == negated.vt_sigma.tobytes()
+            lead = pair.u_sigma[np.argmax(np.abs(pair.u_sigma), axis=0), np.arange(4)]
+            assert np.all(lead[:3] > 0) and not np.any(pair.u_sigma[:, 3])
+            np.testing.assert_allclose(pair.product(), explicit_q_lift(w, factor.u, coords).product(),
+                                       rtol=0, atol=1e-12)
 
     def test_lift_sign_ties_go_to_the_first_entry(self):
-        problem = SquareProblem(q=None, r=np.eye(3), h=np.eye(3))
+        problem = SquareProblem(r=np.eye(3), h=np.eye(3))
         u = np.array([[-2.0, 2.0], [1.0, 0.0], [2.0, -2.0]])
-        pair = problem.lift(u, np.eye(2, 3))
+        pair = problem.lift(LeftFactor(u=u, basis=np.eye(2, 3), solve=np.eye(2), damping=None), np.eye(2, 3))
         assert pair.u_sigma.tolist() == [[2.0, 2.0], [-1.0, 0.0], [-2.0, -2.0]]
         assert pair.vt_sigma.tolist() == [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         assert u[0, 0] == -2.0  # the caller's factor is not changed
@@ -454,13 +515,7 @@ class TestLossTrace:
                 best, trace = compensate(w, narrow, k, iters, damping)
 
                 problem = square_problem(w, narrow)
-                u, p = initialize_pair(problem, k, damping)
-                pairs = [problem.lift(u, p)]
-                for _ in range(iters):
-                    u = update_u(normal_equations(p, problem.h))
-                    pairs.append(problem.lift(u, p))
-                    p = update_v(u)
-                    pairs.append(problem.lift(u, p))
+                pairs = [problem.lift(*pair) for pair in half_step_pairs(problem, k, iters, damping)]
                 losses = [trace.initial, *trace.per_half_step]
                 assert len(losses) == len(pairs) == 2 * iters + 1
                 for loss, pair in zip(losses, pairs):
