@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .container import save_container
 from .errors import NumericalError, ShapeError
 
 
@@ -17,16 +14,15 @@ from .errors import NumericalError, ShapeError
 class BucketedCalib:
     """Calibration samples averaged into at most M buckets.
 
-    ``buckets`` is one (buckets, tokens, d) array. ``mini_bsz = ceil(N / M)``
-    is the nominal samples-per-bucket; when M does not divide N the later
-    buckets average fewer samples (counts records the actual sizes). Every
-    source sample lands in exactly one bucket.
+    ``buckets`` is one (buckets, tokens, d) array, and ``counts`` holds how
+    many source samples each bucket averages. Every source sample lands in
+    exactly one bucket, so ``sum(counts)`` is N, and ``max(counts)`` is
+    ceil(N / M): when M does not divide N the later buckets average one
+    sample fewer.
     """
 
     buckets: np.ndarray
-    mini_bsz: int
-    source_count: int
-    counts: list[int] = field(default_factory=list)
+    counts: list[int]
 
 
 def stack_of_batch(samples: np.ndarray, m_buckets: int, seed: int) -> BucketedCalib:
@@ -55,8 +51,7 @@ def stack_of_batch(samples: np.ndarray, m_buckets: int, seed: int) -> BucketedCa
     buckets = np.empty((len(parts),) + samples.shape[1:])
     for bucket, part in zip(buckets, parts):
         np.mean(samples[part], axis=0, out=bucket)
-    counts = [len(part) for part in parts]
-    return BucketedCalib(buckets=buckets, mini_bsz=math.ceil(n / m_buckets), source_count=n, counts=counts)
+    return BucketedCalib(buckets=buckets, counts=[len(part) for part in parts])
 
 
 class Calibration(NamedTuple):
@@ -85,34 +80,20 @@ def gram_accumulate(x: np.ndarray) -> np.ndarray:
     Raises NumericalError "non-finite activations" for a NaN or inf in X,
     and "activations overflow" when a row's sum of squares exceeds the float
     range. The product is formed with overflow ignored and only its diagonal
-    checked: |G_ij| <= max(G_ii, G_jj), so a finite diagonal bounds the rest.
+    checked: |G_ij| <= max(G_ii, G_jj), so a finite diagonal bounds the rest,
+    and a NaN or inf in row i makes G_ii non-finite. So X itself is scanned
+    only when the diagonal is not finite, to tell the two errors apart.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (x.flags.c_contiguous or x.flags.f_contiguous):
         x = np.ascontiguousarray(x)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("non-finite activations")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = x @ x.T
     if not np.all(np.isfinite(np.diagonal(gram))):
-        raise NumericalError("activations overflow")
+        if np.all(np.isfinite(x)):
+            raise NumericalError("activations overflow")
+        raise NumericalError("non-finite activations")
     return gram
-
-
-def dump_activations(calibration: Calibration, path: str | Path) -> None:
-    """Debug dump of a calibration product as a tensor container.
-
-    Writes ``block.<id>.importance`` (shape (1,)) per block, and
-    ``slot.<slot name>.gram`` and ``slot.<slot name>.mean_diag`` (shape (1,))
-    per slot.
-    """
-    tensors: dict[str, np.ndarray] = {}
-    for bid, importance in sorted(calibration.importances.items()):
-        tensors[f"block.{bid}.importance"] = np.array([importance])
-    for name, g in calibration.grams.items():
-        tensors[f"slot.{name}.gram"] = g
-        tensors[f"slot.{name}.mean_diag"] = np.array([calibration.mean_diag[name]])
-    save_container(path, tensors)
 
 
 __all__ = [
@@ -120,5 +101,4 @@ __all__ = [
     "Calibration",
     "stack_of_batch",
     "gram_accumulate",
-    "dump_activations",
 ]

@@ -79,7 +79,6 @@ def build_parser() -> _Parser:
     _add_retention_flags(p, require=True)
     p.add_argument("--iters", type=int, default=1, help="alternating compensation iterations")
     p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--dump-activations", default=None, help="debug: write slot Grams and block importances here")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_compress)
 
@@ -121,7 +120,7 @@ def _cmd_compress(args) -> int:
         seed=args.seed,
     )
     model = load_model(args.model, _container_path(args.model))
-    compressed, plan, traces = compress_model(model, args.calib, cfg, dump_path=args.dump_activations)
+    compressed, plan, traces = compress_model(model, args.calib, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(compressed, out / "model.json", out / "model.st")

@@ -25,13 +25,13 @@ holds max(1, width // tokens) buckets: its token matrices stay near cache
 size, and the width is never narrower than the Gram it feeds. The walk
 hands each slot's input and output to a visitor right after the slot's
 product, and overwrites them once the visit returns (see
-``model.walk_blocks``). The visitor forms the chunk's slot Gram there and
-hands it at once to a lock-guarded merge, which adds chunk i's Gram only
-after chunk i - 1's and holds one that arrives early until its turn; no
-worker waits, and no chunk keeps its Grams. Each chunk returns only every
-slot's share of ||X||_F^2 / n and every block's per-column importance
-cosines, which the calling thread adds and joins in chunk order. So none of
-them depends on the worker count or on the order in which chunks finish.
+``model.walk_blocks``). The visitor forms the chunk's slot Gram and its
+share of ||X||_F^2 / n there and hands both at once to lock-guarded merges,
+which add chunk i's term only after chunk i - 1's and hold one that arrives
+early until its turn; no worker waits, and no chunk keeps its sums. Each
+chunk returns only every block's per-column importance cosines, which the
+calling thread joins in chunk order. So none of them depends on the worker
+count or on the order in which chunks finish.
 
 Evaluation walks the held-out samples in chunks of the same width, as a
 pool stage of its own. Each eval chunk walks the original model, adding
@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_cosines
-from .calibration import Calibration, dump_activations, gram_accumulate, stack_of_batch
+from .calibration import Calibration, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .container import atomic_path
 from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
@@ -143,15 +143,14 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
     ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
     samples. With ``with_grams=False`` the walk keeps only the importances,
     and the Gram and mean-diagonal dicts are empty. The samples are walked in
-    chunks on the pinned-BLAS worker pool, and each chunk's Grams are merged
-    as they form (see the module docstring).
+    chunks on the pinned-BLAS worker pool, and each chunk's Grams and mean
+    diagonals are merged as they form (see the module docstring).
     """
     samples = as_samples(model, samples)
-    grams = _OrderedSum()
+    grams, mean_diag = _OrderedSum(), _OrderedSum()
 
     def walk_chunk(task):
         index, chunk = task
-        scales: dict[str, float] = {}
         cosines: dict[int, np.ndarray] = {}
 
         def visit_slot(block_id, slot, x, out):
@@ -161,23 +160,20 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in block {block_id}") from exc
             grams.add(name, index, gram)
-            scales[name] = float(np.vdot(x, x)) / x.shape[0]
+            mean_diag.add(name, index, float(np.vdot(x, x)) / x.shape[0])
 
         def visit_block(block_id, x, y, x_squares, y_squares):
             cosines[block_id] = column_cosines(x, y, x_squares, y_squares)
 
         walk_blocks(model, chunk, visit_slot if with_grams else None, visit_block)
-        return scales, cosines
+        return cosines
 
-    mean_diag: dict[str, float] = {}
     cosines: dict[int, list[np.ndarray]] = {}
-    for part_scales, part_cosines in _pool_run(walk_chunk, list(enumerate(_walk_chunks(model, samples)))):
-        for name, scale in part_scales.items():
-            mean_diag[name] = mean_diag.get(name, 0.0) + scale
-        for block_id, cos in part_cosines.items():
+    for part in _pool_run(walk_chunk, list(enumerate(_walk_chunks(model, samples)))):
+        for block_id, cos in part.items():
             cosines.setdefault(block_id, []).append(cos)
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
-    return Calibration(grams.sums, mean_diag, importances)
+    return Calibration(grams.sums, mean_diag.sums, importances)
 
 
 class _OrderedSum:
@@ -186,16 +182,17 @@ class _OrderedSum:
     Chunk i's term for a name is added only after chunk i - 1's; a term that
     arrives before its turn is held here until then, so no worker waits on
     another. Each sum is bit for bit that of adding the chunks in order, and
-    chunk 0's term becomes the sum array itself.
+    chunk 0's term becomes the sum itself: an array term is then added to in
+    place, a float rebound.
     """
 
     def __init__(self) -> None:
-        self.sums: dict[str, np.ndarray] = {}
+        self.sums: dict[str, np.ndarray | float] = {}
         self._next: dict[str, int] = {}  # name: chunk index of the next term to add
-        self._early: dict[tuple[str, int], np.ndarray] = {}
+        self._early: dict[tuple[str, int], np.ndarray | float] = {}
         self._lock = threading.Lock()
 
-    def add(self, name: str, index: int, term: np.ndarray) -> None:
+    def add(self, name: str, index: int, term: np.ndarray | float) -> None:
         with self._lock:
             if index != self._next.get(name, 0):
                 self._early[name, index] = term
@@ -243,18 +240,13 @@ def compress_model(
     model: ModelHandle,
     calib_file: str | Path,
     cfg: PipelineConfig,
-    dump_path: str | Path | None = None,
 ) -> tuple[ModelHandle, CompressionPlan, dict[str, LossTrace]]:
     """Run the whole compression pipeline; deterministic for fixed inputs and seed.
 
-    With ``dump_path``, the calibration product (slot Grams and block
-    importances) is also written there as a tensor container. A NaN or inf
-    loss in any slot's trace is a NumericalError (see ``check_traces``).
+    A NaN or inf loss in any slot's trace is a NumericalError (see ``check_traces``).
     """
     calibration, plan = calibrate_and_plan(model, calib_file, cfg)
     grams = calibration.grams
-    if dump_path is not None:
-        dump_activations(calibration, dump_path)
 
     ranks = plan.slot_ranks()
     tasks = []  # (full slot name, weight, rank)
@@ -421,11 +413,10 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
             totals[name] = (total_err + err, total_ref + ref)
         orig_parts.append(out_orig)
         comp_parts.append(out_comp)
-    out_orig = np.concatenate(orig_parts, axis=1).T  # tokens x d, in sample order
-    out_comp = np.concatenate(comp_parts, axis=1).T
+    out_orig = np.concatenate(orig_parts, axis=1)  # d x tokens, in sample order
+    out_comp = np.concatenate(comp_parts, axis=1)
     del orig_parts, comp_parts
 
-    tiny = np.finfo(np.float64).tiny
     per_slot = []
     for block_id, slot in original.slot_ids():
         name = slot_name(block_id, slot)
@@ -434,9 +425,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         per_slot.append(SlotErrors(slot=name, frob_rel_err=frob, data_rel_err=_relative_norm(*totals[name])))
 
     mse = float(np.mean((out_orig - out_comp) ** 2))
-    norms = np.linalg.norm(out_orig, axis=1) * np.linalg.norm(out_comp, axis=1)
-    dots = np.sum(out_orig * out_comp, axis=1)
-    cosine = float(np.mean(dots / np.maximum(norms, tiny)))
+    cosine = float(np.mean(column_cosines(out_orig, out_comp)))
     overlap = _histogram_overlap(out_orig.ravel(), out_comp.ravel())
 
     p_orig = original.param_count()

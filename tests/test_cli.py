@@ -162,8 +162,9 @@ def test_retention_out_of_range_exits_1(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--bogus-flag", "1"], ["--rel-tol", "1e-3"], ["--rel-damping", "1e-5"]],
-    ids=["bogus-flag", "rel-tol", "rel-damping"],
+    "flag",
+    [["--bogus-flag", "1"], ["--rel-tol", "1e-3"], ["--rel-damping", "1e-5"], ["--dump-activations", "acts.st"]],
+    ids=["bogus-flag", "rel-tol", "rel-damping", "dump-activations"],
 )
 def test_unknown_flag_exits_1(workspace, capsys, flag):
     code = run_cli([
@@ -273,22 +274,6 @@ def test_missing_model_file_exits_1(workspace, capsys):
         "--target-retention", "0.6", "--out", str(workspace / "x"),
     ])
     assert code == 1
-
-
-def test_dump_activations_flag(workspace):
-    out = workspace / "out_dump"
-    acts = workspace / "acts.st"
-    code = run_cli([
-        "compress", "--model", str(workspace / "base" / "model.json"),
-        "--calib", str(workspace / "base" / "calib.st"),
-        "--target-retention", "0.6", "--out", str(out),
-        "--dump-activations", str(acts),
-    ])
-    assert code == 0
-    names = set(load_container(acts))
-    assert names == {f"block.{b}.importance" for b in range(4)} | {
-        f"slot.blocks.{b}.{slot}.{field}" for b in range(4) for slot in ("w1", "w2") for field in ("gram", "mean_diag")
-    }
 
 
 @pytest.mark.parametrize("command", ["compress", "eval"])
