@@ -14,7 +14,9 @@ since every Vt the refits produce lies in W's row space, for a wide slot
 the slot output the forward pass forms anyway, for a wide one. No n x n Gram
 is formed for a wide slot. For every slot the walk also keeps
 ||X||_F^2 / n = mean diag G, from which the whitening damping
-REL_DAMPING * mean diag G is read.
+REL_DAMPING * mean diag G is read. ||X||_F^2 is an ``einsum``, as every sum
+of squares here is: a BLAS dot product splits its sum across threads, so its
+bits could follow the CPU count.
 
 The buckets are one (buckets, tokens, d) array, and the walk goes over
 slices of it on the worker pool below. With ``wide`` the widest slot
@@ -160,7 +162,7 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in block {block_id}") from exc
             grams.add(name, index, gram)
-            mean_diag.add(name, index, float(np.vdot(x, x)) / x.shape[0])
+            mean_diag.add(name, index, _sum_squares(x) / x.shape[0])
 
         def visit_block(block_id, x, y, x_squares, y_squares):
             cosines[block_id] = column_cosines(x, y, x_squares, y_squares)

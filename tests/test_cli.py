@@ -226,44 +226,62 @@ sys.exit(run_cli(sys.argv[2:]))
 """
 
 
-@pytest.mark.skipif(
-    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs and sched_setaffinity"
-)
-def test_outputs_do_not_depend_on_cpu_affinity(tmp_path):
+AFFINITY_CASES = {
     # 8 walk chunks of 4 buckets (256 tokens each), 8 planned slots and a
     # held-out tail of 2 chunks of 256 tokens: on 1 to 8 CPUs every pool stage
     # runs one BLAS thread per worker, so compress and eval on one CPU and on
-    # all of them must write the same bytes. The children get no thread
-    # variable, so OpenBLAS starts at its own per-CPU default.
+    # all of them must write the same bytes.
+    "pooled": (
+        ["--blocks", "4", "--hidden-dim", "64", "--mlp-dim", "1024", "--samples", "40", "--tokens", "64"],
+        [256] * 8, [256, 256], 8, ("compress", "eval"),
+    ),
+    # A walk of one chunk (4 fitting samples of 128 tokens, 512 wide) runs its
+    # one task at the BLAS's own thread count, which follows the CPU set; the
+    # whitening damping compress reads from every slot's mean diagonal must not.
+    "one-chunk-walk": (
+        ["--blocks", "2", "--hidden-dim", "512", "--mlp-dim", "2048", "--samples", "5", "--tokens", "128"],
+        [512], [128], 4, ("compress",),
+    ),
+}
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs and sched_setaffinity"
+)
+@pytest.mark.parametrize("case", sorted(AFFINITY_CASES))
+def test_outputs_do_not_depend_on_cpu_affinity(tmp_path, case):
+    # The children get no thread variable, so OpenBLAS starts at its own
+    # per-CPU default.
     from lowrank import pipeline
 
+    synth, fit_chunks, heldout_chunks, planned, commands = AFFINITY_CASES[case]
     base = tmp_path / "base"
-    assert run_cli([
-        "synth", "--out", str(base), "--seed", "2", "--blocks", "4", "--hidden-dim", "64",
-        "--mlp-dim", "1024", "--samples", "40", "--tokens", "64",
-    ]) == 0
-    heldout = pipeline.split_calibration(load_container(base / "calib.st")["samples"])[1]
-    chunks = pipeline._walk_chunks(load_model(base / "model.json", base / "model.st"), heldout)
-    assert [sum(map(len, chunk)) for chunk in chunks] == [256, 256]
+    assert run_cli(["synth", "--out", str(base), "--seed", "2", *synth]) == 0
+    model = load_model(base / "model.json", base / "model.st")
+    fit, heldout = pipeline.split_calibration(load_container(base / "calib.st")["samples"])
+    assert [sum(map(len, chunk)) for chunk in pipeline._walk_chunks(model, fit)] == fit_chunks
+    assert [sum(map(len, chunk)) for chunk in pipeline._walk_chunks(model, heldout)] == heldout_chunks
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for cpus in ("one", "all"):
         out = tmp_path / cpus
-        for argv in (
-            ["compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
-             "--target-retention", "0.6", "--out", str(out)],
-            ["eval", "--model", str(base / "model.json"), "--compressed", str(out / "model.json"),
-             "--calib", str(base / "calib.st"), "--out", str(out / "report.json")],
-        ):
+        argv = {
+            "compress": ["compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+                         "--target-retention", "0.6", "--whiten", "--out", str(out)],
+            "eval": ["eval", "--model", str(base / "model.json"), "--compressed", str(out / "model.json"),
+                     "--calib", str(base / "calib.st"), "--out", str(out / "report.json")],
+        }
+        for command in commands:
             done = subprocess.run(
-                [sys.executable, "-c", AFFINITY_CHILD, cpus, *argv],
+                [sys.executable, "-c", AFFINITY_CHILD, cpus, *argv[command]],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert done.returncode == 0, done.stderr
     plan = json.loads((tmp_path / "all" / "plan.json").read_text())
-    assert sum(rank is not None for block in plan["blocks"] for rank in block["ranks"].values()) == 8
-    for name in ("model.st", "plan.json", "traces.csv", "report.json"):
+    assert sum(rank is not None for block in plan["blocks"] for rank in block["ranks"].values()) == planned
+    names = ["model.st", "plan.json", "traces.csv"] + (["report.json"] if "eval" in commands else [])
+    for name in names:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
