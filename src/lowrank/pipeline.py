@@ -184,8 +184,7 @@ class _OrderedSum:
     Chunk i's term for a name is added only after chunk i - 1's; a term that
     arrives before its turn is held here until then, so no worker waits on
     another. Each sum is bit for bit that of adding the chunks in order, and
-    chunk 0's term becomes the sum itself: an array term is then added to in
-    place, a float rebound.
+    chunk 0's term becomes the sum itself (an array term is added to in place).
     """
 
     def __init__(self) -> None:
