@@ -35,16 +35,20 @@ chunk returns only every block's per-column importance cosines, which the
 calling thread joins in chunk order. So none of them depends on the worker
 count or on the order in which chunks finish.
 
-Evaluation walks the held-out samples in chunks of the same width, as a
-pool stage of its own. Each eval chunk walks the original model, adding
-up every slot's ||W_hat x - W x||^2 and ||W x||^2 in the slot visits, then
-walks the compressed model over the same samples; the calling thread adds
-the sums and joins both outputs in chunk order.
+Evaluation is one pool stage of its own. It cuts the held-out samples into
+chunks of the same width, and its tasks are, longest first: every chunk's
+walk of the original model, adding up every slot's ||W_hat x - W x||^2 and
+||W x||^2 in the slot visits; every chunk's walk of the compressed model;
+and every slot's weight error, W_hat formed once with W subtracted from it
+in place. So the stage has 2 * chunks + slots tasks, and a one-chunk
+tail is pooled like any other. The calling thread keeps only what needs
+every chunk: it adds the sums and joins both outputs in chunk order, and
+forms the end-to-end numbers from the joined outputs.
 
-The walk chunks and the slot refits are both too small to scale across BLAS
-threads, so each of these pool stages sets its own thread counts at run
-time (``_pool_run`` runs every stage and yields its results in task
-order): workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
+The walk chunks, the slot refits and the eval tasks are all too small to
+scale across BLAS threads, so each of these pool stages sets its own thread
+counts at run time (``_pool_run`` runs every stage and yields its results in
+task order): workers = min(usable CPUs, tasks, MAX_WORKERS), and every loaded
 OpenBLAS gets max(1, min(its current count, usable CPUs // workers)) threads,
 so the user's count is never raised. Each library's previous count is
 restored when the stage ends, so planning keeps the BLAS as it was.
@@ -62,6 +66,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -379,14 +384,16 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     A set of fewer than 5 samples has no tail; then every sample is scored and
     the report's ``scored_on_all`` is set.
 
-    The scored samples are walked in chunks on the pinned-BLAS worker pool,
-    as calibration's are (see the module docstring). Each chunk walks the
+    The scored samples are cut into chunks as calibration's are, and the
+    report is one stage on the pinned-BLAS worker pool (see the module
+    docstring) whose tasks are, longest first: each chunk's walk of the
     original model, adding up every slot's ||W_hat x - W x||^2 and ||W x||^2
-    in the slot visits, then walks the compressed model over the same samples. The
-    calling thread adds the sums and joins both outputs in chunk order, so
-    no result depends on the worker count. Every squared norm is summed by
-    ``einsum``, not by the BLAS, whose order of summation can follow its
-    thread count.
+    in the slot visits; each chunk's walk of the compressed model; and each
+    slot's weight error (``_weight_error``). A failing task surfaces in that
+    order. The calling thread adds the sums and joins both outputs in chunk
+    order, so no result depends on the worker count. Every squared norm is
+    summed by ``einsum``, not by the BLAS, whose order of summation can
+    follow its thread count.
     """
     _check_aligned(original, compressed)
     samples = _load_samples(original, data)
@@ -395,7 +402,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     if scored_on_all:
         heldout = samples
 
-    def walk_chunk(chunk):
+    def walk_original(chunk):
         sums: dict[str, tuple[float, float]] = {}  # slot: (||W_hat x - W x||^2, ||W x||^2)
 
         def visit_slot(block_id, slot, x, wx):
@@ -403,27 +410,41 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
             diff -= wx
             sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
 
-        out_orig = walk_blocks(original, chunk, visit_slot)
-        return sums, out_orig, walk_blocks(compressed, chunk)
+        return sums, walk_blocks(original, chunk, visit_slot)
+
+    def walk_compressed(chunk):
+        return walk_blocks(compressed, chunk)
+
+    def weight_error(block_id, slot):
+        w_hat = compressed.slot_pair(block_id, slot)
+        if w_hat is None:
+            w_hat = compressed.slot_weight(block_id, slot)
+        return _weight_error(slot_name(block_id, slot), original.slot_weight(block_id, slot), w_hat)
+
+    chunks = _walk_chunks(original, heldout)
+    slot_ids = original.slot_ids()
+    tasks = [partial(walk_original, chunk) for chunk in chunks]
+    tasks += [partial(walk_compressed, chunk) for chunk in chunks]
+    tasks += [partial(weight_error, *slot_id) for slot_id in slot_ids]
+    results = list(_pool_run(lambda task: task(), tasks))
+    n = len(chunks)
+    walked, comp_parts, weight_sums = results[:n], results[n : 2 * n], results[2 * n :]
+    del results
 
     totals: dict[str, tuple[float, float]] = {}
-    orig_parts, comp_parts = [], []
-    for sums, out_orig, out_comp in _pool_run(walk_chunk, _walk_chunks(original, heldout)):
+    for sums, _ in walked:
         for name, (err, ref) in sums.items():
             total_err, total_ref = totals.get(name, (0.0, 0.0))
             totals[name] = (total_err + err, total_ref + ref)
-        orig_parts.append(out_orig)
-        comp_parts.append(out_comp)
-    out_orig = np.concatenate(orig_parts, axis=1)  # d x tokens, in sample order
+    out_orig = np.concatenate([out for _, out in walked], axis=1)  # d x tokens, in sample order
     out_comp = np.concatenate(comp_parts, axis=1)
-    del orig_parts, comp_parts
+    del walked, comp_parts
 
     per_slot = []
-    for block_id, slot in original.slot_ids():
+    for (block_id, slot), (err, ref) in zip(slot_ids, weight_sums):
         name = slot_name(block_id, slot)
-        w = original.slot_weight(block_id, slot)
-        frob = _relative_norm(_sum_squares(compressed.slot_weight(block_id, slot) - w), _sum_squares(w))
-        per_slot.append(SlotErrors(slot=name, frob_rel_err=frob, data_rel_err=_relative_norm(*totals[name])))
+        per_slot.append(SlotErrors(slot=name, frob_rel_err=_relative_norm(err, ref),
+                                   data_rel_err=_relative_norm(*totals[name])))
 
     mse = float(np.mean((out_orig - out_comp) ** 2))
     cosine = float(np.mean(column_cosines(out_orig, out_comp)))
@@ -441,6 +462,27 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         achieved_retention=p_comp / p_orig,
         scored_on_all=scored_on_all,
     )
+
+
+def _weight_error(name: str, w: np.ndarray, w_hat: LowRankPair | np.ndarray) -> tuple[float, float]:
+    """(||W_hat - W||_F^2, ||W||_F^2) of slot ``name``, through one m x n temporary.
+
+    A low-rank W_hat is formed once and W is subtracted from it in place; a
+    dense one is subtracted into one new array. Both are formed with
+    overflow silenced, and a sum that is not finite is a NumericalError
+    naming the slot, so that this task neither warns nor hands on a NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(w_hat, LowRankPair):
+            diff = w_hat.product()
+            diff -= w
+        else:
+            diff = w_hat - w
+        err, ref = _sum_squares(diff), _sum_squares(w)
+    if not (math.isfinite(err) and math.isfinite(ref)):
+        raise NumericalError(f"slot {name}: the weight error's sums of squares are not finite "
+                             f"(||W_hat - W||^2 = {err!r}, ||W||^2 = {ref!r})")
+    return err, ref
 
 
 def _sum_squares(a: np.ndarray) -> float:

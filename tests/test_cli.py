@@ -238,9 +238,11 @@ AFFINITY_CASES = {
     # A walk of one chunk (4 fitting samples of 128 tokens, 512 wide) runs its
     # one task at the BLAS's own thread count, which follows the CPU set; the
     # whitening damping compress reads from every slot's mean diagonal must not.
+    # The held-out tail is one 128-token chunk, and eval pools its two walks
+    # with the 4 slots' weight errors, so its report must not follow the CPU set either.
     "one-chunk-walk": (
         ["--blocks", "2", "--hidden-dim", "512", "--mlp-dim", "2048", "--samples", "5", "--tokens", "128"],
-        [512], [128], 4, ("compress",),
+        [512], [128], 4, ("compress", "eval"),
     ),
 }
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from lowrank import pipeline
 from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
-from lowrank.model import gen_synthetic, save_calibration, slot_name, walk_blocks
+from lowrank.linalg import LowRankPair
+from lowrank.model import gen_synthetic, load_calibration, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
 from lowrank.runtime import BlasControl, blas_controls
 from lowrank.compensation import LossTrace
@@ -654,26 +656,91 @@ class TestChunkedEval:
     def test_chunks_run_on_the_pool_at_one_blas_thread(self, two_chunk_eval, monkeypatch, real_blas_at_two,
                                                        recorded_pools):
         model, compressed, calib, _ = two_chunk_eval
+        self.assert_pooled(model, compressed, calib, 2, monkeypatch, real_blas_at_two, recorded_pools)
+
+    def test_one_chunk_tail_runs_on_the_pool(self, two_chunk_eval, tmp_path, monkeypatch, real_blas_at_two,
+                                             recorded_pools):
+        model, compressed, calib, _ = two_chunk_eval
+        samples = load_calibration(calib)[:20]
+        assert [len(chunk) for chunk in pipeline._walk_chunks(model, split_calibration(samples)[1])] == [4]
+        one_chunk = tmp_path / "one_chunk.st"
+        save_calibration(one_chunk, samples)
+        self.assert_pooled(model, compressed, one_chunk, 1, monkeypatch, real_blas_at_two, recorded_pools)
+
+    @staticmethod
+    def assert_pooled(model, compressed, calib, chunks, monkeypatch, real_blas_at_two, recorded_pools):
+        """Every walk and every slot's W_hat product run on pool threads at 2 workers x 1 BLAS thread.
+
+        None runs on the calling thread, and the report is the serial one.
+        """
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
         serial = eval_compression(model, compressed, calib).to_json()
         assert recorded_pools == []
 
         monkeypatch.setattr(pipeline, "blas_controls", blas_controls)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        walkers = []
-        walk = pipeline.walk_blocks
+        calls = []  # (what, on the calling thread, BLAS counts)
+        walk, product = pipeline.walk_blocks, LowRankPair.product
 
-        def recording(*args, **kwargs):
-            walkers.append((threading.current_thread() is threading.main_thread(),
-                            [c.get() for c in real_blas_at_two]))
-            return walk(*args, **kwargs)
+        def record(what):
+            calls.append((what, threading.current_thread() is threading.main_thread(),
+                          [c.get() for c in real_blas_at_two]))
 
-        monkeypatch.setattr(pipeline, "walk_blocks", recording)
+        def recording_walk(walked, *args, **kwargs):
+            record("original walk" if walked is model else "compressed walk")
+            return walk(walked, *args, **kwargs)
+
+        def recording_product(pair):
+            record("W_hat")
+            return product(pair)
+
+        monkeypatch.setattr(pipeline, "walk_blocks", recording_walk)
+        monkeypatch.setattr(LowRankPair, "product", recording_product)
         assert eval_compression(model, compressed, calib).to_json() == serial
         assert recorded_pools == [2]
-        # two chunks, each walking both models on a pool thread at 2 workers x 1 thread
-        assert walkers == [(False, [1] * len(real_blas_at_two))] * 4
+        lowrank_slots = sum(compressed.slot_pair(*slot_id) is not None for slot_id in model.slot_ids())
+        assert lowrank_slots > 0
+        pooled = [False, [1] * len(real_blas_at_two)]
+        assert sorted(calls) == sorted(
+            [("original walk", *pooled)] * chunks + [("compressed walk", *pooled)] * chunks
+            + [("W_hat", *pooled)] * lowrank_slots
+        )
         assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
+
+
+@pytest.mark.parametrize("case", ["lowrank", "dense", "dense-difference-overflows"])
+def test_weight_error_of_an_overflowing_slot_raises_without_warning(case):
+    """A slot whose ||W||^2 or W_hat - W overflows is a NumericalError naming it, with no warning."""
+    rng = np.random.default_rng(0)
+    if case == "dense-difference-overflows":
+        w = rng.uniform(1.0, 1.5, (64, 32)) * 1e308
+        w_hat = -w
+    else:
+        w = rng.standard_normal((64, 32)) * 1e160
+        w_hat = LowRankPair(rng.standard_normal((64, 4)), rng.standard_normal((4, 32)))
+        if case == "dense":
+            w_hat = w_hat.product()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"slot blocks\.1\.w2: .* not finite"):
+            pipeline._weight_error("blocks.1.w2", w, w_hat)
+
+
+def test_weight_error_holds_one_slot_sized_temporary():
+    """One weight-error task on a 2048 x 512 slot holds W_hat - W and nothing else of its size."""
+    m, n, k = 2048, 512, 243
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal((m, n))
+    pair = LowRankPair(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+    expected = pipeline._weight_error("blocks.0.w1", w, pair)  # imports and first-call caches are not the task's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert pipeline._weight_error("blocks.0.w1", w, pair) == expected
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * n
 
 
 @pytest.mark.parametrize("stage, bound", [("calibrate", 2), ("eval", 3)])
