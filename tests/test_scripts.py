@@ -55,10 +55,25 @@ def test_same_outputs_finds_only_real_differences(tmp_path, capsys):
     assert same_outputs.compare(ROOT, ROOT, ["refit_unwhitened"], [0]) == []
     assert capsys.readouterr().out == "refit_unwhitened variant 0: identical\n"
 
-    # a copy of the sources whose eval report bins the output histogram differently
-    shutil.copytree(ROOT / "src" / "lowrank", tmp_path / "src" / "lowrank",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    pipeline = tmp_path / "src" / "lowrank" / "pipeline.py"
-    pipeline.write_text(pipeline.read_text().replace("OVERLAP_BINS = 64", "OVERLAP_BINS = 32"))
-    assert same_outputs.compare(tmp_path, ROOT, ["refit_unwhitened"], [0]) == ["refit_unwhitened/0/report.json"]
-    assert capsys.readouterr().out == "refit_unwhitened variant 0: differ in report.json\n"
+    def copy_with(name, module, old, new):
+        """A copy of the sources, in ``tmp_path / name``, with ``old`` replaced in one module."""
+        root = tmp_path / name
+        shutil.copytree(ROOT / "src" / "lowrank", root / "src" / "lowrank",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = root / "src" / "lowrank" / module
+        assert old in source.read_text()
+        source.write_text(source.read_text().replace(old, new))
+        return root
+
+    # the eval report bins the output histogram differently
+    bins = copy_with("bins", "pipeline.py", "OVERLAP_BINS = 64", "OVERLAP_BINS = 32")
+    assert same_outputs.compare(bins, ROOT, ["refit_unwhitened"], [0]) == ["refit_unwhitened/0/eval/report.json"]
+    assert capsys.readouterr().out == "refit_unwhitened variant 0: differ in eval/report.json\n"
+
+    # synth and compress write their manifests with another indent
+    indent = copy_with("indent", "model.py", "json.dumps(model.manifest.to_json(), indent=2)",
+                       "json.dumps(model.manifest.to_json(), indent=1)")
+    assert same_outputs.compare(indent, ROOT, ["refit_unwhitened"], [0]) == [
+        "refit_unwhitened/0/synth/model.json", "refit_unwhitened/0/compress/model.json"]
+    assert capsys.readouterr().out == (
+        "refit_unwhitened variant 0: differ in synth/model.json, compress/model.json\n")
