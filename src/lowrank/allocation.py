@@ -180,17 +180,13 @@ def build_plan(
     if importance_mode == "one_minus_cos":
         raw = [1.0 - v for v in raw]
     normalized = normalize_importance(raw)
-    block_params = [
-        sum(int(np.prod(model.slot_shape(b.block_id, slot))) for slot in BLOCK_SLOTS)
-        for b in blocks
+    slots = [  # (block_idx, slot, m, n)
+        (bi, slot, *model.slot(b.block_id, slot).shape)
+        for bi, b in enumerate(blocks)
+        for slot in BLOCK_SLOTS
     ]
+    block_params = [sum(m * n for bj, _, m, n in slots if bj == bi) for bi in range(len(blocks))]
     ratios = assign_ratios(normalized, trr, mrr, block_params)
-
-    slots = []  # (block_idx, slot, m, n)
-    for bi, b in enumerate(blocks):
-        for slot in BLOCK_SLOTS:
-            m, n = model.slot_shape(b.block_id, slot)
-            slots.append((bi, slot, m, n))
     ranks = {
         (bi, slot): _initial_rank(m, n, ratios[bi])
         for bi, slot, m, n in slots

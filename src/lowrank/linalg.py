@@ -41,11 +41,17 @@ class LowRankPair:
     def shape(self) -> tuple[int, int]:
         return (self.u_sigma.shape[0], self.vt_sigma.shape[1])
 
+    @property
+    def size(self) -> int:
+        """Stored parameter count, k * (m + n), as ``ndarray.size`` is m * n for a dense slot."""
+        return self.u_sigma.size + self.vt_sigma.size
+
     def product(self) -> np.ndarray:
         return self.u_sigma @ self.vt_sigma
 
-    def param_count(self) -> int:
-        return self.u_sigma.size + self.vt_sigma.size
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """w_hat @ x, applied factor by factor without forming w_hat."""
+        return self.u_sigma @ (self.vt_sigma @ x)
 
 
 def eigh_full(a: np.ndarray) -> EighFactors:

@@ -6,8 +6,10 @@ holds two dense slots, applied to column-token activations x (d x T):
     y = x + w2 @ act(w1 @ rms_norm(x))      w1: (h x d), w2: (d x h)
 
 A slot is represented by exactly one of a dense matrix or an absorbed low-rank
-pair (u: m x k, vt: k x n). All tensors live in a companion container file; the
-manifest (JSON) names them.
+pair (u: m x k, vt: k x n), and ``ModelHandle.slot`` returns it as that one
+value: an ndarray or a ``LowRankPair``, each with ``shape``, ``size`` (the
+stored parameter count) and ``@``. All tensors live in a companion container
+file; the manifest (JSON) names them.
 
 ``walk_blocks`` is the one forward. It calls a slot visitor right after each
 slot's product and a block visitor once y is formed, and reuses each
@@ -164,46 +166,27 @@ class ModelHandle:
     def slot_ids(self) -> list[tuple[int, str]]:
         return [(b.block_id, slot) for b in self.manifest.blocks for slot in BLOCK_SLOTS]
 
-    def block(self, block_id: int) -> BlockSpec:
+    def slot(self, block_id: int, slot: str) -> np.ndarray | LowRankPair:
+        """The slot as its operator: the dense matrix, or the absorbed low-rank pair.
+
+        Either one has ``shape``, ``size`` (the stored parameter count) and
+        ``@``, so a caller reads it without asking which it is.
+        """
         for b in self.manifest.blocks:
             if b.block_id == block_id:
-                return b
+                ref = b.lowrank.get(slot)
+                if ref is None:
+                    return self.tensors[b.matrices[slot]]
+                return LowRankPair(u_sigma=self.tensors[ref.u], vt_sigma=self.tensors[ref.vt])
         raise ManifestMismatch(f"no block {block_id} in manifest")
-
-    def slot_pair(self, block_id: int, slot: str) -> LowRankPair | None:
-        ref = self.block(block_id).lowrank.get(slot)
-        if ref is None:
-            return None
-        return LowRankPair(u_sigma=self.tensors[ref.u], vt_sigma=self.tensors[ref.vt])
 
     def slot_weight(self, block_id: int, slot: str) -> np.ndarray:
         """Dense matrix of the slot (materializes the product for low-rank slots)."""
-        pair = self.slot_pair(block_id, slot)
-        if pair is not None:
-            return pair.product()
-        return self.tensors[self.block(block_id).matrices[slot]]
-
-    def slot_shape(self, block_id: int, slot: str) -> tuple[int, int]:
-        pair = self.slot_pair(block_id, slot)
-        if pair is not None:
-            return pair.shape
-        return self.tensors[self.block(block_id).matrices[slot]].shape
-
-    def apply_slot(self, block_id: int, slot: str, x: np.ndarray) -> np.ndarray:
-        pair = self.slot_pair(block_id, slot)
-        if pair is not None:
-            return pair.u_sigma @ (pair.vt_sigma @ x)
-        return self.tensors[self.block(block_id).matrices[slot]] @ x
-
-    def slot_param_count(self, block_id: int, slot: str) -> int:
-        """Stored parameter count of the slot: m*n dense, k*(m+n) compressed."""
-        pair = self.slot_pair(block_id, slot)
-        if pair is not None:
-            return pair.param_count()
-        return self.tensors[self.block(block_id).matrices[slot]].size
+        op = self.slot(block_id, slot)
+        return op.product() if isinstance(op, LowRankPair) else op
 
     def param_count(self) -> int:
-        return sum(self.slot_param_count(b, s) for b, s in self.slot_ids())
+        return sum(self.slot(b, s).size for b, s in self.slot_ids())
 
 
 # --- block walk -------------------------------------------------------------
@@ -310,12 +293,12 @@ def walk_blocks(
     for block in model.manifest.blocks:
         block_id = block.block_id
         x_norm = rms_norm(x, x_squares)
-        pre = model.apply_slot(block_id, "w1", x_norm)
+        pre = model.slot(block_id, "w1") @ x_norm
         if visit_slot is not None:
             visit_slot(block_id, "w1", x_norm, pre)
         del x_norm
         hidden = apply_activation(model.manifest.activation, pre, in_place=True)
-        update = model.apply_slot(block_id, "w2", hidden)
+        update = model.slot(block_id, "w2") @ hidden
         if visit_slot is not None:
             visit_slot(block_id, "w2", hidden, update)
         del pre, hidden
@@ -435,7 +418,7 @@ def as_compressed_handle(model: ModelHandle, plan, factors: dict[str, LowRankPai
             pair = factors.get(name)
             if pair is None:
                 raise ShapeError(f"plan compresses slot {name} but no factor pair was supplied")
-            m, n = model.slot_shape(block.block_id, slot)
+            m, n = model.slot(block.block_id, slot).shape
             if pair.u_sigma.shape != (m, pair.rank) or pair.vt_sigma.shape != (pair.rank, n):
                 raise ShapeError(
                     f"slot {name}: factor shapes {pair.u_sigma.shape}/{pair.vt_sigma.shape} "

@@ -220,7 +220,7 @@ def _walk_chunks(model: ModelHandle, samples: np.ndarray) -> list[np.ndarray]:
     to the widest narrow-side Gram side so that no chunk is narrower than the
     Gram it feeds.
     """
-    shapes = [model.slot_shape(block_id, slot) for block_id, slot in model.slot_ids()]
+    shapes = [model.slot(block_id, slot).shape for block_id, slot in model.slot_ids()]
     width = max(CHUNK_BYTES // (8 * max(map(max, shapes))), max(map(min, shapes)))
     step = max(1, width // samples.shape[1])
     return [samples[i : i + step] for i in range(0, len(samples), step)]
@@ -372,7 +372,7 @@ def _check_aligned(original: ModelHandle, compressed: ModelHandle) -> None:
     if [b.block_id for b in mo.blocks] != [b.block_id for b in mc.blocks]:
         raise ManifestMismatch("models have different block structure")
     for block_id, slot in original.slot_ids():
-        if original.slot_shape(block_id, slot) != compressed.slot_shape(block_id, slot):
+        if original.slot(block_id, slot).shape != compressed.slot(block_id, slot).shape:
             raise ManifestMismatch(
                 f"slot {slot_name(block_id, slot)} shapes differ between the two models"
             )
@@ -406,7 +406,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         sums: dict[str, tuple[float, float]] = {}  # slot: (||W_hat x - W x||^2, ||W x||^2)
 
         def visit_slot(block_id, slot, x, wx):
-            diff = compressed.apply_slot(block_id, slot, x)
+            diff = compressed.slot(block_id, slot) @ x
             diff -= wx
             sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
 
@@ -416,10 +416,8 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         return walk_blocks(compressed, chunk)
 
     def weight_error(block_id, slot):
-        w_hat = compressed.slot_pair(block_id, slot)
-        if w_hat is None:
-            w_hat = compressed.slot_weight(block_id, slot)
-        return _weight_error(slot_name(block_id, slot), original.slot_weight(block_id, slot), w_hat)
+        return _weight_error(slot_name(block_id, slot), original.slot_weight(block_id, slot),
+                             compressed.slot(block_id, slot))
 
     chunks = _walk_chunks(original, heldout)
     slot_ids = original.slot_ids()

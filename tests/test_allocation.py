@@ -135,8 +135,8 @@ class TestBuildPlan:
         plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
         assert 0.594 <= plan.achieved_retention <= 0.606
         achieved = sum(
-            (k * sum(model.slot_shape(b.block_id, s)) if (k := b.ranks[s]) is not None
-             else int(np.prod(model.slot_shape(b.block_id, s))))
+            (k * sum(model.slot(b.block_id, s).shape) if (k := b.ranks[s]) is not None
+             else model.slot(b.block_id, s).size)
             for b in plan.per_block for s in ("w1", "w2")
         ) / model.param_count()
         assert achieved == pytest.approx(plan.achieved_retention, abs=1e-15)

@@ -100,7 +100,7 @@ class TestGenSynthetic:
 
             def visit_slot(block_id, slot, x, out):
                 # at visit time: the walk overwrites w1's output and turns w2's into the block output
-                assert out.tobytes() == handle.apply_slot(block_id, slot, x).tobytes()
+                assert out.tobytes() == (handle.slot(block_id, slot) @ x).tobytes()
                 updates[slot] = out.copy()
                 visited.append((block_id, slot))
 
@@ -323,7 +323,7 @@ class TestSaveCompressed:
         assert stored["blocks.0.w1.vt"].shape == (16, 64)
         assert stored["blocks.0.w1.u"].size + stored["blocks.0.w1.vt"].size == 16 * (64 + 64)
         loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
-        assert loaded.slot_param_count(0, "w1") == 2048
+        assert loaded.slot(0, "w1").size == 2048
 
     def test_zero_compressed_slots_is_dense_copy(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=2, d=8, h=16)

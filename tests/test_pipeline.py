@@ -622,7 +622,7 @@ def one_piece_eval(original, compressed, heldout):
 
     def visit_slot(block_id, slot, x, wx):
         w, w_hat = original.slot_weight(block_id, slot), compressed.slot_weight(block_id, slot)
-        what_x = compressed.apply_slot(block_id, slot, x)
+        what_x = compressed.slot(block_id, slot) @ x
         per_slot[slot_name(block_id, slot)] = (
             float(np.linalg.norm(w_hat - w) / max(np.linalg.norm(w), tiny)),
             float(np.linalg.norm(what_x - wx) / max(np.linalg.norm(wx), tiny)),
@@ -698,7 +698,7 @@ class TestChunkedEval:
         monkeypatch.setattr(LowRankPair, "product", recording_product)
         assert eval_compression(model, compressed, calib).to_json() == serial
         assert recorded_pools == [2]
-        lowrank_slots = sum(compressed.slot_pair(*slot_id) is not None for slot_id in model.slot_ids())
+        lowrank_slots = sum(isinstance(compressed.slot(*slot_id), LowRankPair) for slot_id in model.slot_ids())
         assert lowrank_slots > 0
         pooled = [False, [1] * len(real_blas_at_two)]
         assert sorted(calls) == sorted(
