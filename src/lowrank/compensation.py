@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .linalg import LowRankPair, eigh_full, pinv
+from .linalg import LowRankPair, eigh_full, frobenius_dot, pinv
 
 
 @dataclass
@@ -186,7 +186,7 @@ class NormalEquations:
 
     def loss(self, u: np.ndarray, c: float) -> float:
         """loss = c - <U', 2 B - U' @ K>, given c = tr(H_r)."""
-        return c - float(np.vdot(u, 2.0 * self.b - u @ self.k))
+        return c - frobenius_dot(u, 2.0 * self.b - u @ self.k)
 
 
 def normal_equations(coords: np.ndarray, h: np.ndarray) -> NormalEquations:
@@ -196,7 +196,8 @@ def normal_equations(coords: np.ndarray, h: np.ndarray) -> NormalEquations:
     """
     k, side = coords.shape
     mh = coords @ h                                        # k x r
-    noise = max(side, k) * np.finfo(np.float64).eps * np.linalg.norm(coords) * np.linalg.norm(mh)
+    noise = (max(side, k) * np.finfo(np.float64).eps
+             * np.sqrt(frobenius_dot(coords, coords)) * np.sqrt(frobenius_dot(mh, mh)))
     return NormalEquations(coords=coords, k=mh @ coords.T, b=mh.T, noise=noise)
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: symmetric eigh, pseudoinverse, rank budget."""
+"""Dense linear-algebra kernels: Frobenius inner product, symmetric eigh, pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -52,6 +52,16 @@ class LowRankPair:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """w_hat @ x, applied factor by factor without forming w_hat."""
         return self.u_sigma @ (self.vt_sigma @ x)
+
+
+def frobenius_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product sum(a * b) of two equal-shape matrices, without a BLAS call or a temporary.
+
+    An ``einsum``: a BLAS dot product splits a long sum across threads, so its
+    bits could follow the thread count; this sum's do not. With ``b = a`` it
+    is the sum of squares ||a||_F^2.
+    """
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def eigh_full(a: np.ndarray) -> EighFactors:

@@ -14,9 +14,9 @@ since every Vt the refits produce lies in W's row space, for a wide slot
 the slot output the forward pass forms anyway, for a wide one. No n x n Gram
 is formed for a wide slot. For every slot the walk also keeps
 ||X||_F^2 / n = mean diag G, from which the whitening damping
-REL_DAMPING * mean diag G is read. ||X||_F^2 is an ``einsum``, as every sum
-of squares here is: a BLAS dot product splits its sum across threads, so its
-bits could follow the CPU count.
+REL_DAMPING * mean diag G is read. ||X||_F^2, as every sum of squares here,
+is ``linalg.frobenius_dot``, an ``einsum``: a BLAS dot product splits its sum
+across threads, so its bits could follow the CPU count.
 
 The buckets are one (buckets, tokens, d) array, and the walk goes over
 slices of it on the worker pool below. With ``wide`` the widest slot
@@ -76,7 +76,7 @@ from .calibration import Calibration, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .container import atomic_path
 from .errors import LowrankError, ManifestMismatch, NumericalError, ShapeError
-from .linalg import LowRankPair
+from .linalg import LowRankPair, frobenius_dot
 from .model import (
     ModelHandle,
     as_compressed_handle,
@@ -167,7 +167,7 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in block {block_id}") from exc
             grams.add(name, index, gram)
-            mean_diag.add(name, index, _sum_squares(x) / x.shape[0])
+            mean_diag.add(name, index, frobenius_dot(x, x) / x.shape[0])
 
         def visit_block(block_id, x, y, x_squares, y_squares):
             cosines[block_id] = column_cosines(x, y, x_squares, y_squares)
@@ -392,8 +392,8 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     slot's weight error (``_weight_error``). A failing task surfaces in that
     order. The calling thread adds the sums and joins both outputs in chunk
     order, so no result depends on the worker count. Every squared norm is
-    summed by ``einsum``, not by the BLAS, whose order of summation can
-    follow its thread count.
+    ``frobenius_dot``, not a BLAS sum, whose order can follow its thread
+    count.
     """
     _check_aligned(original, compressed)
     samples = _load_samples(original, data)
@@ -408,7 +408,7 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
         def visit_slot(block_id, slot, x, wx):
             diff = compressed.slot(block_id, slot) @ x
             diff -= wx
-            sums[slot_name(block_id, slot)] = (_sum_squares(diff), _sum_squares(wx))
+            sums[slot_name(block_id, slot)] = (frobenius_dot(diff, diff), frobenius_dot(wx, wx))
 
         return sums, walk_blocks(original, chunk, visit_slot)
 
@@ -476,16 +476,11 @@ def _weight_error(name: str, w: np.ndarray, w_hat: LowRankPair | np.ndarray) -> 
             diff -= w
         else:
             diff = w_hat - w
-        err, ref = _sum_squares(diff), _sum_squares(w)
+        err, ref = frobenius_dot(diff, diff), frobenius_dot(w, w)
     if not (math.isfinite(err) and math.isfinite(ref)):
         raise NumericalError(f"slot {name}: the weight error's sums of squares are not finite "
                              f"(||W_hat - W||^2 = {err!r}, ||W||^2 = {ref!r})")
     return err, ref
-
-
-def _sum_squares(a: np.ndarray) -> float:
-    """Sum of the squared entries of a matrix, without a BLAS call or a temporary."""
-    return float(np.einsum("ij,ij->", a, a))
 
 
 def _relative_norm(err: float, ref: float) -> float:

@@ -16,3 +16,31 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def blas_threads():
+    """``set_threads(n)`` puts every loaded OpenBLAS at n threads and returns their controls.
+
+    Each library's count is put back after the test. Skips the test where no
+    OpenBLAS can be controlled, or where one refuses n threads.
+    """
+    from lowrank.runtime import blas_controls
+
+    controls = blas_controls()
+    if not controls:
+        pytest.skip("no controllable OpenBLAS loaded")
+    previous = [c.get() for c in controls]
+
+    def set_threads(n):
+        for c in controls:
+            c.set(n)
+        if any(c.get() != n for c in controls):
+            pytest.skip(f"an OpenBLAS refused {n} threads")
+        return controls
+
+    try:
+        yield set_threads
+    finally:
+        for c, n in zip(controls, previous):
+            c.set(n)

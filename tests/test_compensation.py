@@ -163,6 +163,25 @@ class TestUpdateU:
                 assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
 
 
+    def test_loss_and_noise_bound_keep_their_bits_across_blas_threads(self, blas_threads):
+        """The refit loss and K's rounding-noise bound are the same bits at 1 and 2 BLAS threads.
+
+        The operands are those of a desk w1 slot at rank 243 (r = 512), long
+        enough that a BLAS dot product would split its sum across threads.
+        """
+        rng = np.random.default_rng(0)
+        k, r = 243, 512
+        a = rng.standard_normal((r, r))
+        h = a @ a.T
+        draws = [(rng.standard_normal((k, r)), rng.standard_normal((r, k))) for _ in range(4)]
+        seen = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            normals = [(normal_equations(coords, h), u) for coords, u in draws]
+            seen.append([(normal.noise, normal.loss(u, float(np.trace(h)))) for normal, u in normals])
+        assert seen[0] == seen[1]
+
+
 class TestUpdateV:
     def test_orthonormal_u_gives_transpose_product(self, rng):
         w = rng.normal(size=(7, 5))
