@@ -40,21 +40,9 @@ def fake_controls(*counts):
 
 
 @pytest.fixture
-def real_blas_at_two():
+def real_blas_at_two(blas_threads):
     """Every loaded OpenBLAS set to 2 threads for the test, then put back."""
-    controls = blas_controls()
-    if not controls:
-        pytest.skip("no controllable OpenBLAS loaded")
-    previous = [c.get() for c in controls]
-    try:
-        for c in controls:
-            c.set(2)
-        if any(c.get() != 2 for c in controls):
-            pytest.skip("an OpenBLAS refused 2 threads")
-        yield controls
-    finally:
-        for c, n in zip(controls, previous):
-            c.set(n)
+    return blas_threads(2)
 
 
 def input_grams(model, samples):
@@ -143,25 +131,17 @@ class TestCompressModel:
             k: v.per_half_step for k, v in t2.items()
         }
 
-    def test_worker_pool_matches_sequential(self, small_setup, monkeypatch):
+    def test_worker_pool_matches_sequential(self, small_setup, monkeypatch, recorded_pools):
         model, _, calib = small_setup
         cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=4)
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
         c1, p1, _ = compress_model(model, calib, cfg)
-        assert pools == []
+        assert recorded_pools == []
         controls, state = fake_controls(1)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         c2, p2, _ = compress_model(model, calib, cfg)
-        assert pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
+        assert recorded_pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
         assert state == [1]
         assert p1.to_json() == p2.to_json()
         for name in c1.tensors:
@@ -771,6 +751,39 @@ def test_walk_holds_few_token_matrices(two_chunk_eval, monkeypatch, stage, bound
     finally:
         tracemalloc.stop()
     assert peak < bound * widest
+
+def test_walk_and_eval_keep_their_bits_at_any_blas_thread_count(tmp_path, monkeypatch, blas_threads):
+    """A one-chunk calibrate and the eval report are byte-identical at 1, 2 and 4 BLAS threads per worker.
+
+    A pool stage gives each of its at most MAX_WORKERS workers usable CPUs //
+    workers threads, capped at the count it finds; with the CPUs reported as
+    MAX_WORKERS times the set count, every worker runs at that count. The
+    calibrate walk is one task, and eval has 2 walks and 4 weight errors.
+    """
+    model, samples = gen_synthetic(seed=2, blocks=2, d=512, h=2048, n_samples=5, tokens=128)
+    calib = tmp_path / "calib.st"
+    save_calibration(calib, samples)
+    fit = split_calibration(samples)[0]
+    assert len(pipeline._walk_chunks(model, fit)) == 1
+    compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+    walk, counts = pipeline.walk_blocks, []
+
+    def recording_walk(*args, **kwargs):
+        counts.append([c.get() for c in pipeline.blas_controls()])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "walk_blocks", recording_walk)
+    digests = {}
+    for threads in (1, 2, 4):
+        controls = blas_threads(threads)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: pipeline.MAX_WORKERS * threads)
+        counts.clear()
+        grams, mean_diag, importances = calibrate(model, fit)
+        report = eval_compression(model, compressed, calib).to_json()
+        assert counts == [[threads] * len(controls)] * 3  # calibrate's walk and eval's two
+        digests[threads] = ({name: g.tobytes() for name, g in grams.items()}, mean_diag, importances, report)
+    assert digests[1] == digests[2] == digests[4]
+
 
 def test_traces_csv_round_trip(tmp_path, small_setup):
     model, _, calib = small_setup
