@@ -245,7 +245,11 @@ def as_samples(model: ModelHandle, samples: np.ndarray) -> np.ndarray:
 
 
 def _checked_squares(x: np.ndarray, block_id: int) -> np.ndarray:
-    """``token_squares(x)``; NumericalError naming the block if one of them is not finite."""
+    """``token_squares(x)``; NumericalError naming the block if one is not finite or underflows to 0.
+
+    An all-zero token is valid (its square is 0); the columns are read only
+    when some square is 0, to tell such a token from one that underflowed.
+    """
     squares = token_squares(x)
     if not np.all(np.isfinite(squares)):
         if np.all(np.isfinite(x)):
@@ -253,6 +257,10 @@ def _checked_squares(x: np.ndarray, block_id: int) -> np.ndarray:
                 f"activations overflow in block {block_id}: a token's sum of squares exceeds 1.8e308"
             )
         raise NumericalError(f"non-finite activations in block {block_id}")
+    if not squares.all() and np.any(x[:, squares == 0]):
+        raise NumericalError(
+            f"activations underflow in block {block_id}: a nonzero token's sum of squares is 0"
+        )
     return squares
 
 

@@ -389,13 +389,12 @@ def test_nonfinite_report_exits_2(workspace, capsys, monkeypatch, to_file):
     assert sorted(p.name for p in workspace.iterdir()) == ["base", "c"]
 
 
-@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
-def test_overflowing_calibration_exits_2(workspace, capsys, command):
-    """Finite calibration data whose per-token sums of squares overflow is a numerical error, with no warning."""
+def assert_scaled_calibration_exits_2(workspace, capsys, command, scale, what):
+    """``command`` on the calibration data times ``scale`` exits 2 naming block 0, with no warning and no file."""
     from lowrank.container import save_container
 
     base = workspace / "base"
-    flags = ["--model", str(base / "model.json"), "--calib", str(workspace / "big.st")]
+    flags = ["--model", str(base / "model.json"), "--calib", str(workspace / "scaled.st")]
     if command == "eval":
         assert run_cli([
             "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
@@ -407,7 +406,7 @@ def test_overflowing_calibration_exits_2(workspace, capsys, command):
         argv = ["compress", *flags, "--target-retention", "0.6", "--out", str(workspace / "x")]
     else:
         argv = ["importance", *flags, "--target-retention", "0.6"]
-    save_container(workspace / "big.st", {"samples": load_container(base / "calib.st")["samples"] * 1e160})
+    save_container(workspace / "scaled.st", {"samples": load_container(base / "calib.st")["samples"] * scale})
     before = sorted(p.name for p in workspace.rglob("*"))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -415,10 +414,22 @@ def test_overflowing_calibration_exits_2(workspace, capsys, command):
         code = run_cli(argv)
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical error: ") and "block 0" in captured.err
+    assert captured.err.startswith(f"numerical error: activations {what} in block 0")
     assert "Warning" not in captured.err and caught == []
     assert captured.out == ""
     assert sorted(p.name for p in workspace.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_overflowing_calibration_exits_2(workspace, capsys, command):
+    """Finite calibration data whose per-token sums of squares overflow is a numerical error, with no warning."""
+    assert_scaled_calibration_exits_2(workspace, capsys, command, 1e160, "overflow")
+
+
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_underflowing_calibration_exits_2(workspace, capsys, command):
+    """Nonzero tokens whose sums of squares underflow to 0 are a numerical error, not a silent zero importance."""
+    assert_scaled_calibration_exits_2(workspace, capsys, command, 1e-170, "underflow")
 
 
 @pytest.mark.parametrize("command", ["compress", "importance", "eval"])

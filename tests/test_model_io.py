@@ -112,6 +112,25 @@ class TestGenSynthetic:
             assert visited == [step for b in range(3) for step in ((b, "w1"), (b, "w2"), b)]
 
     @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
+    def test_all_zero_token_walks_with_cosine_zero(self, activation):
+        """A zero token is no underflow: it stays zero through every block and gets cosine 0."""
+        from lowrank.allocation import column_cosines
+
+        model, calib = gen_synthetic(seed=4, blocks=3, d=8, h=16, n_samples=3, tokens=5, activation=activation)
+        calib = np.array(calib)
+        calib[1, 2] = 0.0
+        zero = 1 * 5 + 2  # columns are the tokens in sample order
+        cosines = []
+
+        def visit_block(block_id, x_in, y, x_squares, y_squares):
+            cosines.append(column_cosines(x_in, y, x_squares, y_squares))
+
+        out = walk_blocks(model, calib, visit_block=visit_block)
+        assert not out[:, zero].any() and np.all(np.delete(out, zero, axis=1).any(axis=0))
+        assert [c[zero] for c in cosines] == [0.0, 0.0, 0.0]
+        assert all(np.all(np.delete(c, zero) != 0.0) for c in cosines)
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
     def test_walk_overwrites_each_activation(self, activation):
         """The hidden state is w1's output overwritten, and the block output is w2's."""
         model, calib = gen_synthetic(seed=4, blocks=2, d=8, h=16, n_samples=3, tokens=5, activation=activation)
