@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Gate every workload variant against the benchmark's reference and compare output bytes with BASE.
+
+    python3 scripts/compare.py [BASE] [--workload NAME ...]
+
+For each of the 16 variants of each named benchmark workload (all of them by
+default), runs ``synth``, ``compress`` and ``eval --out`` once, in this
+process, on this checkout's sources, in a temporary directory. Each eval
+report's ``output_mse`` goes through the benchmark's own gate against
+``benchmark/reference.json``; each miss is printed, and per workload the
+number of variants that pass and the largest relative deviation.
+
+BASE is the root of another checkout of the project, for example a ``git
+clone`` of the parent commit. Given it, variants 0 and 5 also run in fresh
+processes under ``PYTHONPATH=BASE/src``: BASE's ``synth`` writes its own
+inputs, and its ``compress`` and ``eval`` read this checkout's, so a
+difference in them is the command's own. The SHA-256 of every file each
+command writes is compared: ``synth``'s ``model.json``, ``model.st`` and
+``calib.st``, ``compress``'s ``model.json``, ``model.st``, ``plan.json`` and
+``traces.csv``, and the eval report. One line per variant names each
+differing file with the command that wrote it.
+
+Exits 1 on any reference miss or differing file. Writes nothing outside its
+temporary directory; ``benchmark/record_reference.py`` is the one script that
+writes the reference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+from common import use_checkout_sources  # noqa: E402
+from run import REFERENCE_FILE, VARIANTS, WORKLOADS, check_reference  # noqa: E402
+
+SAME_BYTES_VARIANTS = (0, 5)
+OUTPUTS = {  # command: the directory it writes into, under a run's work directory, and its files
+    "synth": ("input", ("model.json", "model.st", "calib.st")),
+    "compress": ("out", ("model.json", "model.st", "plan.json", "traces.csv")),
+    "eval": ("out", ("report.json",)),
+}
+
+
+def _lowrank(argv: list[str], checkout: Path | None, cwd: Path) -> None:
+    """Run one CLI command: in this process, or on ``checkout``'s sources in a fresh one; SystemExit if it fails."""
+    if checkout is None:
+        from lowrank.cli import run_cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, error = run_cli(argv), ""
+    else:
+        done = subprocess.run(
+            [sys.executable, "-m", "lowrank", *argv], cwd=cwd, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        )
+        code, error = done.returncode, done.stderr.strip()
+    if code != 0:
+        raise SystemExit(f"{checkout or 'this checkout'}: {argv[0]} exited {code}: {error}")
+
+
+def _run(workload, variant: int, inputs: Path, work: Path, checkout: Path | None = None) -> None:
+    """``synth`` into ``work/input``, then ``compress`` and ``eval`` of ``inputs`` into ``work/out``."""
+    out = work / "out"
+    work.mkdir(parents=True)
+    _lowrank(workload.synth_argv(work / "input", variant), checkout, work)
+    _lowrank(workload.compress_argv(inputs, out, variant), checkout, work)
+    _lowrank(workload.eval_argv(inputs, out, out / "report.json"), checkout, work)
+
+
+def _hashes(work: Path) -> dict[str, str]:
+    """``command/file``: SHA-256 of every file a run wrote under ``work``."""
+    return {f"{command}/{name}": hashlib.sha256((work / directory / name).read_bytes()).hexdigest()
+            for command, (directory, names) in OUTPUTS.items() for name in names}
+
+
+def compare(workloads, reference: dict, base: Path | None = None, variants=range(VARIANTS)) -> list[str]:
+    """Print each miss, one line per compared variant and one per workload; return every problem.
+
+    A reference miss is returned as ``workload/variant: message``, a file
+    that differs from BASE's as ``workload/variant/command/file``.
+    """
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
+        for name in workloads:
+            workload, misses, worst = WORKLOADS[name], 0, 0.0
+            for variant in variants:
+                work = Path(tmp) / name / str(variant)
+                head = work / "head"
+                _run(workload, variant, head / "input", head)
+                mse = json.loads((head / "out" / "report.json").read_text())["end_to_end"]["output_mse"]
+                miss = check_reference(reference, name, variant, mse)
+                if miss is not None:
+                    misses += 1
+                    problems.append(f"{name}/{variant}: {miss}")
+                    print(f"{name} variant {variant}: {miss}", flush=True)
+                expected = reference.get(name, {}).get(str(variant))
+                if expected:
+                    worst = max(worst, abs(mse - expected) / abs(expected))
+                if base is not None and variant in SAME_BYTES_VARIANTS:
+                    _run(workload, variant, head / "input", work / "base", base)
+                    base_hashes = _hashes(work / "base")
+                    differing = [f for f, digest in _hashes(head).items() if base_hashes[f] != digest]
+                    problems += [f"{name}/{variant}/{f}" for f in differing]
+                    print(f"{name} variant {variant}: "
+                          + (f"differ in {', '.join(differing)}" if differing else "identical"), flush=True)
+                shutil.rmtree(work)
+            print(f"{name}: {len(variants) - misses}/{len(variants)} variants pass, "
+                  f"max relative heldout_mse deviation {worst:.3g}", flush=True)
+    return problems
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base", type=Path, nargs="?", help="root of a checkout to compare output bytes against")
+    p.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    args = p.parse_args(argv)
+    if args.base is not None and not (args.base / "src" / "lowrank" / "__init__.py").is_file():
+        p.error(f"no program sources at {args.base / 'src' / 'lowrank'}")
+    use_checkout_sources()
+    reference = json.loads(REFERENCE_FILE.read_text())
+    base = args.base.resolve() if args.base is not None else None
+    return 1 if compare(args.workload or sorted(WORKLOADS), reference, base) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

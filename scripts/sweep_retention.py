@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Sweep the target retention ratio and compare the pipeline against baselines.
+"""The paper's ablation ladder on synthetic models, at each target retention, averaged over seeds.
 
-For each retention value the script reports held-out output MSE of plain
-uniform truncation, compensation-only, and the full adaptive pipeline,
-averaged over several seeds.
+    python3 scripts/sweep_retention.py [--retentions 0.8 0.6 0.4 0.3] [--seeds 5] ...
+
+Per retention, compresses each seed's model four ways: plain truncated SVD at
+a uniform ratio, then with alternating compensation, then with whitening,
+then with adaptive ratios. Prints the held-out achieved retention, output
+MSE (and its ratio to plain SVD's), output cosine, overlap and the time of
+compress plus eval, each the mean over the seeds.
 """
 
 import argparse
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -19,40 +24,63 @@ from lowrank import PipelineConfig, compress_model, eval_compression, gen_synthe
 from lowrank.model import save_calibration
 
 
-def run_variant(model, calib, cfg):
-    compressed, _, _ = compress_model(model, calib, cfg)
-    return eval_compression(model, compressed, calib).output_mse
+def ladder(trr: float, mrr: float | None, iters: int, seed: int) -> dict[str, PipelineConfig]:
+    """The four variants, each adding one step of the pipeline to the one before."""
+    return {
+        "plain truncated SVD (uniform)": PipelineConfig(
+            trr=trr, mrr=trr, iterations=0, whiten=False, seed=seed),
+        "  + alternating compensation": PipelineConfig(
+            trr=trr, mrr=trr, iterations=iters, whiten=False, seed=seed),
+        "  + whitening": PipelineConfig(
+            trr=trr, mrr=trr, iterations=iters, whiten=True, seed=seed),
+        "  + adaptive ratios (full)": PipelineConfig(
+            trr=trr, mrr=mrr, iterations=iters, whiten=True, seed=seed),
+    }
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--retentions", type=float, nargs="+", default=[0.8, 0.6, 0.4, 0.3])
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--blocks", type=int, default=8)
     ap.add_argument("--hidden-dim", type=int, default=64)
     ap.add_argument("--mlp-dim", type=int, default=128)
+    ap.add_argument("--samples", type=int, default=64)
+    ap.add_argument("--tokens", type=int, default=64)
+    ap.add_argument("--mrr", type=float, default=None)
+    ap.add_argument("--iters", type=int, default=1)
     args = ap.parse_args()
 
-    print(f"{'retention':>9} {'plain':>12} {'comp-only':>12} {'full':>12} {'full/plain':>11}")
-    print("-" * 60)
     with tempfile.TemporaryDirectory() as td:
+        models = []
+        for seed in range(args.seeds):
+            model, samples = gen_synthetic(
+                seed=seed, blocks=args.blocks, d=args.hidden_dim, h=args.mlp_dim,
+                n_samples=args.samples, tokens=args.tokens,
+            )
+            calib = Path(td) / f"c{seed}.st"
+            save_calibration(calib, samples)
+            models.append((model, calib))
+        print(f"model: {args.blocks} blocks, d={args.hidden_dim}, h={args.mlp_dim}, "
+              f"{models[0][0].param_count()} parameters; means over seeds 0..{args.seeds - 1}")
+        print(f"\n{'target':>6} {'variant':<30} {'retention':>9} {'mse':>12} {'mse/plain':>9} "
+              f"{'cosine':>8} {'overlap':>8} {'time':>7}")
+        print("-" * 96)
         for trr in args.retentions:
-            mse = {"plain": [], "comp": [], "full": []}
-            for seed in range(args.seeds):
-                model, samples = gen_synthetic(
-                    seed=seed, blocks=args.blocks, d=args.hidden_dim, h=args.mlp_dim,
-                    n_samples=64, tokens=64,
-                )
-                calib = Path(td) / f"c{seed}.st"
-                save_calibration(calib, samples)
-                mse["plain"].append(run_variant(model, calib, PipelineConfig(
-                    trr=trr, mrr=trr, iterations=0, whiten=False, seed=seed)))
-                mse["comp"].append(run_variant(model, calib, PipelineConfig(
-                    trr=trr, mrr=trr, iterations=1, whiten=False, seed=seed)))
-                mse["full"].append(run_variant(model, calib, PipelineConfig(
-                    trr=trr, iterations=1, whiten=True, seed=seed)))
-            plain, comp, full = (float(np.mean(mse[k])) for k in ("plain", "comp", "full"))
-            print(f"{trr:>9.2f} {plain:>12.6f} {comp:>12.6f} {full:>12.6f} {full / plain:>11.3f}")
+            rows: dict[str, list] = {}
+            for seed, (model, calib) in enumerate(models):
+                for name, cfg in ladder(trr, args.mrr, args.iters, seed).items():
+                    t0 = time.monotonic()
+                    compressed, _, _ = compress_model(model, calib, cfg)
+                    report = eval_compression(model, compressed, calib)
+                    rows.setdefault(name, []).append((
+                        report.achieved_retention, report.output_mse, report.output_cosine_mean,
+                        report.overlap_statistic, time.monotonic() - t0))
+            means = {name: np.mean(runs, axis=0) for name, runs in rows.items()}
+            plain = next(iter(means.values()))[1]
+            for i, (name, (retention, mse, cosine, overlap, dt)) in enumerate(means.items()):
+                print(f"{f'{trr:.2f}' if i == 0 else '':>6} {name:<30} {retention:>9.4f} {mse:>12.6f} "
+                      f"{mse / plain:>9.3f} {cosine:>8.4f} {overlap:>8.4f} {dt:>6.2f}s", flush=True)
 
 
 if __name__ == "__main__":

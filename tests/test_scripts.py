@@ -1,7 +1,8 @@
-"""Smoke test: the experiment scripts still run against the library API."""
+"""The experiment scripts: the sweep runs against the library API, and compare.py gates and compares."""
 
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,68 +13,88 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 REFERENCE = ROOT / "benchmark" / "reference.json"
-SHAPE = ["--blocks", "4", "--hidden-dim", "32", "--mlp-dim", "64"]
+LADDER = ("plain truncated SVD (uniform)", "+ alternating compensation", "+ whitening", "+ adaptive ratios (full)")
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("run_demo.py", SHAPE + ["--samples", "32", "--tokens", "16"]),
-        ("sweep_retention.py", SHAPE + ["--retentions", "0.6", "--seeds", "1"]),
-    ],
-)
-def test_script_exits_zero(script, args):
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare", SCRIPTS / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+def copy_with(root, module, old, new):
+    """A copy of the sources, in ``root``, with ``old`` replaced in one module."""
+    shutil.copytree(ROOT / "src" / "lowrank", root / "src" / "lowrank", ignore=shutil.ignore_patterns("__pycache__"))
+    source = root / "src" / "lowrank" / module
+    assert old in source.read_text()
+    source.write_text(source.read_text().replace(old, new))
+    return root
+
+
+def test_sweep_prints_the_ladder():
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
+        [sys.executable, str(SCRIPTS / "sweep_retention.py"), "--blocks", "4", "--hidden-dim", "32",
+         "--mlp-dim", "64", "--samples", "32", "--tokens", "16", "--retentions", "0.6", "--seeds", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if any(name in line for name in LADDER)]
+    assert len(rows) == 4 and all(name in row for name, row in zip(LADDER, rows))
+    assert rows[0].split()[0] == "0.60"
 
 
-def test_reference_checker_gates_and_never_writes(capsys):
-    spec = importlib.util.spec_from_file_location("check_reference", SCRIPTS / "check_reference.py")
-    checker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checker)
+def test_reference_checker_gates_and_never_writes(compare, capsys):
     recorded = REFERENCE.read_bytes()
     reference = json.loads(recorded)
 
-    assert checker.check("refit_unwhitened", 1, reference) == 0
+    assert compare(["refit_unwhitened"], reference, variants=[0]) == []
     assert "refit_unwhitened: 1/1 variants pass" in capsys.readouterr().out
 
     doctored = json.loads(recorded)
     doctored["refit_unwhitened"]["0"] *= 1.0 + 1e-3
-    assert checker.check("refit_unwhitened", 1, doctored) == 1
+    problems = compare(["refit_unwhitened"], doctored, variants=[0])
+    assert len(problems) == 1 and problems[0].startswith("refit_unwhitened/0: heldout_mse ")
     assert "refit_unwhitened: 0/1 variants pass" in capsys.readouterr().out
     assert REFERENCE.read_bytes() == recorded
 
 
-def test_same_outputs_finds_only_real_differences(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("same_outputs", SCRIPTS / "same_outputs.py")
-    same_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_outputs)
+def test_same_outputs_finds_only_real_differences(compare, tmp_path, capsys):
+    reference = json.loads(REFERENCE.read_bytes())
 
-    assert same_outputs.compare(ROOT, ROOT, ["refit_unwhitened"], [0]) == []
-    assert capsys.readouterr().out == "refit_unwhitened variant 0: identical\n"
+    def assert_printed(line):
+        """``line``, then the workload's pass line, and nothing else."""
+        assert re.fullmatch(re.escape(line + "\nrefit_unwhitened: 1/1 variants pass, max relative heldout_mse "
+                                      "deviation ") + r"\S+\n", capsys.readouterr().out)
 
-    def copy_with(name, module, old, new):
-        """A copy of the sources, in ``tmp_path / name``, with ``old`` replaced in one module."""
-        root = tmp_path / name
-        shutil.copytree(ROOT / "src" / "lowrank", root / "src" / "lowrank",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        source = root / "src" / "lowrank" / module
-        assert old in source.read_text()
-        source.write_text(source.read_text().replace(old, new))
-        return root
+    assert compare(["refit_unwhitened"], reference, ROOT, [0]) == []
+    assert_printed("refit_unwhitened variant 0: identical")
 
     # the eval report bins the output histogram differently
-    bins = copy_with("bins", "pipeline.py", "OVERLAP_BINS = 64", "OVERLAP_BINS = 32")
-    assert same_outputs.compare(bins, ROOT, ["refit_unwhitened"], [0]) == ["refit_unwhitened/0/eval/report.json"]
-    assert capsys.readouterr().out == "refit_unwhitened variant 0: differ in eval/report.json\n"
+    bins = copy_with(tmp_path / "bins", "pipeline.py", "OVERLAP_BINS = 64", "OVERLAP_BINS = 32")
+    assert compare(["refit_unwhitened"], reference, bins, [0]) == ["refit_unwhitened/0/eval/report.json"]
+    assert_printed("refit_unwhitened variant 0: differ in eval/report.json")
 
     # synth and compress write their manifests with another indent
-    indent = copy_with("indent", "model.py", "json.dumps(model.manifest.to_json(), indent=2)",
+    indent = copy_with(tmp_path / "indent", "model.py", "json.dumps(model.manifest.to_json(), indent=2)",
                        "json.dumps(model.manifest.to_json(), indent=1)")
-    assert same_outputs.compare(indent, ROOT, ["refit_unwhitened"], [0]) == [
+    assert compare(["refit_unwhitened"], reference, indent, [0]) == [
         "refit_unwhitened/0/synth/model.json", "refit_unwhitened/0/compress/model.json"]
-    assert capsys.readouterr().out == (
-        "refit_unwhitened variant 0: differ in synth/model.json, compress/model.json\n")
+    assert_printed("refit_unwhitened variant 0: differ in synth/model.json, compress/model.json")
+
+
+def test_one_run_feeds_the_gate_and_the_byte_comparison(compare, tmp_path, capsys):
+    """A BASE copy that bins differently and a doctored reference: one call reports both."""
+    doctored = json.loads(REFERENCE.read_bytes())
+    doctored["refit_unwhitened"]["5"] *= 1.0 - 1e-3
+    bins = copy_with(tmp_path / "bins", "pipeline.py", "OVERLAP_BINS = 64", "OVERLAP_BINS = 32")
+    problems = compare(["refit_unwhitened"], doctored, bins, [5])
+    assert len(problems) == 2 and problems[0].startswith("refit_unwhitened/5: heldout_mse ")
+    assert problems[1] == "refit_unwhitened/5/eval/report.json"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("refit_unwhitened variant 5: heldout_mse ")
+    assert lines[1:] == [
+        "refit_unwhitened variant 5: differ in eval/report.json",
+        "refit_unwhitened: 0/1 variants pass, max relative heldout_mse deviation 0.001",
+    ]
