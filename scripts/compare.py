@@ -18,7 +18,10 @@ difference in them is the command's own. The SHA-256 of every file each
 command writes is compared: ``synth``'s ``model.json``, ``model.st`` and
 ``calib.st``, ``compress``'s ``model.json``, ``model.st``, ``plan.json`` and
 ``traces.csv``, and the eval report. One line per variant names each
-differing file with the command that wrote it.
+differing file with the command that wrote it, and a second says whether the
+two plans chose the same rank for every slot ("ranks identical") or names the
+first slot, in block order, whose rank differs: a plan whose importances move
+in their last bits can still choose the same ranks.
 
 Exits 1 on any reference miss or differing file. Writes nothing outside its
 temporary directory; ``benchmark/record_reference.py`` is the one script that
@@ -84,6 +87,26 @@ def _hashes(work: Path) -> dict[str, str]:
             for command, (directory, names) in OUTPUTS.items() for name in names}
 
 
+def _ranks(work: Path) -> dict[str, int | None]:
+    """Full slot name: the rank the plan ``compress`` wrote under ``work`` chose (None: kept dense)."""
+    plan = json.loads((work / "out" / "plan.json").read_text())
+    return {f"blocks.{block['block_id']}.{slot}": rank
+            for block in plan["blocks"] for slot, rank in block["ranks"].items()}
+
+
+def rank_change(head: Path, base: Path) -> str:
+    """The line "ranks identical", or one naming the first slot whose rank differs between two runs' plans.
+
+    Both runs compress the same model, so their plans name the same slots. A
+    rank of None is a slot kept dense.
+    """
+    ours, theirs = _ranks(head), _ranks(base)
+    for slot, rank in ours.items():
+        if theirs[slot] != rank:
+            return f"rank of {slot} differs: {rank} here, {theirs[slot]} in BASE"
+    return "ranks identical"
+
+
 def compare(workloads, reference: dict, base: Path | None = None, variants=range(VARIANTS)) -> list[str]:
     """Print each miss, one line per compared variant and one per workload; return every problem.
 
@@ -114,6 +137,7 @@ def compare(workloads, reference: dict, base: Path | None = None, variants=range
                     problems += [f"{name}/{variant}/{f}" for f in differing]
                     print(f"{name} variant {variant}: "
                           + (f"differ in {', '.join(differing)}" if differing else "identical"), flush=True)
+                    print(f"{name} variant {variant}: {rank_change(head, work / 'base')}", flush=True)
                 shutil.rmtree(work)
             print(f"{name}: {len(variants) - misses}/{len(variants)} variants pass, "
                   f"max relative heldout_mse deviation {worst:.3g}", flush=True)

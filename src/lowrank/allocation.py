@@ -82,7 +82,8 @@ def column_cosines(
     """Cosine similarity between each input token column and its output column.
 
     ``in_squares`` and ``out_squares`` are ``token_squares`` of the two
-    matrices, formed here unless the caller has them. A zero-norm column gets
+    matrices, formed here unless the caller has them. The numerator is one
+    ``einsum`` pass, as ``token_squares`` is. A zero-norm column gets
     similarity 0.
     """
     block_in = np.asarray(block_in, dtype=np.float64)
@@ -95,7 +96,7 @@ def column_cosines(
         in_squares = token_squares(block_in)
     if out_squares is None:
         out_squares = token_squares(block_out)
-    num = np.sum(block_in * block_out, axis=0)
+    num = np.einsum("ij,ij->j", block_in, block_out)
     denom = np.sqrt(in_squares) * np.sqrt(out_squares)
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 

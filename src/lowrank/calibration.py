@@ -33,6 +33,12 @@ def stack_of_batch(samples: np.ndarray, m_buckets: int, seed: int) -> BucketedCa
     N >= M the first N mod M buckets average ceil(N/M) consecutive shuffled
     samples and the rest average floor(N/M), so all M buckets are filled; with
     M | N this is plain consecutive chunks of size N/M.
+
+    Each bucket has the bits of ``np.mean`` over its samples: their sum in
+    order, divided by the count. The sums are formed one group position at a
+    time over all buckets (gather every bucket's j-th sample, add it in place),
+    so the only temporary is one gather, and a one-sample bucket is its
+    sample as is (x / 1 is x).
     """
     try:
         samples = np.asarray(samples, dtype=np.float64)
@@ -47,11 +53,18 @@ def stack_of_batch(samples: np.ndarray, m_buckets: int, seed: int) -> BucketedCa
         raise ShapeError(f"seed must be >= 0, got {seed}")
 
     order = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(order, min(n, m_buckets))
-    buckets = np.empty((len(parts),) + samples.shape[1:])
-    for bucket, part in zip(buckets, parts):
-        np.mean(samples[part], axis=0, out=bucket)
-    return BucketedCalib(buckets=buckets, counts=[len(part) for part in parts])
+    n_buckets = min(n, m_buckets)
+    # np.array_split's sizes: the first n mod M buckets hold one sample more
+    counts = np.full(n_buckets, n // n_buckets)
+    counts[: n % n_buckets] += 1
+    starts = np.cumsum(counts) - counts
+    buckets = samples[order[starts]]
+    for j in range(1, counts[0]):
+        held = np.count_nonzero(counts > j)  # only the first buckets hold a sample at position j
+        buckets[:held] += samples[order[starts[:held] + j]]
+    several = np.count_nonzero(counts > 1)
+    buckets[:several] /= counts[:several, None, None]
+    return BucketedCalib(buckets=buckets, counts=counts.tolist())
 
 
 class Calibration(NamedTuple):
@@ -60,8 +73,9 @@ class Calibration(NamedTuple):
     ``grams`` holds every slot's Gram matrix on its narrow side, keyed by full
     slot name: X @ X.T of its inputs for a tall slot (m >= n), Y @ Y.T of
     its outputs Y = W @ X for a wide one. ``mean_diag`` holds the mean
-    diagonal of every slot's input Gram X @ X.T, ||X||_F^2 / n summed over
-    the walk's chunks, which sets the whitening damping. ``importances``
+    diagonal of every slot's input Gram X @ X.T, ||X||_F^2 / n, which sets
+    the whitening damping: trace(G) / n of a tall slot's Gram, and for a
+    wide slot the chunks' ||X||_F^2 / n summed over the walk. ``importances``
     holds the mean column cosine of every block, keyed by id.
     """
 

@@ -195,11 +195,14 @@ class ModelHandle:
 def token_squares(x: np.ndarray) -> np.ndarray:
     """Each token's sum of squares: the column sums of x**2 of a (d x T) activation matrix.
 
-    Summed under ``np.errstate(over="ignore")``, so a column with
+    One ``einsum`` pass with no x**2 temporary. On the C-ordered activations
+    of the walk it adds row by row, the bits of ``add.reduce(square(x),
+    axis=0)``, and it makes no BLAS call, so its bits never follow a thread
+    count. Summed under ``np.errstate(over="ignore")``, so a column with
     |x| >~ 1.3e154 gives inf without a warning; the walk raises for it.
     """
     with np.errstate(over="ignore"):
-        return np.add.reduce(np.square(x), axis=0)
+        return np.einsum("ij,ij->j", x, x)
 
 
 def rms_norm(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
@@ -285,7 +288,8 @@ def walk_blocks(
     Each activation lives only until its last reader is done: the hidden
     state overwrites the pre-activation, and y overwrites the update. So a
     visitor must not write to, or keep, an array it is handed once it
-    returns; the first block's input is moreover a view of ``samples``.
+    returns. Every array a visitor is handed is C-ordered: the first
+    block's input is a C-ordered copy of the tokens of ``samples``.
 
     Raises ShapeError for no samples or another shape, and NumericalError
     naming the block whose input or output has a non-finite token, or a
@@ -294,9 +298,10 @@ def walk_blocks(
     """
     samples = as_samples(model, samples)
     # Every block op is per-column, so one pass over all token columns equals
-    # a sample-by-sample forward. The transposed view is F-ordered; a copy to
-    # C order would move the last bits of the block GEMMs.
-    x = samples.reshape(-1, model.hidden_dim).T
+    # a sample-by-sample forward. The transposed view is F-ordered; one copy
+    # to C order gives every block the layout of every later activation, so
+    # a per-token sum takes the same order in block 0 as in the rest.
+    x = np.ascontiguousarray(samples.reshape(-1, model.hidden_dim).T)
     x_squares = _checked_squares(x, model.manifest.blocks[0].block_id)
     for block in model.manifest.blocks:
         block_id = block.block_id

@@ -12,10 +12,11 @@ since every Vt the refits produce lies in W's row space, for a wide slot
 (m < n) only through H = W @ G @ W.T = Y @ Y.T, Y = W @ X its outputs (see
 ``compensation``). So the walk keeps G for a tall slot (m >= n) and H, from
 the slot output the forward pass forms anyway, for a wide one. No n x n Gram
-is formed for a wide slot. For every slot the walk also keeps
-||X||_F^2 / n = mean diag G, from which the whitening damping
-REL_DAMPING * mean diag G is read. ||X||_F^2, as every sum of squares here,
-is ``linalg.frobenius_dot``, an ``einsum``: a BLAS dot product splits its sum
+is formed for a wide slot. The whitening damping is REL_DAMPING * mean diag G,
+and mean diag G = ||X||_F^2 / n. For a tall slot that is trace(G) / n of its
+merged Gram, read once the walk is done; for a wide slot the walk sums
+||X||_F^2 / n itself. That sum, as every sum of squares here, is
+``linalg.frobenius_dot``, an ``einsum``: a BLAS dot product splits its sum
 across threads, so its bits could follow the CPU count.
 
 The buckets are one (buckets, tokens, d) array, and the walk goes over
@@ -27,12 +28,12 @@ holds max(1, width // tokens) buckets: its token matrices stay near cache
 size, and the width is never narrower than the Gram it feeds. The walk
 hands each slot's input and output to a visitor right after the slot's
 product, and overwrites them once the visit returns (see
-``model.walk_blocks``). The visitor forms the chunk's slot Gram and its
-share of ||X||_F^2 / n there and hands both at once to lock-guarded merges,
-which add chunk i's term only after chunk i - 1's and hold one that arrives
-early until its turn; no worker waits, and no chunk keeps its sums. Each
-chunk returns only every block's per-column importance cosines, which the
-calling thread joins in chunk order. So none of them depends on the worker
+``model.walk_blocks``). The visitor forms the chunk's slot Gram, and for a
+wide slot its share of ||X||_F^2 / n, there and hands them at once to
+lock-guarded merges, which add chunk i's term only after chunk i - 1's and
+hold one that arrives early until its turn; no worker waits, and no chunk
+keeps its sums. Each chunk returns only every block's per-column importance
+cosines, which the calling thread joins in chunk order. So none of them depends on the worker
 count or on the order in which chunks finish.
 
 Evaluation is one pool stage of its own. It cuts the held-out samples into
@@ -150,11 +151,12 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
     ``samples`` is a (samples, tokens, d) array, or a list of equal-shape
     samples. With ``with_grams=False`` the walk keeps only the importances,
     and the Gram and mean-diagonal dicts are empty. The samples are walked in
-    chunks on the pinned-BLAS worker pool, and each chunk's Grams and mean
-    diagonals are merged as they form (see the module docstring).
+    chunks on the pinned-BLAS worker pool, and each chunk's Grams and wide
+    slots' mean diagonals are merged as they form (see the module
+    docstring). A tall slot's mean diagonal is trace(G) / n of its merged Gram.
     """
     samples = as_samples(model, samples)
-    grams, mean_diag = _OrderedSum(), _OrderedSum()
+    grams, wide_diag = _OrderedSum(), _OrderedSum()
 
     def walk_chunk(task):
         index, chunk = task
@@ -162,12 +164,14 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
 
         def visit_slot(block_id, slot, x, out):
             name = slot_name(block_id, slot)
+            wide = out.shape[0] < x.shape[0]
             try:
-                gram = gram_accumulate(out if out.shape[0] < x.shape[0] else x)  # wide: the Gram of its outputs
+                gram = gram_accumulate(out if wide else x)  # wide: the Gram of its outputs
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in block {block_id}") from exc
             grams.add(name, index, gram)
-            mean_diag.add(name, index, frobenius_dot(x, x) / x.shape[0])
+            if wide:
+                wide_diag.add(name, index, frobenius_dot(x, x) / x.shape[0])
 
         def visit_block(block_id, x, y, x_squares, y_squares):
             cosines[block_id] = column_cosines(x, y, x_squares, y_squares)
@@ -180,7 +184,9 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
         for block_id, cos in part.items():
             cosines.setdefault(block_id, []).append(cos)
     importances = {block_id: float(np.mean(np.concatenate(parts))) for block_id, parts in cosines.items()}
-    return Calibration(grams.sums, mean_diag.sums, importances)
+    mean_diag = {name: float(np.trace(gram)) / len(gram) for name, gram in grams.sums.items()}
+    mean_diag.update(wide_diag.sums)  # a wide slot's Gram is of its outputs, not its inputs
+    return Calibration(grams.sums, mean_diag, importances)
 
 
 class _OrderedSum:

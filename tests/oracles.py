@@ -5,9 +5,10 @@ the plain truncated SVD (the program takes the init from one symmetric
 eigendecomposition, ``compensation.initialize_pair``), the data-space loss in
 its direct form on the input Gram G (the program reads every loss off the
 U-refit's normal equations), the lift of a pair through an explicit Q (the
-program lifts a tall slot's pair through W, ``SquareProblem.lift``), and a
+program lifts a tall slot's pair through W, ``SquareProblem.lift``), a
 forward over one sample (the program walks one (samples, tokens, d) array,
-``model.walk_blocks``).
+``model.walk_blocks``), and one ``np.mean`` per bucket (the program sums all
+buckets one group position at a time, ``calibration.stack_of_batch``).
 """
 
 from __future__ import annotations
@@ -87,3 +88,14 @@ def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:
     Raises NumericalError naming the first block whose output is non-finite.
     """
     return walk_blocks(model, np.asarray(sample)[None]).T
+
+
+def bucket_means(samples: np.ndarray, m_buckets: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """``stack_of_batch``'s buckets and counts, one ``np.mean`` over each bucket's shuffled samples."""
+    samples = np.asarray(samples, dtype=np.float64)
+    order = np.random.default_rng(seed).permutation(len(samples))
+    parts = np.array_split(order, min(len(samples), m_buckets))
+    buckets = np.empty((len(parts),) + samples.shape[1:])
+    for bucket, part in zip(buckets, parts):
+        np.mean(samples[part], axis=0, out=bucket)
+    return buckets, [len(part) for part in parts]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowrank.calibration import gram_accumulate, stack_of_batch
@@ -11,6 +11,7 @@ from lowrank.errors import NumericalError, ShapeError
 from lowrank import pipeline
 from lowrank.model import RMS_EPS, gen_synthetic, rms_norm, slot_name, walk_blocks
 from lowrank.pipeline import calibrate
+from oracles import bucket_means
 
 
 def one_hot_samples(n, tokens=3):
@@ -82,6 +83,22 @@ class TestStackOfBatch:
         with pytest.raises(ShapeError):
             stack_of_batch(samples, 2, seed=0)
 
+    @given(n=st.integers(1, 60), m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, m=4, seed=0)  # uneven: one bucket of 2, three of 1
+    @example(n=60, m=7, seed=1)  # uneven: four buckets of 9, three of 8
+    @example(n=60, m=64, seed=2)  # more buckets than samples
+    @settings(max_examples=120, deadline=None)
+    def test_buckets_are_the_bits_of_one_mean_per_bucket(self, n, m, seed):
+        # the samples span many scales, so a sum taken in another order
+        # would show in the last bits
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(n, 3, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 3, 4))
+        b = stack_of_batch(samples, m, seed=seed)
+        buckets, counts = bucket_means(samples, m, seed)
+        assert b.counts == counts
+        assert b.buckets.dtype == buckets.dtype and b.buckets.shape == buckets.shape
+        assert b.buckets.tobytes() == buckets.tobytes()
+
     @given(n=st.integers(1, 40), m=st.integers(1, 8), seed=st.integers(0, 10))
     @settings(max_examples=80, deadline=None)
     def test_partition_properties(self, n, m, seed):
@@ -96,14 +113,16 @@ class TestStackOfBatch:
 class TestCaptureActivations:
     """``calibrate``: one walk of the model, keeping slot Grams and block importances."""
 
-    def test_zero_weights_give_residual_only(self):
-        model, calib = gen_synthetic(seed=0, blocks=2, d=6, h=12, n_samples=2, tokens=5)
+    @pytest.mark.parametrize("d", [6, 8, 64])
+    def test_zero_weights_give_residual_only(self, d):
+        model, calib = gen_synthetic(seed=0, blocks=2, d=d, h=2 * d, n_samples=2, tokens=5)
         for name in model.tensors:
             model.tensors[name] = np.zeros_like(model.tensors[name])
         grams, _, importances = calibrate(model, [calib[0], calib[1]])
-        # each block passes its input through, so both see the same tokens
+        # each block passes its input through, so both see the same tokens in
+        # the same layout, and so the same per-token sums and Gram bits
         np.testing.assert_array_equal(grams["blocks.1.w1"], grams["blocks.0.w1"])
-        np.testing.assert_array_equal(grams["blocks.0.w2"], np.zeros((6, 6)))  # w2 is wide: its output Gram
+        np.testing.assert_array_equal(grams["blocks.0.w2"], np.zeros((d, d)))  # w2 is wide: its output Gram
         assert importances == {0: pytest.approx(1.0, abs=1e-15), 1: pytest.approx(1.0, abs=1e-15)}
 
     def test_w1_input_is_normalized_block_input(self):
@@ -155,7 +174,8 @@ class TestCaptureActivations:
         model, calib = gen_synthetic(seed=4, blocks=1, d=8, h=16, n_samples=6, tokens=5)
         bucketed = stack_of_batch(list(calib), 3, seed=0)
         grams = calibrate(model, bucketed.buckets).grams
-        tokens = np.concatenate([b.T for b in bucketed.buckets], axis=1)
+        # the walk's layout: C-ordered, as a per-token sum's order follows it
+        tokens = np.ascontiguousarray(np.concatenate([b.T for b in bucketed.buckets], axis=1))
         assert tokens.shape == (8, 3 * 5)
         np.testing.assert_array_equal(grams["blocks.0.w1"], gram_accumulate(rms_norm(tokens)))
 

@@ -752,6 +752,40 @@ def test_walk_holds_few_token_matrices(two_chunk_eval, monkeypatch, stage, bound
         tracemalloc.stop()
     assert peak < bound * widest
 
+@pytest.mark.parametrize("stage", ["calibrate", "eval"])
+def test_every_visited_operand_is_c_ordered(small_setup, monkeypatch, stage):
+    """Every array the walks hand a visitor is C-contiguous, block 0's input included.
+
+    A per-token sum's order follows its operand's layout, so with one layout
+    block 0 sums in the order of every later block.
+    """
+    model, samples, calib = small_setup
+    walk, seen = pipeline.walk_blocks, []
+
+    def checking_walk(model, samples, visit_slot=None, visit_block=None):
+        def on_slot(block_id, slot, *arrays):
+            seen.append((block_id, slot, [a.flags.c_contiguous for a in arrays]))
+            if visit_slot is not None:
+                visit_slot(block_id, slot, *arrays)
+
+        def on_block(block_id, *arrays):
+            seen.append((block_id, "block", [a.flags.c_contiguous for a in arrays]))
+            if visit_block is not None:
+                visit_block(block_id, *arrays)
+
+        return walk(model, samples, on_slot, on_block)
+
+    if stage == "calibrate":
+        monkeypatch.setattr(pipeline, "walk_blocks", checking_walk)
+        calibrate(model, samples)
+    else:
+        compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+        monkeypatch.setattr(pipeline, "walk_blocks", checking_walk)
+        eval_compression(model, compressed, calib)
+    assert {(0, "w1"), (0, "w2"), (0, "block")} <= {(block_id, kind) for block_id, kind, _ in seen}
+    assert [(block_id, kind) for block_id, kind, c_ordered in seen if not all(c_ordered)] == []
+
+
 def test_walk_and_eval_keep_their_bits_at_any_blas_thread_count(tmp_path, monkeypatch, blas_threads):
     """A one-chunk calibrate and the eval report are byte-identical at 1, 2 and 4 BLAS threads per worker.
 

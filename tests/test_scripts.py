@@ -64,8 +64,9 @@ def test_same_outputs_finds_only_real_differences(compare, tmp_path, capsys):
     reference = json.loads(REFERENCE.read_bytes())
 
     def assert_printed(line):
-        """``line``, then the workload's pass line, and nothing else."""
-        assert re.fullmatch(re.escape(line + "\nrefit_unwhitened: 1/1 variants pass, max relative heldout_mse "
+        """``line``, the rank line of equal plans, then the workload's pass line, and nothing else."""
+        assert re.fullmatch(re.escape(line + "\nrefit_unwhitened variant 0: ranks identical"
+                                      "\nrefit_unwhitened: 1/1 variants pass, max relative heldout_mse "
                                       "deviation ") + r"\S+\n", capsys.readouterr().out)
 
     assert compare(["refit_unwhitened"], reference, ROOT, [0]) == []
@@ -96,5 +97,20 @@ def test_one_run_feeds_the_gate_and_the_byte_comparison(compare, tmp_path, capsy
     assert lines[0].startswith("refit_unwhitened variant 5: heldout_mse ")
     assert lines[1:] == [
         "refit_unwhitened variant 5: differ in eval/report.json",
+        "refit_unwhitened variant 5: ranks identical",
         "refit_unwhitened: 0/1 variants pass, max relative heldout_mse deviation 0.001",
     ]
+
+
+def test_rank_line_names_the_first_slot_whose_rank_moved(compare, tmp_path, capsys):
+    """A BASE copy that records every rank one higher in plan.json: the first compressed slot is named."""
+    reference = json.loads(REFERENCE.read_bytes())
+    shifted = copy_with(tmp_path / "shifted", "allocation.py", '"ranks": dict(b.ranks),',
+                        '"ranks": {slot: rank and rank + 1 for slot, rank in b.ranks.items()},')
+    assert compare(["refit_unwhitened"], reference, shifted, [0]) == ["refit_unwhitened/0/compress/plan.json"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "refit_unwhitened variant 0: differ in compress/plan.json"
+    moved = re.fullmatch(r"refit_unwhitened variant 0: rank of blocks\.0\.w1 differs: (\d+) here, (\d+) in BASE",
+                         lines[1])
+    assert moved and int(moved[2]) == int(moved[1]) + 1
+    assert lines[2].startswith("refit_unwhitened: 1/1 variants pass") and len(lines) == 3
