@@ -1,7 +1,7 @@
 """Post-training low-rank compression of dense weight matrices.
 
 Factorizes weight matrices by truncated SVD, compensates the truncation error
-with alternating pseudoinverse refits against each slot's calibration Gram
+with alternating least-squares refits against each slot's calibration Gram
 matrix (of its inputs, or of its outputs when the slot is wide), and allocates per-layer retention ratios from input/output
 similarity scores.
 """
@@ -14,7 +14,7 @@ from .allocation import (
     normalize_importance,
 )
 from .calibration import BucketedCalib, Calibration, gram_accumulate, stack_of_batch
-from .compensation import LossTrace, compensate, update_u, update_v
+from .compensation import LossTrace, compensate
 from .errors import (
     BudgetError,
     DegenerateImportance,
@@ -26,7 +26,7 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from .linalg import EighFactors, LowRankPair, eigh_full, pinv, rank_for_retention
+from .linalg import EighFactors, LowRankPair, eigh_full, rank_for_retention
 from .model import (
     BlockSpec,
     ModelHandle,

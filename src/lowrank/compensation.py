@@ -1,4 +1,4 @@
-"""Truncation-error compensation: alternating pseudoinverse refits of the two factors.
+"""Truncation-error compensation: alternating least-squares refits of the two factors.
 
 The objective is the data-space compression loss over activations X (n x T)
 
@@ -22,13 +22,10 @@ r x k factor U' and k x r coordinates M. Then E = Q @ (U' @ M - I) @ R and
 the identity compressed under an r x r output Gram. ``square_problem`` is
 the one place that reads W's shape. It takes the Gram on the slot's narrow
 side: G (n x n) for m >= n, and H = (W @ X) @ (W @ X).T (m x m) for m < n,
-which is H_r itself. In these coordinates the U-refit solves U' @ K = B with
-
-    K = M @ H_r @ M.T,   B = H_r @ M.T,
-
-the V-refit is M = pinv(U') (pinv(Q @ U') @ W = pinv(U') @ R), and the
-selected pair is lifted once, by ``SquareProblem.lift``, which also fixes
-the sign of each factor column.
+which is H_r itself. In these coordinates the U-refit is
+U' = H_r @ M.T @ (M @ H_r @ M.T)^+, the V-refit is M = pinv(U')
+(pinv(Q @ U') @ W = pinv(U') @ R), and the selected pair is lifted once, by
+``SquareProblem.lift``, which also fixes the sign of each factor column.
 
 Q itself is never formed. A tall slot's R is the triangle of
 ``np.linalg.qr(w, mode="r")``, from the same ``geqrf`` as the reduced QR.
@@ -36,11 +33,11 @@ Every U' formed here is a least-squares fit in r-coordinates,
 
     U' = R @ P @ R.T @ N.T @ X,
 
-for an n x n P, k x r coordinates N and a k x k X: the U-refit has P = G,
-N = M and X = K^+, and the inits below have P = G + damping * I or I, their
-own M and a diagonal X. So Q @ U' = W @ (P @ R.T @ N.T @ X), and the lift
-reads W and G, with one m x n x k product. H_r, K, B, M and every loss are
-r-space arithmetic; only the lifted U differs from Q @ U' in its last bits.
+for an n x n P, k x r coordinates N and a k x k X: the refits below have
+P = G, and the inits P = G + damping * I or I, each with its own N and X.
+So Q @ U' = W @ (P @ R.T @ N.T @ X), and the lift reads W and G, with one
+m x n x k product. H_r and every loss are r-space arithmetic; only the
+lifted U differs from Q @ U' in its last bits.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
@@ -55,32 +52,54 @@ returns
     U' = Z_k @ diag(s_k ** 1/4),    M = diag(s_k ** -1/4) @ Z_k.T.
 
 An s_i at or below A's rounding floor r * eps * s_1 counts as zero, and
-gives a zero column of U' and a zero row of M. For the plain init
+gives a zero column of U' and of Z_k and a zero row of M. For the plain init
 s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
 An indefinite G can make A indefinite. A's singular values are then |lam|,
 so the order and the floor are those of an SVD of A.
 
 Since A @ Z_k = Z_k @ diag(lam_k), the init's factor is
-U' = A @ M.T @ diag(sign(lam_k) / s_k ** 1/2), with 0 for a cut s_i: the
-lift's form, with A = R @ P @ R.T. Its lift divides A @ M.T by s_k ** 1/2,
-so it loses about eps * s_1 / s_i of relative precision in direction i,
-the most in the directions A weighs least.
+U' = A @ Z_k @ diag(sign(lam_k) / s_k ** 3/4), with 0 for a cut s_i: the
+lift's form, with A = R @ P @ R.T and N = Z_k.T. Its lift divides A @ Z_k by
+s_k ** 3/4, so it loses about eps * s_1 / s_i of relative precision in
+direction i, the most in the directions A weighs least.
 
-K is symmetric too, so ``update_u`` forms K^+ = Z @ diag(1 / lam) @ Z.T from
-K's eigenpairs, keeping each lam's sign and cutting as ``pinv`` does. U' is
-not square, so the V-refit keeps ``pinv`` and its SVD.
+The refit rounds are subspace iteration on H_r. After a V-refit
+U' @ M = U' @ pinv(U') is the orthogonal projector onto span(U'), and the
+U-refit's product U' @ M = H_r @ M.T @ (M @ H_r @ M.T)^+ @ M depends on M
+only through its row space wherever M @ H_r @ M.T is nonsingular. So each
+round carries one r x k basis Q, with orthonormal columns (a column a cut
+left is zero), and its image Y = H_r @ Q (``Subspace``), and solves at the
+coordinates M = Q.T; where that system is singular, this fixes which
+minimum-norm U' the U-step takes. The init's basis is Z_k: its U' @ M is
+the projector Z_k @ Z_k.T.
 
-``compensate`` reads every loss off the U-refit's normal equations. At fixed
-coordinates
+- U-step (``u_step``): S = Q.T @ Y and U' = Y @ S^+ at coordinates M = Q.T,
+  so U' lifts with N = Q.T and X = S^+. S^+ comes from S's eigenpairs,
+  cutting every eigenvalue at or under S's rounding error
+  max(r, k) * eps * ||Q||_F * ||Y||_F: directions under it are noise, which
+  a singular Gram would otherwise invert.
+- V-step (``v_step``): span(U') = span(Y @ Z_kept), Z_kept the eigenvectors
+  S^+ inverts, and Q.T @ Y @ Z_kept = Z_kept @ diag(lam_kept) has full
+  column rank. One Householder QR Y @ Z_kept = Q' @ R' gives the new basis,
+  and the columns S^+ cut stay zero. The pair is (Q', Q'.T), whose product
+  is U' @ pinv(U'); Q' = H_r @ Q @ Z_kept @ R'^-1 lifts with N = Q.T and
+  X = Z_kept @ R'^-1, which only the lift forms. Then Y = H_r @ Q'.
 
-    loss = c - 2 <U', B> + <U' @ K, U'>,   c = tr(H_r),
+When S is nonsingular span(Q') = H_r @ span(Q): one round is one
+r x r x k product, one k x k ``eigh`` and one r x k QR. No step takes an SVD.
 
-so a loss costs r x k work once K and B are formed, and the
-``normal_equations`` formed at each new M are the system the next
-``update_u`` solves. The identity's rounding error scales with c rather
-than with the loss, so a near-exact fit (loss below ~1e-13 * c) reads as
-rounding noise. The tests check it against the direct form on the input
-Gram G, ``svd_loss`` in ``tests/oracles.py``.
+``compensate`` reads every loss off Y. At coordinates Q.T,
+
+    loss = c - 2 <U', Y> + <U' @ S, U'>,   c = tr(H_r),
+
+and the last two terms sum to -<U', Y> for the U-step's U' (S^+ @ S @ S^+ =
+S^+) and for U' = Q, the V-step's and the init's (Q.T @ Q = I on the kept
+columns). So every loss is c - <U', Y>, r x k work. Its rounding error
+scales with c rather than with the loss, so a near-exact fit (loss below
+~1e-13 * c) reads as rounding noise and can come out negative. ``traces.csv``
+writes such a loss as computed: ``pipeline.check_traces`` rejects only a
+non-finite one. The tests check every loss against the direct form on the
+input Gram G, ``svd_loss`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -90,7 +109,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .linalg import LowRankPair, eigh_full, frobenius_dot, pinv
+from .linalg import LowRankPair, eigh_full, frobenius_dot
 
 
 @dataclass
@@ -116,8 +135,9 @@ class LeftFactor:
 
     u: np.ndarray                # r x k, U'
     basis: np.ndarray            # k x r, N: the coordinates its solve read
-    solve: np.ndarray            # k x k, X
+    solve: np.ndarray            # k x k, X, or X @ triangle where a triangle is given
     damping: float | None        # P = G + damping * I; None for P = I
+    triangle: np.ndarray | None = None  # k x k; X = solve @ inv(triangle), formed only by the lift
 
 
 @dataclass(frozen=True)
@@ -147,7 +167,10 @@ class SquareProblem:
             right = (factor.basis @ self.r).T                       # R.T @ N.T, n x k
             if factor.damping is not None:
                 right = self.g @ right + factor.damping * right
-            u = self.w @ (right @ factor.solve)
+            solve = factor.solve
+            if factor.triangle is not None:
+                solve = np.linalg.solve(factor.triangle.T, solve.T).T
+            u = self.w @ (right @ solve)
         # Each column's extremes, read without forming |U|: the lead is negative where -min > max.
         hi, lo = u.max(axis=0), u.min(axis=0)
         flip = -lo > hi
@@ -176,47 +199,61 @@ def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
 
 
 @dataclass(frozen=True)
-class NormalEquations:
-    """The U-refit's system U' @ K = B at fixed coordinates M (see the module docstring)."""
+class Subspace:
+    """The coordinates M = Q.T of a refit round, with Q's image Y = H_r @ Q (see the module docstring)."""
 
-    coords: np.ndarray  # k x r, M
-    k: np.ndarray       # k x k
-    b: np.ndarray       # r x k
-    noise: float        # rounding error of forming K
+    q: np.ndarray   # r x k, orthonormal columns; a column a cut left is zero
+    y: np.ndarray   # r x k, H_r @ Q
+
+    @classmethod
+    def of(cls, q: np.ndarray, h: np.ndarray) -> Subspace:
+        """Q with its image, formed as (Q.T @ H_r).T.
+
+        That is H_r @ Q for the symmetric H_r, and it measured faster than
+        ``h @ q`` at r x k = 512 x 243 and 256 x 122.
+        """
+        return cls(q=q, y=(q.T @ h).T)
+
+    def noise(self) -> float:
+        """The rounding error of forming S = Q.T @ Y: max(r, k) * eps * ||Q||_F * ||Y||_F."""
+        return (max(self.q.shape) * np.finfo(np.float64).eps
+                * np.sqrt(frobenius_dot(self.q, self.q)) * np.sqrt(frobenius_dot(self.y, self.y)))
 
     def loss(self, u: np.ndarray, c: float) -> float:
-        """loss = c - <U', 2 B - U' @ K>, given c = tr(H_r)."""
-        return c - frobenius_dot(u, 2.0 * self.b - u @ self.k)
+        """c - <U', Y>, given c = tr(H_r): the loss of (U', Q.T) for the U-step's U' and for U' = Q."""
+        return c - frobenius_dot(u, self.y)
 
 
-def normal_equations(coords: np.ndarray, h: np.ndarray) -> NormalEquations:
-    """Form K = M @ H_r @ M.T and B = H_r @ M.T at coordinates M.
+def u_step(space: Subspace) -> tuple[LeftFactor, np.ndarray]:
+    """Minimum-norm least-squares refit of the left factor at the fixed coordinates Q.T.
 
-    K's rounding error is max(r, k) * eps * ||M||_F * ||M @ H_r||_F.
+    U' = Y @ S^+ with S = Q.T @ Y, and S^+ from S's eigenpairs, cut at S's
+    rounding error. The factor lifts with P = G, N = Q.T and X = S^+.
+    Returns it with Z_kept, the eigenvectors S^+ inverts, which ``v_step``
+    orthonormalizes.
     """
-    k, side = coords.shape
-    mh = coords @ h                                        # k x r
-    noise = (max(side, k) * np.finfo(np.float64).eps
-             * np.sqrt(frobenius_dot(coords, coords)) * np.sqrt(frobenius_dot(mh, mh)))
-    return NormalEquations(coords=coords, k=mh @ coords.T, b=mh.T, noise=noise)
+    s = eigh_full(space.q.T @ space.y)
+    noise = space.noise()
+    solve = s.pinv(atol=noise)
+    factor = LeftFactor(u=space.y @ solve, basis=space.q.T, solve=solve, damping=0.0)
+    return factor, s.z[:, s.kept(atol=noise)]
 
 
-def update_u(normal: NormalEquations) -> LeftFactor:
-    """Minimum-norm least-squares refit of the left factor, right factor fixed.
+def v_step(space: Subspace, kept: np.ndarray, h: np.ndarray) -> tuple[LeftFactor, Subspace]:
+    """Pseudoinverse refit of the right factor after ``u_step``: its pair as the next round's basis.
 
-    Solves U' @ K = B, the system ``normal_equations`` forms at the fixed
-    coordinates, with K^+ from K's eigenpairs. Eigenvalues are cut at the
-    rounding error of forming K: directions under it are noise, which a
-    singular Gram would otherwise invert. U' = R @ G @ R.T @ M.T @ K^+, so the
-    factor lifts with P = G, N = M and X = K^+.
+    One Householder QR Y @ Z_kept = Q' @ R' gives Q', an orthonormal basis of
+    span(U'); the columns S^+ cut stay zero. The pair (Q', Q'.T) is
+    U' @ pinv(U'), and Q' lifts with P = G, N = Q.T and X = Z_kept @ R'^-1.
+    Returns that factor and the basis Q' with its image H_r @ Q'.
     """
-    solve = eigh_full(normal.k).pinv(atol=normal.noise)
-    return LeftFactor(u=normal.b @ solve, basis=normal.coords, solve=solve, damping=0.0)
-
-
-def update_v(u: np.ndarray) -> np.ndarray:
-    """Pseudoinverse refit of the right factor, left factor fixed: the coordinates pinv(U')."""
-    return pinv(u)
+    r, k = space.q.shape
+    rank = kept.shape[1]
+    q, triangle, solve = np.zeros((r, k)), np.eye(k), np.zeros((k, k))
+    q[:, :rank], triangle[:rank, :rank] = np.linalg.qr(space.y @ kept)
+    solve[:, :rank] = kept
+    factor = LeftFactor(u=q, basis=space.q.T, solve=solve, damping=0.0, triangle=triangle)
+    return factor, Subspace.of(q, h)
 
 
 def compensate(
@@ -245,23 +282,23 @@ def compensate(
     factor, coords = initialize_pair(problem, k, damping)
     c = float(np.trace(problem.h))
 
-    normal = normal_equations(coords, problem.h)
-    best_loss = normal.loss(factor.u, c)
+    q = factor.basis.T                                   # Z_k: the init's U' @ M is Z_k @ Z_k.T
+    space = Subspace.of(q, problem.h)
+    best_loss = space.loss(q, c)
     best = (factor, coords)
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        factor = update_u(normal)
-        loss = normal.loss(factor.u, c)
+        factor, kept = u_step(space)
+        loss = space.loss(factor.u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (factor, coords)
+            best_loss, best = loss, (factor, space.q.T)
 
-        coords = update_v(factor.u)
-        normal = normal_equations(coords, problem.h)
-        loss = normal.loss(factor.u, c)
+        factor, space = v_step(space, kept, problem.h)
+        loss = space.loss(space.q, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (factor, coords)
+            best_loss, best = loss, (factor, space.q.T)
     return problem.lift(*best), trace
 
 
@@ -271,8 +308,9 @@ def initialize_pair(
     """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
 
     Returns the factor U' (r x k) and the coordinates M (k x r) of the pair
-    ``problem.lift`` forms. U' = A @ M.T @ X with X = diag(sign(lam) / s ** 1/2)
-    (0 where s is cut), so the factor lifts with A's own P, N = M and that X.
+    ``problem.lift`` forms. U' = A @ Z_k @ X with X = diag(sign(lam) / s ** 3/4)
+    (0 where s is cut), so the factor lifts with A's own P, N = Z_k.T and that
+    X; its ``basis`` Z_k.T, with a cut row zero, is the refit rounds' start.
     """
     side = problem.h.shape[0]
     if not 1 <= k <= side:
@@ -285,7 +323,6 @@ def initialize_pair(
     root[keep] = np.sqrt(np.sqrt(s[:k][keep]))
     inverse = np.zeros(k)
     inverse[keep] = 1.0 / root[keep]
-    z = f.z[:, :k]
-    coords = (z * inverse).T
-    solve = np.diag(np.sign(f.lam[:k]) * inverse**2)
-    return LeftFactor(u=z * root, basis=coords, solve=solve, damping=damping), coords
+    z = f.z[:, :k] * keep
+    solve = np.diag(np.sign(f.lam[:k]) * inverse**3)
+    return LeftFactor(u=z * root, basis=z.T, solve=solve, damping=damping), (z * inverse).T

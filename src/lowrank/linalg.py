@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: Frobenius inner product, symmetric eigh, pseudoinverse, rank budget."""
+"""Dense linear-algebra kernels: Frobenius inner product, symmetric eigh and its pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -17,13 +17,21 @@ class EighFactors:
     z: np.ndarray     # n x n, orthonormal columns
     lam: np.ndarray   # n, signed, sorted by |lam| descending
 
-    def pinv(self, atol: float = 0.0) -> np.ndarray:
-        """Pseudoinverse ``z @ diag(1 / lam) @ z.T`` under ``pinv``'s cutoff rule.
+    def kept(self, atol: float = 0.0) -> np.ndarray:
+        """Which eigenvalues ``pinv`` inverts: ``|lam_i| > max(n * eps * |lam|_max, atol)``."""
+        top = abs(self.lam[0]) if self.lam.size else 0.0
+        return np.abs(self.lam) > max(self.lam.shape[0] * np.finfo(np.float64).eps * top, atol)
 
-        Eigenvalues with ``|lam_i| <= max(n * eps * |lam|_max, atol)`` are
-        treated as exactly zero; an all-zero matrix yields the zero matrix.
+    def pinv(self, atol: float = 0.0) -> np.ndarray:
+        """Pseudoinverse ``z @ diag(1 / lam) @ z.T``, every eigenvalue not ``kept`` treated as exactly zero.
+
+        This is the cutoff rule of the Moore-Penrose pseudoinverse of a
+        matrix's thin SVD; an all-zero matrix yields the zero matrix.
         """
-        return (self.z * _cut_reciprocal(self.lam, self.lam.shape[0], atol)) @ self.z.T
+        keep = self.kept(atol)
+        inverse = np.zeros_like(self.lam)
+        inverse[keep] = 1.0 / self.lam[keep]
+        return (self.z * inverse) @ self.z.T
 
 
 @dataclass(frozen=True)
@@ -77,37 +85,6 @@ def eigh_full(a: np.ndarray) -> EighFactors:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     order = np.argsort(-np.abs(lam), kind="stable")
     return EighFactors(z=z[:, order], lam=lam[order])
-
-
-def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a finite-valued matrix via its thin SVD.
-
-    Singular values ``sigma_i <= max(max(m, n) * eps * sigma_max, atol)`` are
-    treated as exactly zero; an all-zero matrix yields the zero n x m matrix.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise NumericalError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix contains non-finite entries")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return (vt.T * _cut_reciprocal(s, max(a.shape), atol)) @ u.T
-
-
-def _cut_reciprocal(values: np.ndarray, side: int, atol: float) -> np.ndarray:
-    """1 / values, with every |value| <= max(side * eps * |values[0]|, atol) set to 0.
-
-    ``values`` is sorted by magnitude, largest first.
-    """
-    top = abs(values[0]) if values.size else 0.0
-    cutoff = max(side * np.finfo(np.float64).eps * top, atol)
-    keep = np.abs(values) > cutoff
-    out = np.zeros_like(values)
-    out[keep] = 1.0 / values[keep]
-    return out
 
 
 def rank_for_retention(m: int, n: int, r: float) -> int:

@@ -248,10 +248,13 @@ def as_samples(model: ModelHandle, samples: np.ndarray) -> np.ndarray:
 
 
 def _checked_squares(x: np.ndarray, block_id: int) -> np.ndarray:
-    """``token_squares(x)``; NumericalError naming the block if one is not finite or underflows to 0.
+    """``token_squares(x)``; NumericalError naming the block if one is not finite or underflows.
 
-    An all-zero token is valid (its square is 0); the columns are read only
-    when some square is 0, to tell such a token from one that underflowed.
+    A nonzero token underflows when its sum of squares is below the smallest
+    normal double (2.2e-308): subnormal or 0, it has lost precision. An
+    all-zero token is valid (its square is 0); the columns are read only when
+    some square is below that bound, to tell such a token from one that
+    underflowed.
     """
     squares = token_squares(x)
     if not np.all(np.isfinite(squares)):
@@ -260,9 +263,10 @@ def _checked_squares(x: np.ndarray, block_id: int) -> np.ndarray:
                 f"activations overflow in block {block_id}: a token's sum of squares exceeds 1.8e308"
             )
         raise NumericalError(f"non-finite activations in block {block_id}")
-    if not squares.all() and np.any(x[:, squares == 0]):
+    small = squares < np.finfo(np.float64).tiny
+    if small.any() and np.any(x[:, small]):
         raise NumericalError(
-            f"activations underflow in block {block_id}: a nonzero token's sum of squares is 0"
+            f"activations underflow in block {block_id}: a nonzero token's sum of squares is below 2.2e-308"
         )
     return squares
 

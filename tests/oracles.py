@@ -2,13 +2,17 @@
 
 Each keeps the textbook form of something the program computes another way:
 the plain truncated SVD (the program takes the init from one symmetric
-eigendecomposition, ``compensation.initialize_pair``), the data-space loss in
-its direct form on the input Gram G (the program reads every loss off the
-U-refit's normal equations), the lift of a pair through an explicit Q (the
-program lifts a tall slot's pair through W, ``SquareProblem.lift``), a
-forward over one sample (the program walks one (samples, tokens, d) array,
-``model.walk_blocks``), and one ``np.mean`` per bucket (the program sums all
-buckets one group position at a time, ``calibration.stack_of_batch``).
+eigendecomposition, ``compensation.initialize_pair``), the Moore-Penrose
+pseudoinverse from a thin SVD (the program's V-refit orthonormalizes a basis
+of span(U') with one QR, ``compensation.v_step``, and its U-refit inverts a
+symmetric matrix from its eigenpairs, ``EighFactors.pinv``), the data-space
+loss in its direct form on the input Gram G (the program reads every loss off
+the product Y = H_r @ Q of its refit rounds), the lift of a pair through an
+explicit Q (the program lifts a tall slot's pair through W,
+``SquareProblem.lift``), a forward over one sample (the program walks one
+(samples, tokens, d) array, ``model.walk_blocks``), and one ``np.mean`` per
+bucket (the program sums all buckets one group position at a time,
+``calibration.stack_of_batch``).
 """
 
 from __future__ import annotations
@@ -44,6 +48,20 @@ def svd_full(a: np.ndarray) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return SvdFactors(u=u, sigma=s, vt=vt)
+
+
+def pinv(a: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a finite-valued matrix via its thin SVD.
+
+    Singular values ``sigma_i <= max(max(m, n) * eps * sigma_max, atol)`` are
+    treated as exactly zero; an all-zero matrix yields the zero n x m matrix.
+    """
+    f = svd_full(a)
+    top = f.sigma[0] if f.sigma.size else 0.0
+    keep = f.sigma > max(max(f.u.shape[0], f.vt.shape[1]) * np.finfo(np.float64).eps * top, atol)
+    inverse = np.zeros_like(f.sigma)
+    inverse[keep] = 1.0 / f.sigma[keep]
+    return (f.vt.T * inverse) @ f.u.T
 
 
 def truncate_absorb(f: SvdFactors, k: int) -> LowRankPair:

@@ -14,16 +14,16 @@ from lowrank.allocation import assign_ratios, normalize_importance
 from lowrank.calibration import stack_of_batch
 from lowrank.cli import run_cli
 from lowrank.compensation import (
+    Subspace,
     compensate,
     initialize_pair,
-    normal_equations,
     square_problem,
-    update_u,
+    u_step,
 )
-from lowrank.linalg import LowRankPair, pinv, rank_for_retention
+from lowrank.linalg import LowRankPair, rank_for_retention
 from lowrank.model import gen_synthetic, save_calibration
 from lowrank.pipeline import PipelineConfig, compress_model, eval_compression
-from oracles import plain_truncation_loss, svd_full, svd_loss, truncate_absorb
+from oracles import pinv, plain_truncation_loss, svd_full, svd_loss, truncate_absorb
 
 
 @contextmanager
@@ -88,18 +88,19 @@ def test_criterion_3_lse_optimality():
             g = x @ x.T
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
-            u_star = w @ update_u(normal_equations(pair.vt_sigma, g)).u  # W @ (the identity's refit at Vt)
+            q = np.linalg.qr(pair.vt_sigma.T)[0]  # the U-step reads Vt through an orthonormal basis of its rows
+            u_star = w @ u_step(Subspace.of(q, g))[0].u  # W @ (the identity's refit at Q.T)
 
-            star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
+            star = LowRankPair(u_sigma=u_star, vt_sigma=q.T)
             base = svd_loss(star, w, g)
             scale = 1e-2 * max(1.0, np.linalg.norm(u_star))
             for _ in range(100):
                 delta = rng.normal(size=u_star.shape)
                 delta *= scale / np.linalg.norm(delta)
-                probe = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma)
+                probe = LowRankPair(u_sigma=u_star + delta, vt_sigma=star.vt_sigma)
                 assert svd_loss(probe, w, g) >= base - 1e-12 * max(1.0, base)
 
-            v = pair.vt_sigma.T
+            v = star.vt_sigma.T
             gram = v.T @ (x @ x.T) @ v
             if np.linalg.cond(gram) < 1e8:
                 u_closed = w @ (x @ x.T) @ v @ np.linalg.inv(gram)

@@ -131,6 +131,25 @@ def test_importance_forms_no_gram(workspace, capsys, monkeypatch):
     assert (out / "plan.json").read_text() == printed
 
 
+@pytest.mark.parametrize("whiten", ["--whiten", "--no-whiten"])
+def test_compress_takes_no_svd(workspace, monkeypatch, whiten):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    np.linalg.svd(np.eye(2))
+    assert calls == [(2, 2)]  # the spy binds
+    base = workspace / "base"
+    assert run_cli([
+        "compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+        "--target-retention", "0.6", "--iters", "2", whiten, "--out", str(workspace / "out"),
+    ]) == 0
+    assert calls == [(2, 2)]
+
+
 def test_eval_reports_json(workspace, capsys):
     out = workspace / "out_eval"
     assert run_cli([
@@ -430,6 +449,15 @@ def test_overflowing_calibration_exits_2(workspace, capsys, command):
 def test_underflowing_calibration_exits_2(workspace, capsys, command):
     """Nonzero tokens whose sums of squares underflow to 0 are a numerical error, not a silent zero importance."""
     assert_scaled_calibration_exits_2(workspace, capsys, command, 1e-170, "underflow")
+
+
+@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
+def test_subnormal_calibration_exits_2(workspace, capsys, command):
+    """Nonzero tokens whose sums of squares are subnormal are a numerical error too: they have lost precision."""
+    samples = load_container(workspace / "base" / "calib.st")["samples"] * 1e-160
+    squares = np.einsum("ijk,ijk->ij", samples, samples)
+    assert np.all(squares > 0) and np.all(squares < np.finfo(np.float64).tiny)
+    assert_scaled_calibration_exits_2(workspace, capsys, command, 1e-160, "underflow")
 
 
 @pytest.mark.parametrize("command", ["compress", "importance", "eval"])

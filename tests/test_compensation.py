@@ -8,17 +8,17 @@ import lowrank.compensation as compensation
 from lowrank.compensation import (
     LeftFactor,
     SquareProblem,
+    Subspace,
     compensate,
     initialize_pair,
-    normal_equations,
     square_problem,
-    update_u,
-    update_v,
+    u_step,
+    v_step,
 )
 from lowrank.errors import NumericalError, RankError, ShapeError
-from lowrank.linalg import LowRankPair, pinv
+from lowrank.linalg import LowRankPair
 from lowrank.pipeline import REL_DAMPING
-from oracles import explicit_q_lift, plain_truncation_loss, svd_full, svd_loss, truncate_absorb
+from oracles import explicit_q_lift, pinv, plain_truncation_loss, svd_full, svd_loss, truncate_absorb
 
 
 def brute_force_loss(pair, w, x):
@@ -44,18 +44,33 @@ def lifted_init(w, narrow, k, damping):
 
 
 def half_step_pairs(problem, k, iters, damping):
-    """Every (factor, coordinates) pair ``compensate`` scores, replayed through the public refits.
+    """Every (factor, coordinates) pair ``compensate`` scores, replayed through the public steps.
 
-    The init's pair, then the U-refit's and the V-refit's of each iteration.
+    The init's pair, then the U-step's and the V-step's of each round, starting
+    from the init's basis Z_k (its factor's ``basis``, transposed).
     """
     factor, coords = initialize_pair(problem, k, damping)
     pairs = [(factor, coords)]
+    space = Subspace.of(factor.basis.T, problem.h)
     for _ in range(iters):
-        factor = update_u(normal_equations(coords, problem.h))
-        pairs.append((factor, coords))
-        coords = update_v(factor.u)
-        pairs.append((factor, coords))
+        factor, kept = u_step(space)
+        pairs.append((factor, space.q.T))
+        factor, space = v_step(space, kept, problem.h)
+        pairs.append((factor, space.q.T))
     return pairs
+
+
+def u_refit(w, vt, g):
+    """The U-step of the identity on the input Gram G at Vt's row space, lifted through W.
+
+    Returns the pair (W @ U', Q.T), Q an orthonormal basis of that row space:
+    the refit of W at a fixed Vt is W times the refit of the identity (each
+    row of U solves its own least-squares problem, linear in the matching row
+    of W), and the U-step reads Vt only through its row space.
+    """
+    q = np.linalg.qr(vt.T)[0]
+    factor, _ = u_step(Subspace.of(q, g))
+    return LowRankPair(u_sigma=w @ factor.u, vt_sigma=q.T)
 
 
 def random_rank_k(rng, m, n, k):
@@ -94,26 +109,22 @@ class TestSvdLoss:
             svd_loss(pair, rng.normal(size=(4, 4)), np.eye(5))
 
 
-class TestUpdateU:
-    """The U-refit of W at a fixed Vt on the input Gram G is W @ U', with U' the
-    refit of the identity on G at coordinates Vt (each row of U solves its own
-    least-squares problem, linear in the matching row of W)."""
+class TestUStep:
+    """The U-refit of W at a fixed Vt on the input Gram G, as ``u_refit`` forms it."""
 
     def test_recovers_exact_rank_k(self, rng):
         u_sig, vt, w = random_rank_k(rng, 10, 8, 3)
         x = rng.normal(size=(8, 30))  # full row rank
-        pair = LowRankPair(u_sigma=rng.normal(size=(10, 3)), vt_sigma=vt)
-        u_new = w @ update_u(normal_equations(pair.vt_sigma, x @ x.T)).u
         # consistent system: the refit must reproduce W exactly on the factor
-        assert np.linalg.norm(u_new @ vt - w) <= 1e-8 * np.linalg.norm(w)
+        assert np.linalg.norm(u_refit(w, vt, x @ x.T).product() - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_identity_x_matches_normal_equation(self, rng):
         w = rng.normal(size=(9, 9))
         pair = truncate_absorb(svd_full(w + rng.normal(size=(9, 9))), 4)
         v = pair.vt_sigma.T
-        u_closed = w @ v @ np.linalg.inv(v.T @ v)
-        u_new = w @ update_u(normal_equations(pair.vt_sigma, np.eye(9))).u
-        np.testing.assert_allclose(u_new, u_closed, atol=1e-8 * np.linalg.norm(u_closed))
+        closed = w @ v @ np.linalg.inv(v.T @ v) @ v.T
+        np.testing.assert_allclose(u_refit(w, pair.vt_sigma, np.eye(9)).product(), closed,
+                                   atol=1e-8 * np.linalg.norm(closed))
 
     def test_loss_never_increases(self, rng):
         w = rng.normal(size=(16, 16))
@@ -121,22 +132,20 @@ class TestUpdateU:
         g = x @ x.T
         pair = truncate_absorb(svd_full(w), 4)
         before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)).u, vt_sigma=pair.vt_sigma)
-        assert svd_loss(updated, w, g) <= before + 1e-9 * before
+        assert svd_loss(u_refit(w, pair.vt_sigma, g), w, g) <= before + 1e-9 * before
 
     def test_beats_random_perturbations(self, rng):
         w = rng.normal(size=(16, 16))
         x = rng.normal(size=(16, 64))
         g = x @ x.T
-        pair = truncate_absorb(svd_full(w), 4)
-        u_star = w @ update_u(normal_equations(pair.vt_sigma, g)).u
-        star = LowRankPair(u_sigma=u_star, vt_sigma=pair.vt_sigma)
+        star = u_refit(w, truncate_absorb(svd_full(w), 4).vt_sigma, g)
+        u_star = star.u_sigma
         base = svd_loss(star, w, g)
         scale = 0.01 * max(1.0, np.linalg.norm(u_star))
         for _ in range(100):
             delta = rng.normal(size=u_star.shape)
             delta *= scale / np.linalg.norm(delta)
-            perturbed = LowRankPair(u_sigma=u_star + delta, vt_sigma=pair.vt_sigma)
+            perturbed = LowRankPair(u_sigma=u_star + delta, vt_sigma=star.vt_sigma)
             assert svd_loss(perturbed, w, g) >= base - 1e-12 * max(1.0, base)
 
     @pytest.mark.parametrize(
@@ -145,10 +154,10 @@ class TestUpdateU:
         ids=["T<k", "T=k", "T>k", "T<k-rows-scaled", "T>k-rows-scaled"],
     )
     def test_gram_form_matches_token_form(self, t, log_scale):
-        # T < k makes K = Vt G Vt.T singular; rows of X scaled by e^[-4, 4]
-        # square K's condition number up to e^16 on top. A whitened start
-        # weights G's null space by 1/sqrt(damping), which is where inverting
-        # K's rounding noise would show.
+        # T < k makes S = Q.T G Q singular; rows of X scaled by e^[-4, 4]
+        # square S's condition number up to e^16 on top. A whitened start
+        # spans part of G's null space, which is where inverting S's rounding
+        # noise would show. Both forms solve at the same coordinates Q.T.
         rng = np.random.default_rng(t + int(log_scale))
         m, n, k = 12, 10, 5
         for _ in range(50):
@@ -158,13 +167,13 @@ class TestUpdateU:
             whitened = lifted_init(w, g, k, 1e-5 * float(np.mean(np.diag(g))))
             random = LowRankPair(u_sigma=rng.normal(size=(m, k)), vt_sigma=rng.normal(size=(k, n)))
             for pair in (whitened, random):
-                token_form = (pinv(x.T @ pair.vt_sigma.T) @ (w @ x).T).T
-                u = w @ update_u(normal_equations(pair.vt_sigma, g)).u
-                assert np.linalg.norm(u - token_form) <= 1e-6 * np.linalg.norm(token_form)
+                refit = u_refit(w, pair.vt_sigma, g)
+                token_form = (pinv(x.T @ refit.vt_sigma.T) @ (w @ x).T).T
+                assert np.linalg.norm(refit.u_sigma - token_form) <= 1e-6 * np.linalg.norm(token_form)
 
 
     def test_loss_and_noise_bound_keep_their_bits_across_blas_threads(self, blas_threads):
-        """The refit loss and K's rounding-noise bound are the same bits at 1 and 2 BLAS threads.
+        """The refit loss and S's rounding-noise bound are the same bits at 1 and 2 BLAS threads.
 
         The operands are those of a desk w1 slot at rank 243 (r = 512), long
         enough that a BLAS dot product would split its sum across threads.
@@ -173,37 +182,82 @@ class TestUpdateU:
         k, r = 243, 512
         a = rng.standard_normal((r, r))
         h = a @ a.T
-        draws = [(rng.standard_normal((k, r)), rng.standard_normal((r, k))) for _ in range(4)]
+        draws = [(rng.standard_normal((r, k)), rng.standard_normal((r, k))) for _ in range(4)]
         seen = []
         for threads in (1, 2):
             blas_threads(threads)
-            normals = [(normal_equations(coords, h), u) for coords, u in draws]
-            seen.append([(normal.noise, normal.loss(u, float(np.trace(h)))) for normal, u in normals])
+            spaces = [(Subspace.of(q, h), u) for q, u in draws]
+            seen.append([(space.noise(), space.loss(u, float(np.trace(h)))) for space, u in spaces])
         assert seen[0] == seen[1]
 
 
-class TestUpdateV:
-    def test_orthonormal_u_gives_transpose_product(self, rng):
-        w = rng.normal(size=(7, 5))
-        q = np.linalg.qr(rng.normal(size=(7, 3)))[0]
-        pair = LowRankPair(u_sigma=q, vt_sigma=rng.normal(size=(3, 5)))
-        np.testing.assert_allclose(update_v(pair.u_sigma) @ w, q.T @ w, atol=1e-10)
+class TestVStep:
+    """The V-refit M = pinv(U') after a U-step, as the orthonormal basis Q' of span(U')."""
+
+    @pytest.mark.parametrize("m, n", [(14, 10), (10, 10), (10, 14)], ids=["m>n", "m=n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_pair_is_u_times_pinv_u(self, m, n, damping):
+        """Each V-step pair's product is U' @ pinv(U') of the U-step before it, in r-space and lifted."""
+        rng = np.random.default_rng(m * n)
+        k = 4
+        for _ in range(5):
+            w = rng.normal(size=(m, n))
+            x = rng.normal(size=(n, 40))
+            problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
+            pairs = half_step_pairs(problem, k, 3, damping)
+            for (u_factor, _), (v_factor, coords) in zip(pairs[1::2], pairs[2::2]):
+                projector = u_factor.u @ pinv(u_factor.u)
+                np.testing.assert_allclose(v_factor.u @ coords, projector, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(v_factor.u.T @ v_factor.u, np.eye(k), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    problem.lift(v_factor, coords).product(),
+                    explicit_q_lift(w, u_factor.u, pinv(u_factor.u)).product(),
+                    rtol=0, atol=1e-10 * np.linalg.norm(w),
+                )
 
     def test_recovers_exact_rank_k(self, rng):
         u_sig, vt, w = random_rank_k(rng, 9, 11, 3)
-        pair = LowRankPair(u_sigma=u_sig, vt_sigma=rng.normal(size=(3, 11)))
-        vt_new = update_v(pair.u_sigma) @ w  # the refit returns the coordinates pinv(U)
-        assert np.linalg.norm(pair.u_sigma @ vt_new - w) <= 1e-8 * np.linalg.norm(w)
+        x = rng.normal(size=(11, 40))
+        problem = square_problem(w, (w @ x) @ (w @ x).T)  # wide: H_r = H has W's column space
+        q = np.linalg.qr(rng.normal(size=(9, 3)))[0]  # a random start: one round finds W's column space
+        space = Subspace.of(q, problem.h)
+        factor, space = v_step(space, u_step(space)[1], problem.h)
+        pair = problem.lift(factor, space.q.T)
+        assert np.linalg.norm(pair.product() - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_loss_never_increases_with_full_rank_gram(self, rng):
         w = rng.normal(size=(16, 16))
         x = rng.normal(size=(16, 64))
         g = x @ x.T  # nonsingular
-        pair = truncate_absorb(svd_full(w), 4)
-        pair = LowRankPair(u_sigma=w @ update_u(normal_equations(pair.vt_sigma, g)).u, vt_sigma=pair.vt_sigma)
-        before = svd_loss(pair, w, g)
-        updated = LowRankPair(u_sigma=pair.u_sigma, vt_sigma=update_v(pair.u_sigma) @ w)
-        assert svd_loss(updated, w, g) <= before + 1e-9 * before
+        problem = square_problem(w, g)
+        _, (u_factor, u_coords), (v_factor, v_coords) = half_step_pairs(problem, 4, 1, None)
+        before = svd_loss(problem.lift(u_factor, u_coords), w, g)
+        assert svd_loss(problem.lift(v_factor, v_coords), w, g) <= before + 1e-9 * before
+
+    @pytest.mark.parametrize("m, n", [(12, 10), (10, 14)], ids=["m>n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_rank_deficient_gram_keeps_cut_columns_zero(self, m, n, damping):
+        """T = 3 < k = 6 tokens leave H_r at rank 3: S^+ cuts 3 directions, and every V-step keeps them zero."""
+        rng = np.random.default_rng(m + n)
+        k, tokens = 6, 3
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, tokens))
+        g = x @ x.T
+        problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else g)
+        q = initialize_pair(problem, k, damping)[0].basis.T
+        space = Subspace.of(q, problem.h)
+        for _ in range(3):
+            _, kept = u_step(space)
+            assert kept.shape == (k, tokens)
+            v_factor, space = v_step(space, kept, problem.h)
+            assert not space.q[:, tokens:].any() and not space.y[:, tokens:].any()
+            np.testing.assert_allclose(space.q[:, :tokens].T @ space.q[:, :tokens], np.eye(tokens),
+                                       rtol=0, atol=1e-12)
+            pair = problem.lift(v_factor, space.q.T)
+            assert not pair.u_sigma[:, tokens:].any() and not pair.vt_sigma[tokens:].any()
+            assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
+            # the kept directions carry the whole fit: H_r's range, where the data are
+            assert svd_loss(pair, w, g) <= 1e-10 * float(np.sum((w @ x) ** 2))
 
 
 class TestCompensate:
@@ -415,17 +469,18 @@ class TestSquareProblem:
     def test_every_decomposition_is_on_the_narrow_side(self, monkeypatch, m, n, damping, iters):
         shapes, kernels = [], []
 
-        def recording(name):
-            fn = getattr(compensation, name)
+        def recording(owner, name):
+            fn = getattr(owner, name)
 
             def wrapper(a, *args, **kwargs):
-                shapes.append(np.shape(a))
-                kernels.append(name)
+                if kwargs.get("mode") != "r":  # W's own triangle: test_no_explicit_q_is_formed
+                    shapes.append(np.shape(a))
+                    kernels.append(name)
                 return fn(a, *args, **kwargs)
-            monkeypatch.setattr(compensation, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("eigh_full", "pinv"):
-            recording(name)
+        recording(compensation, "eigh_full")
+        recording(compensation.np.linalg, "qr")
         rng = np.random.default_rng(m)
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 40))
@@ -433,8 +488,8 @@ class TestSquareProblem:
         compensate(w, narrow, 3, iters, damping)
         assert len(shapes) == 1 + 2 * iters   # the init's decomposition, then two per iteration
         assert max(max(shape) for shape in shapes) <= min(m, n)
-        # A and K are symmetric; only the V-refit's pinv(U') takes a general SVD.
-        assert kernels == ["eigh_full"] + ["eigh_full", "pinv"] * iters
+        # A and S are symmetric; the V-step orthonormalizes an r x k basis. No step takes an SVD.
+        assert kernels == ["eigh_full"] + ["eigh_full", "qr"] * iters
 
     @pytest.mark.parametrize("iters", [0, 1, 2])
     @pytest.mark.parametrize("m, n", [(24, 8), (8, 8), (8, 24)], ids=["m>n", "m=n", "m<n"])
@@ -451,8 +506,10 @@ class TestSquareProblem:
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 40))
         compensate(w, (w @ x) @ (w @ x).T if m < n else x @ x.T, 3, iters, damping)
-        # One triangle-only QR of a tall W; none where Q = I.
-        assert calls == ([((m, n), (), {"mode": "r"})] if m > n else [])
+        # One triangle-only QR of a tall W, none where Q = I; then each V-step's
+        # reduced QR of an r x 3 basis, r = min(m, n).
+        r = min(m, n)
+        assert calls == ([((m, n), (), {"mode": "r"})] if m > n else []) + [((r, 3), (), {})] * iters
 
     @pytest.mark.parametrize("iters", [0, 1, 2])
     @pytest.mark.parametrize("rel_damping", [None, 1e-5], ids=["plain", "whitened"])
@@ -483,14 +540,18 @@ class TestSquareProblem:
         w = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n))  # rank 3: the rank-4 init cuts its last column
         x = rng.normal(size=(n, 30))
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
-        init, coords = initialize_pair(problem, 4)
-        assert not init.u[:, 3].any() and not coords[3].any()  # a zero column is left alone
+        init, init_coords = initialize_pair(problem, 4)
+        assert not init.u[:, 3].any() and not init_coords[3].any()  # a zero column is left alone
+        space = Subspace.of(init.basis.T, problem.h)
+        u_factor, kept = u_step(space)
+        v_factor, v_space = v_step(space, kept, problem.h)
         flip = np.array([-1.0, 1.0, -1.0, 1.0])
-        for factor in (init, update_u(normal_equations(coords, problem.h))):
+        for factor, coords in ((init, init_coords), (u_factor, space.q.T), (v_factor, v_space.q.T)):
             pair = problem.lift(factor, coords)
             negated = problem.lift(  # the factor an eigensolver's other signs give
                 LeftFactor(u=factor.u * flip, basis=factor.basis * flip[:, None],
-                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping),
+                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping,
+                           triangle=None if factor.triangle is None else flip[:, None] * factor.triangle * flip),
                 coords * flip[:, None],
             )
             assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()

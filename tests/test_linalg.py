@@ -7,8 +7,8 @@ import lowrank
 import lowrank.compensation
 import lowrank.model
 from lowrank.errors import NumericalError, RankError
-from lowrank.linalg import eigh_full, pinv, rank_for_retention
-from oracles import svd_full, truncate_absorb
+from lowrank.linalg import eigh_full, rank_for_retention
+from oracles import pinv, svd_full, truncate_absorb
 
 
 class TestSvdFull:
@@ -75,6 +75,7 @@ class TestEighFull:
         # The same directions are kept: both inverses have the same rank.
         tol = 1e-8 * np.linalg.norm(expected, 2)
         assert np.linalg.matrix_rank(got, tol=tol) == np.linalg.matrix_rank(expected, tol=tol)
+        assert np.count_nonzero(eigh_full(a).kept(atol)) == np.linalg.matrix_rank(expected, tol=tol)
 
     def test_zero_matrix_gives_zero_inverse(self):
         out = eigh_full(np.zeros((4, 4))).pinv()
@@ -180,7 +181,7 @@ class TestPinv:
 
 @pytest.mark.parametrize("module", [lowrank, lowrank.linalg, lowrank.compensation, lowrank.model])
 def test_no_test_oracle_is_in_the_package(module):
-    moved = {"SvdFactors", "svd_full", "truncate_absorb", "svd_loss", "plain_truncation_loss", "forward"}
+    moved = {"SvdFactors", "svd_full", "pinv", "truncate_absorb", "svd_loss", "plain_truncation_loss", "forward"}
     assert not {name for name in moved if hasattr(module, name)}
 
 
