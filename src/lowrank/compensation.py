@@ -83,7 +83,7 @@ the projector Z_k @ Z_k.T.
   column rank. One Householder QR Y @ Z_kept = Q' @ R' gives the new basis,
   and the columns S^+ cut stay zero. The pair is (Q', Q'.T), whose product
   is U' @ pinv(U'); Q' = H_r @ Q @ Z_kept @ R'^-1 lifts with N = Q.T and
-  X = Z_kept @ R'^-1, which only the lift forms. Then Y = H_r @ Q'.
+  X = Z_kept @ R'^-1. Then Y = H_r @ Q'.
 
 When S is nonsingular span(Q') = H_r @ span(Q): one round is one
 r x r x k product, one k x k ``eigh`` and one r x k QR. No step takes an SVD.
@@ -135,9 +135,8 @@ class LeftFactor:
 
     u: np.ndarray                # r x k, U'
     basis: np.ndarray            # k x r, N: the coordinates its solve read
-    solve: np.ndarray            # k x k, X, or X @ triangle where a triangle is given
+    solve: np.ndarray            # k x k, X
     damping: float | None        # P = G + damping * I; None for P = I
-    triangle: np.ndarray | None = None  # k x k; X = solve @ inv(triangle), formed only by the lift
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,7 @@ class SquareProblem:
             right = (factor.basis @ self.r).T                       # R.T @ N.T, n x k
             if factor.damping is not None:
                 right = self.g @ right + factor.damping * right
-            solve = factor.solve
-            if factor.triangle is not None:
-                solve = np.linalg.solve(factor.triangle.T, solve.T).T
-            u = self.w @ (right @ solve)
+            u = self.w @ (right @ factor.solve)
         # Each column's extremes, read without forming |U|: the lead is negative where -min > max.
         hi, lo = u.max(axis=0), u.min(axis=0)
         flip = -lo > hi
@@ -249,10 +245,10 @@ def v_step(space: Subspace, kept: np.ndarray, h: np.ndarray) -> tuple[LeftFactor
     """
     r, k = space.q.shape
     rank = kept.shape[1]
-    q, triangle, solve = np.zeros((r, k)), np.eye(k), np.zeros((k, k))
-    q[:, :rank], triangle[:rank, :rank] = np.linalg.qr(space.y @ kept)
-    solve[:, :rank] = kept
-    factor = LeftFactor(u=q, basis=space.q.T, solve=solve, damping=0.0, triangle=triangle)
+    q, solve = np.zeros((r, k)), np.zeros((k, k))
+    q[:, :rank], triangle = np.linalg.qr(space.y @ kept)
+    solve[:, :rank] = np.linalg.solve(triangle.T, kept.T).T
+    factor = LeftFactor(u=q, basis=space.q.T, solve=solve, damping=0.0)
     return factor, Subspace.of(q, h)
 
 

@@ -20,7 +20,7 @@ from lowrank.compensation import (
     square_problem,
     u_step,
 )
-from lowrank.linalg import LowRankPair, rank_for_retention
+from lowrank.linalg import LowRankPair, eigh_full, rank_for_retention
 from lowrank.model import gen_synthetic, save_calibration
 from lowrank.pipeline import PipelineConfig, compress_model, eval_compression
 from oracles import pinv, plain_truncation_loss, svd_full, svd_loss, truncate_absorb
@@ -70,12 +70,13 @@ def test_criterion_2_moore_penrose():
             else:
                 cases.append(rng.normal(size=(m, n)))
         for a in cases:
-            ap = pinv(a)
-            tol = 1e-8 * max(1.0, np.linalg.norm(a))
-            assert np.linalg.norm(a @ ap @ a - a) <= tol
-            assert np.linalg.norm(ap @ a @ ap - ap) <= tol
-            assert np.linalg.norm((a @ ap).T - a @ ap) <= tol
-            assert np.linalg.norm((ap @ a).T - ap @ a) <= tol
+            # The oracle's, and the program's own: eigh_full's of the symmetric a @ a.T, as every U-step takes S^+.
+            for b, bp in ((a, pinv(a)), (a @ a.T, eigh_full(a @ a.T).pinv())):
+                tol = 1e-8 * max(1.0, np.linalg.norm(b))
+                assert np.linalg.norm(b @ bp @ b - b) <= tol
+                assert np.linalg.norm(bp @ b @ bp - bp) <= tol
+                assert np.linalg.norm((b @ bp).T - b @ bp) <= tol
+                assert np.linalg.norm((bp @ b).T - bp @ b) <= tol
 
 
 def test_criterion_3_lse_optimality():

@@ -445,19 +445,15 @@ def test_overflowing_calibration_exits_2(workspace, capsys, command):
     assert_scaled_calibration_exits_2(workspace, capsys, command, 1e160, "overflow")
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160])
 @pytest.mark.parametrize("command", ["compress", "importance", "eval"])
-def test_underflowing_calibration_exits_2(workspace, capsys, command):
-    """Nonzero tokens whose sums of squares underflow to 0 are a numerical error, not a silent zero importance."""
-    assert_scaled_calibration_exits_2(workspace, capsys, command, 1e-170, "underflow")
-
-
-@pytest.mark.parametrize("command", ["compress", "importance", "eval"])
-def test_subnormal_calibration_exits_2(workspace, capsys, command):
-    """Nonzero tokens whose sums of squares are subnormal are a numerical error too: they have lost precision."""
-    samples = load_container(workspace / "base" / "calib.st")["samples"] * 1e-160
-    squares = np.einsum("ijk,ijk->ij", samples, samples)
-    assert np.all(squares > 0) and np.all(squares < np.finfo(np.float64).tiny)
-    assert_scaled_calibration_exits_2(workspace, capsys, command, 1e-160, "underflow")
+def test_underflowing_calibration_exits_2(workspace, capsys, command, scale):
+    """Nonzero tokens whose sums of squares underflow to 0 or to a subnormal are a numerical error, not a silent 0."""
+    if scale == 1e-160:
+        samples = load_container(workspace / "base" / "calib.st")["samples"] * scale
+        squares = np.einsum("ijk,ijk->ij", samples, samples)
+        assert np.all(squares > 0) and np.all(squares < np.finfo(np.float64).tiny)
+    assert_scaled_calibration_exits_2(workspace, capsys, command, scale, "underflow")
 
 
 @pytest.mark.parametrize("command", ["compress", "importance", "eval"])

@@ -550,8 +550,7 @@ class TestSquareProblem:
             pair = problem.lift(factor, coords)
             negated = problem.lift(  # the factor an eigensolver's other signs give
                 LeftFactor(u=factor.u * flip, basis=factor.basis * flip[:, None],
-                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping,
-                           triangle=None if factor.triangle is None else flip[:, None] * factor.triangle * flip),
+                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping),
                 coords * flip[:, None],
             )
             assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
