@@ -3,11 +3,13 @@
 
     python3 scripts/sweep_retention.py [--retentions 0.8 0.6 0.4 0.3] [--seeds 5] ...
 
-Per retention, compresses each seed's model four ways: plain truncated SVD at
+Per retention, compresses each seed's model five ways: plain truncated SVD at
 a uniform ratio, then with alternating compensation, then with whitening,
-then with adaptive ratios. Prints the held-out achieved retention, output
-MSE (and its ratio to plain SVD's), output cosine, overlap and the time of
-compress plus eval, each the mean over the seeds.
+then with adaptive ratios, and last the same adaptive ratios with the
+importance inverted (``importance_mode="one_minus_cos"``). Prints the
+held-out achieved retention, output MSE (and its ratio to plain SVD's),
+output cosine, overlap and the time of compress plus eval, each the mean over
+the seeds.
 """
 
 import argparse
@@ -25,7 +27,7 @@ from lowrank.model import save_calibration
 
 
 def ladder(trr: float, mrr: float | None, iters: int, seed: int) -> dict[str, PipelineConfig]:
-    """The four variants, each adding one step of the pipeline to the one before."""
+    """The variants, each adding one step of the pipeline to the one before; the last inverts importance."""
     return {
         "plain truncated SVD (uniform)": PipelineConfig(
             trr=trr, mrr=trr, iterations=0, whiten=False, seed=seed),
@@ -35,6 +37,8 @@ def ladder(trr: float, mrr: float | None, iters: int, seed: int) -> dict[str, Pi
             trr=trr, mrr=trr, iterations=iters, whiten=True, seed=seed),
         "  + adaptive ratios (full)": PipelineConfig(
             trr=trr, mrr=mrr, iterations=iters, whiten=True, seed=seed),
+        "  + adaptive (one_minus_cos)": PipelineConfig(
+            trr=trr, mrr=mrr, iterations=iters, whiten=True, importance_mode="one_minus_cos", seed=seed),
     }
 
 

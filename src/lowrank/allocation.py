@@ -8,10 +8,13 @@ importances (mean 1) map to retention ratios
     cr_b = mrr + i_n[b] * (trr - mrr)
 
 clamped to [mrr, 1] and rescaled so the parameter-weighted mean retention hits
-the target. Integer ranks start at the per-slot parameter-budget floor and are
-then nudged by largest-remainder +-1 steps until the whole-model achieved
-retention sits within 1% of the target (the floors alone systematically
-undershoot); the recorded per-block ratios are not touched by this step.
+the target. The rescale is solved exactly (``assign_ratios``) and raises
+``BudgetError`` only when full retention for every block above mrr still
+leaves the target more than 1% short. Integer ranks start at the per-slot
+parameter-budget floor and are then nudged by largest-remainder +-1 steps
+until the whole-model achieved retention sits within 1% of the target (the
+floors alone systematically undershoot); the recorded per-block ratios are not
+touched by this step.
 """
 
 from __future__ import annotations
@@ -111,10 +114,12 @@ def normalize_importance(i_values) -> list[float]:
 
 
 def assign_ratios(i_n, trr: float, mrr: float, param_counts) -> list[float]:
-    """Retention ratio per block: formula, clamp to [mrr, 1], budget rescale.
+    """Retention ratio per block: formula, clamp to [mrr, 1], exact budget rescale.
 
-    Ratios above mrr are rescaled by a single scalar (up to 10 fixed-point
-    passes) until the parameter-weighted mean retention is within 1% of trr.
+    Each block keeps mrr + min(scale * excess, 1 - mrr). The budget is
+    piecewise linear in the scale, so one pass in descending excess, capping
+    each block that the scale of the blocks not yet capped would push past 1,
+    solves it exactly.
     """
     _check_budget_bounds(trr, mrr)
     i_n = np.asarray(list(i_n), dtype=np.float64)
@@ -125,37 +130,20 @@ def assign_ratios(i_n, trr: float, mrr: float, param_counts) -> list[float]:
 
     cap = 1.0 - mrr
     excess = np.clip(i_n * (trr - mrr), 0.0, None)
-    tol = BUDGET_TOL * trr
-
-    def attempt(scale: float) -> tuple[float, np.ndarray]:
-        scaled = np.minimum(excess * scale, cap)
-        return mrr + float(weights @ scaled), scaled
-
-    scale = 1.0
-    for _ in range(10):
-        achieved, scaled = attempt(scale)
-        if abs(achieved - trr) <= tol:
-            return [float(mrr + e) for e in scaled]
-        current = achieved - mrr
-        if current <= 0.0:
+    need, free = trr - mrr, float(weights @ excess)
+    capped = np.zeros(excess.shape, dtype=bool)
+    for b in np.argsort(-excess, kind="stable"):
+        if excess[b] == 0.0 or excess[b] * need <= cap * free:
             break
-        scale *= (trr - mrr) / current
-
-    # Heavy clamping can stall the multiplicative iteration even though the
-    # budget is reachable; achieved is monotone in the scale, so bisect.
-    lo, hi = 0.0, 1.0
-    while attempt(hi)[0] < trr - tol and hi < 1e12:
-        lo, hi = hi, hi * 2.0
-    for _ in range(200):
-        scale = (lo + hi) / 2.0
-        achieved, scaled = attempt(scale)
-        if abs(achieved - trr) <= tol:
-            return [float(mrr + e) for e in scaled]
-        if achieved < trr:
-            lo = scale
-        else:
-            hi = scale
-    raise BudgetError(f"cannot rescale ratios to retention {trr} within {100 * BUDGET_TOL:g}%")
+        capped[b] = True
+        need -= weights[b] * cap
+        free -= weights[b] * excess[b]
+    rest = float(weights[~capped] @ excess[~capped])  # summed afresh: the running free loses bits
+    if rest == 0.0 and need > BUDGET_TOL * trr:
+        raise BudgetError(f"cannot rescale ratios to retention {trr} within {100 * BUDGET_TOL:g}%")
+    scale = need / rest if rest > 0.0 else 0.0
+    scaled = np.where(capped, cap, np.minimum(excess * scale, cap))
+    return [float(mrr + e) for e in scaled]
 
 
 def build_plan(
@@ -240,35 +228,23 @@ def _adjust_ranks_to_budget(slots, ranks, ratios, trr: float) -> float:
     current = sum(_slot_params(m, n, ranks[(bi, slot)]) for bi, slot, m, n in slots)
 
     def remainder(bi, slot, m, n):
+        return ratios[bi] * m * n / (m + n) - ranks[(bi, slot)]
+
+    def can_step(step, gap, bi, slot, m, n):
+        """The slot stays factored, at rank >= 1, and the step narrows the gap."""
         k = ranks[(bi, slot)]
-        return 0.0 if k is None else ratios[bi] * m * n / (m + n) - k
+        if k is None or abs(gap - step * (m + n)) >= abs(gap):
+            return False
+        return (k < min(m, n) and (k + 1) * (m + n) < m * n) if step > 0 else k > 1
 
     while True:
         gap = target - current
-        if gap > 0:
-            candidates = [
-                (bi, slot, m, n)
-                for bi, slot, m, n in slots
-                if ranks[(bi, slot)] is not None
-                and ranks[(bi, slot)] < min(m, n)
-                and (ranks[(bi, slot)] + 1) * (m + n) < m * n
-                and abs(gap - (m + n)) < abs(gap)
-            ]
-            step = 1
-            key = lambda c: (-remainder(*c), c[0], c[1])
-        else:
-            candidates = [
-                (bi, slot, m, n)
-                for bi, slot, m, n in slots
-                if ranks[(bi, slot)] is not None
-                and ranks[(bi, slot)] > 1
-                and abs(gap + (m + n)) < abs(gap)
-            ]
-            step = -1
-            key = lambda c: (remainder(*c), c[0], c[1])
+        step = 1 if gap > 0 else -1
+        candidates = [c for c in slots if can_step(step, gap, *c)]
         if not candidates:
             break  # no step improves the budget
-        bi, slot, m, n = min(candidates, key=key)
+        # the largest remainder grows first, the smallest shrinks first
+        bi, slot, m, n = min(candidates, key=lambda c: (-step * remainder(*c), c[0], c[1]))
         ranks[(bi, slot)] += step
         current += step * (m + n)
 

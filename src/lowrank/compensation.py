@@ -8,8 +8,9 @@ which sees the activations only through their Gram matrix G = X @ X.T. The
 U-update is the least-squares optimum for fixed Vt,
 U = W @ G @ Vt.T @ pinv(Vt @ G @ Vt.T): the same minimum-norm solution as
 pinv(X.T @ Vt.T) @ (W @ X).T, from a k x k system. The Vt-update
-pinv(U) @ W equals the exact minimizer (U.T U)^-1 U.T W whenever G is
-nonsingular (G cancels), and stays the applied rule otherwise.
+Vt = pinv(U) @ W solves the normal equations U.T @ U @ Vt @ G = U.T @ W @ G
+for every PSD G, so it minimizes the loss for fixed U whether or not G is
+singular; only for a nonsingular G is it the unique minimizer.
 
 Every slot is solved as one square problem. Write W = Q @ R, r = min(m, n),
 with Q (m x r) having orthonormal columns: the reduced QR for a tall W

@@ -340,6 +340,9 @@ def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
     for block in manifest.blocks:
         if block.kind != "residual_mlp":
             raise FormatError(f"block {block.block_id}: unknown kind {block.kind!r}")
+        unknown = sorted((block.matrices.keys() | block.lowrank.keys()) - set(BLOCK_SLOTS))
+        if unknown:
+            raise FormatError(f"block {block.block_id}: unknown slot {unknown[0]!r}")
         shapes: dict[str, tuple[int, int]] = {}
         for slot in BLOCK_SLOTS:
             dense = slot in block.matrices

@@ -185,7 +185,7 @@ def test_criterion_6_ratio_allocation():
             mrr = trr * float(rng.uniform(0.3, 1.0))
             out = np.array(assign_ratios(i_n, trr, mrr, params))
             achieved = float(out @ params / params.sum())
-            assert abs(achieved - trr) <= 0.01 * trr
+            assert abs(achieved - trr) <= 1e-11 * trr
             assert np.all(out >= mrr - 1e-12) and np.all(out <= 1.0 + 1e-12)
 
         out = assign_ratios(rng.uniform(0.0, 2.0, size=6), trr=0.7, mrr=0.7, param_counts=[3] * 6)

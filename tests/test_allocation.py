@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank.allocation import (
+    BUDGET_TOL,
     assign_ratios,
     build_plan,
     column_cosines,
@@ -90,8 +91,42 @@ class TestAssignRatios:
             mrr = float(rng.uniform(0.1, 1.0)) * trr
             out = np.array(assign_ratios(i_n, trr, mrr, params))
             achieved = float(out @ params / params.sum())
-            assert abs(achieved - trr) <= 0.01 * trr
+            assert abs(achieved - trr) <= 1e-11 * trr
             assert np.all(out >= mrr - 1e-12) and np.all(out <= 1.0 + 1e-12)
+
+    def test_heavy_cap_hand_computed(self):
+        # scale 1 gives block 0 a ratio of 1.04: it is capped at 1, and block 1
+        # takes the rest of the budget, 0.1 = (5/3) * 0.06 over mrr
+        out = assign_ratios([1.8, 0.2], trr=0.8, mrr=0.5, param_counts=[10, 10])
+        np.testing.assert_allclose(out, [1.0, 0.6], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["uniform", "gamma", "signed"])
+    def test_budget_met_exactly_or_rejected(self, rng, kind):
+        """Met within 1e-11 when reachable; short of it only by capping, and then by at most 1%."""
+        draw = {"uniform": lambda n: rng.uniform(0.0, 2.5, n), "gamma": lambda n: rng.gamma(0.5, 2.0, n),
+                "signed": lambda n: rng.uniform(-1.0, 6.0, n)}[kind]
+        for _ in range(300):
+            i_n = draw(int(rng.integers(1, 16)))
+            n = i_n.size
+            i_n = i_n / i_n.mean()
+            params = rng.integers(50, 50_000, size=n)
+            weights = params / params.sum()
+            trr = float(rng.uniform(0.2, 0.95))
+            mrr = trr * float(rng.uniform(0.05, 1.0))
+            top = mrr + float(weights @ np.where(i_n > 0, 1.0 - mrr, 0.0))  # every block above mrr at 1
+            if trr - top > BUDGET_TOL * trr:
+                with pytest.raises(BudgetError):
+                    assign_ratios(i_n, trr, mrr, params)
+                continue
+            out = np.array(assign_ratios(i_n, trr, mrr, params))
+            achieved = float(out @ weights)
+            if top >= trr:
+                assert abs(achieved - trr) <= 1e-11 * trr
+            else:
+                np.testing.assert_array_equal(out[i_n > 0], 1.0)
+            assert np.all(out[i_n <= 0] == mrr)
+            assert np.all(out >= mrr) and np.all(out <= 1.0)
+            assert np.all(np.diff(out[np.argsort(i_n, kind="stable")]) >= 0)
 
     def test_monotone_in_importance(self, rng):
         i_n = np.sort(rng.uniform(-0.5, 3.0, size=8))

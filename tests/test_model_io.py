@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lowrank.allocation import BlockPlan, CompressionPlan
 from lowrank import container
+from lowrank.cli import run_cli
 from lowrank.container import load_container
 from lowrank.errors import FormatError, IoError, LowrankError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair
@@ -246,14 +247,25 @@ class TestLoadSave:
         with pytest.raises(ShapeError):
             save_and_reload(model, tmp_path)
 
-    def test_slot_must_have_exactly_one_representation(self, tmp_path):
-        model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
+    @pytest.mark.parametrize("edit, match", [
+        (lambda blocks: blocks[0]["matrices"].pop("w1"), "block 0 slot w1: must be exactly one"),
+        (lambda blocks: blocks[0]["matrices"].update(w3="no.such.tensor"), "block 0: unknown slot 'w3'"),
+        (lambda blocks: blocks[1]["lowrank"].update(w9={"u": "blocks.1.w1", "vt": "blocks.1.w2", "rank": 2}),
+         "block 1: unknown slot 'w9'"),
+    ], ids=["missing", "unknown-dense", "unknown-lowrank"])
+    def test_slot_must_have_exactly_one_representation(self, tmp_path, edit, match):
+        model, samples = gen_synthetic(seed=1, blocks=2, d=4, h=8, n_samples=8, tokens=4)
         save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        save_calibration(tmp_path / "c.st", samples)
         doc = json.loads((tmp_path / "m.json").read_text())
-        del doc["blocks"][0]["matrices"]["w1"]
+        edit(doc["blocks"])
         (tmp_path / "m.json").write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=match):
             load_model(tmp_path / "m.json", tmp_path / "m.st")
+        out = tmp_path / "out"
+        assert run_cli(["compress", "--model", str(tmp_path / "m.json"), "--calib", str(tmp_path / "c.st"),
+                        "--target-retention", "0.6", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("literal", ["8.9", '"0"', "true", "1e400"], ids=["fraction", "string", "bool", "overflow"])

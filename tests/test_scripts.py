@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 REFERENCE = ROOT / "benchmark" / "reference.json"
-LADDER = ("plain truncated SVD (uniform)", "+ alternating compensation", "+ whitening", "+ adaptive ratios (full)")
+LADDER = ("plain truncated SVD (uniform)", "+ alternating compensation", "+ whitening", "+ adaptive ratios (full)",
+          "+ adaptive (one_minus_cos)")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def test_sweep_prints_the_ladder():
     )
     assert done.returncode == 0, done.stderr
     rows = [line for line in done.stdout.splitlines() if any(name in line for name in LADDER)]
-    assert len(rows) == 4 and all(name in row for name, row in zip(LADDER, rows))
+    assert len(rows) == 5 and all(name in row for name, row in zip(LADDER, rows))
     assert rows[0].split()[0] == "0.60"
 
 
