@@ -77,9 +77,10 @@ def main():
                     t0 = time.monotonic()
                     compressed, _, _ = compress_model(model, calib, cfg)
                     report = eval_compression(model, compressed, calib)
+                    end = report.end_to_end
                     rows.setdefault(name, []).append((
-                        report.achieved_retention, report.output_mse, report.output_cosine_mean,
-                        report.overlap_statistic, time.monotonic() - t0))
+                        report.params.achieved_retention, end.output_mse, end.output_cosine_mean,
+                        end.overlap_statistic, time.monotonic() - t0))
             means = {name: np.mean(runs, axis=0) for name, runs in rows.items()}
             plain = next(iter(means.values()))[1]
             for i, (name, (retention, mse, cosine, overlap, dt)) in enumerate(means.items()):

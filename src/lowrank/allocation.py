@@ -44,7 +44,9 @@ class BlockPlan:
 
 @dataclass
 class CompressionPlan:
-    per_block: list[BlockPlan]
+    """The retention plan; it is plan.json, whose keys are its fields in this order."""
+
+    blocks: list[BlockPlan]
     trr: float
     mrr: float
     achieved_retention: float
@@ -53,26 +55,8 @@ class CompressionPlan:
     def slot_ranks(self) -> dict[str, int | None]:
         return {
             slot_name(b.block_id, slot): rank
-            for b in self.per_block
+            for b in self.blocks
             for slot, rank in b.ranks.items()
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "blocks": [
-                {
-                    "block_id": b.block_id,
-                    "importance": b.importance,
-                    "normalized": b.normalized,
-                    "retention": b.retention,
-                    "ranks": dict(b.ranks),
-                }
-                for b in self.per_block
-            ],
-            "trr": self.trr,
-            "mrr": self.mrr,
-            "achieved_retention": self.achieved_retention,
-            "importance_mode": self.importance_mode,
         }
 
 
@@ -182,9 +166,8 @@ def build_plan(
     }
     achieved = _adjust_ranks_to_budget(slots, ranks, ratios, trr)
 
-    per_block = []
-    for bi, b in enumerate(blocks):
-        per_block.append(
+    return CompressionPlan(
+        blocks=[
             BlockPlan(
                 block_id=b.block_id,
                 importance=raw[bi],
@@ -192,9 +175,8 @@ def build_plan(
                 retention=ratios[bi],
                 ranks={slot: ranks[(bi, slot)] for slot in BLOCK_SLOTS},
             )
-        )
-    return CompressionPlan(
-        per_block=per_block,
+            for bi, b in enumerate(blocks)
+        ],
         trr=trr,
         mrr=mrr,
         achieved_retention=achieved,

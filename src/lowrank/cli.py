@@ -13,17 +13,10 @@ import sys
 from pathlib import Path
 
 from .allocation import IMPORTANCE_MODES
+from .container import dump_json, write_json
 from .errors import LowrankError, NumericalError
 from .model import ACTIVATIONS, gen_synthetic, load_model, save_calibration, save_model
-from .pipeline import (
-    PipelineConfig,
-    calibrate_and_plan,
-    compress_model,
-    dump_json,
-    eval_compression,
-    write_json,
-    write_traces_csv,
-)
+from .pipeline import PipelineConfig, calibrate_and_plan, compress_model, eval_compression, write_traces_csv
 
 
 class _UsageError(Exception):
@@ -124,7 +117,7 @@ def _cmd_compress(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(compressed, out / "model.json", out / "model.st")
-    write_json(plan.to_json(), out / "plan.json")
+    write_json(plan, out / "plan.json")
     write_traces_csv(traces, out / "traces.csv")
     print(f"wrote {out / 'model.json'}, {out / 'model.st'}, {out / 'plan.json'}, {out / 'traces.csv'}")
     print(f"achieved retention {plan.achieved_retention:.4f} (target {cfg.trr})")
@@ -142,7 +135,7 @@ def _cmd_importance(args) -> int:
     )
     model = load_model(args.model, _container_path(args.model))
     _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
-    print(dump_json(plan.to_json(), "the plan"))
+    print(dump_json(plan, "the plan"))
     return 0
 
 
@@ -153,10 +146,10 @@ def _cmd_eval(args) -> int:
     if report.scored_on_all:
         print(f"note: {args.calib} is too small for a held-out tail; eval scored every sample", file=sys.stderr)
     if args.out:
-        write_json(report.to_json(), args.out)
+        write_json(report, args.out)
         print(f"wrote {args.out}")
     else:
-        print(dump_json(report.to_json(), "the eval report"))
+        print(dump_json(report, "the eval report"))
     return 0
 
 

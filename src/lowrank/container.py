@@ -20,6 +20,10 @@ leaves the previous file as it was. Replacing a file gives it a new inode, so
 a run may write over the very files it has mapped. Rewriting or truncating a
 mapped file in place (rather than replacing it) while a run reads it can kill
 that run with SIGBUS.
+
+Each JSON output is a dataclass, and ``write_json`` writes it as
+``dataclasses.asdict`` forms it, so its keys are the dataclass's fields in
+their declared order.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ import os
 import struct
 import uuid
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoError
+from .errors import FormatError, IoError, NumericalError
 
 _DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _DTYPE_TAGS = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
@@ -61,6 +66,24 @@ def atomic_path(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def dump_json(doc, name: str) -> str:
+    """The dataclass ``doc`` as indented JSON; NumericalError naming the output ``name`` if it holds NaN or inf."""
+    try:
+        return json.dumps(asdict(doc), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {name}: it holds a non-finite value ({exc})") from exc
+
+
+def write_json(doc, path: str | Path) -> None:
+    """Write the dataclass ``doc`` to ``path`` as ``dump_json`` forms it, plus a newline; IoError naming the file."""
+    text = dump_json(doc, str(path))
+    try:
+        with atomic_path(path) as tmp:
+            tmp.write_text(text + "\n", "utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .container import atomic_path, load_container, save_container
+from .container import load_container, save_container, write_json
 from .errors import FormatError, IoError, ManifestMismatch, NumericalError, ShapeError
 from .linalg import LowRankPair
 
@@ -59,29 +59,12 @@ class BlockSpec:
 
 @dataclass
 class ModelManifest:
+    """The model manifest; it is model.json, whose keys are its fields in this order."""
+
     version: str
     hidden_dim: int
     activation: str
     blocks: list[BlockSpec]
-
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "hidden_dim": self.hidden_dim,
-            "activation": self.activation,
-            "blocks": [
-                {
-                    "block_id": b.block_id,
-                    "kind": b.kind,
-                    "matrices": dict(b.matrices),
-                    "lowrank": {
-                        slot: {"u": ref.u, "vt": ref.vt, "rank": ref.rank}
-                        for slot, ref in b.lowrank.items()
-                    },
-                }
-                for b in self.blocks
-            ],
-        }
 
     @staticmethod
     def from_json(doc: dict) -> "ModelManifest":
@@ -92,12 +75,7 @@ class ModelManifest:
             blocks_doc = doc["blocks"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"manifest lacks a valid version, hidden_dim, activation or blocks: {exc}") from exc
-        if version not in SUPPORTED_VERSIONS:
-            raise FormatError(f"unsupported manifest version {version!r}")
-        if activation not in ACTIVATIONS:
-            raise FormatError(f"unknown activation {activation!r}")
-        if hidden_dim < 1:
-            raise FormatError(f"hidden_dim must be positive, got {hidden_dim}")
+        _check_header(version, activation, hidden_dim)
         if not isinstance(blocks_doc, list):
             raise FormatError(f"manifest 'blocks' must be a list, got {type(blocks_doc).__name__}")
         blocks = []
@@ -121,6 +99,16 @@ class ModelManifest:
             except (AttributeError, KeyError, TypeError) as exc:
                 raise FormatError(f"manifest block {i} is malformed: {type(exc).__name__} {exc}") from exc
         return ModelManifest(version=version, hidden_dim=hidden_dim, activation=activation, blocks=blocks)
+
+
+def _check_header(version, activation, hidden_dim: int) -> None:
+    """FormatError for a manifest version, activation or hidden_dim that ``load_model`` does not accept."""
+    if version not in SUPPORTED_VERSIONS:
+        raise FormatError(f"unsupported manifest version {version!r}")
+    if activation not in ACTIVATIONS:
+        raise FormatError(f"unknown activation {activation!r}")
+    if hidden_dim < 1:
+        raise FormatError(f"hidden_dim must be positive, got {hidden_dim}")
 
 
 def _json_object(value) -> dict:
@@ -331,6 +319,7 @@ def walk_blocks(
 
 
 def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
+    _check_header(manifest.version, manifest.activation, manifest.hidden_dim)
     d = manifest.hidden_dim
     if not manifest.blocks:
         raise FormatError("manifest has no blocks")
@@ -411,16 +400,15 @@ def save_model(model: ModelHandle, manifest_path: str | Path, container_path: st
         tag = model.storage_dtypes.get(name, "F64")
         out[name] = arr.astype(np.float32 if tag == "F32" else np.float64, copy=False)
     save_container(container_path, out)
-    try:
-        with atomic_path(manifest_path) as tmp:
-            tmp.write_text(json.dumps(model.manifest.to_json(), indent=2) + "\n", "utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write manifest {manifest_path}: {exc}") from exc
+    write_json(model.manifest, manifest_path)
 
 
-def as_compressed_handle(model: ModelHandle, plan, factors: dict[str, LowRankPair]) -> ModelHandle:
-    """Build the in-memory compressed model for a plan without touching disk."""
-    planned = plan.slot_ranks()
+def as_compressed_handle(model: ModelHandle, factors: dict[str, LowRankPair]) -> ModelHandle:
+    """The in-memory model with each slot named in ``factors`` (by ``slot_name``) held as its pair.
+
+    Every other slot is kept dense. Each new tensor keeps the storage dtype of
+    the slot's own tensor (its dense matrix, or its ``u`` if already factored).
+    """
     blocks: list[BlockSpec] = []
     tensors: dict[str, np.ndarray] = {}
     dtypes: dict[str, str] = {}
@@ -428,29 +416,19 @@ def as_compressed_handle(model: ModelHandle, plan, factors: dict[str, LowRankPai
         spec = BlockSpec(block_id=block.block_id, kind=block.kind)
         for slot in BLOCK_SLOTS:
             name = slot_name(block.block_id, slot)
-            rank = planned.get(name)
-            src_tag = model.storage_dtypes.get(block.matrices.get(slot, ""), "F64")
-            if rank is None:
-                spec.matrices[slot] = name
-                tensors[name] = model.slot_weight(block.block_id, slot)
-                dtypes[name] = src_tag
-                continue
+            ref = block.lowrank.get(slot)
+            tag = model.storage_dtypes.get(block.matrices[slot] if ref is None else ref.u, "F64")
             pair = factors.get(name)
             if pair is None:
-                raise ShapeError(f"plan compresses slot {name} but no factor pair was supplied")
-            m, n = model.slot(block.block_id, slot).shape
-            if pair.u_sigma.shape != (m, pair.rank) or pair.vt_sigma.shape != (pair.rank, n):
-                raise ShapeError(
-                    f"slot {name}: factor shapes {pair.u_sigma.shape}/{pair.vt_sigma.shape} "
-                    f"do not fit matrix {m}x{n} at rank {pair.rank}"
-                )
-            if pair.rank != rank:
-                raise ShapeError(f"slot {name}: factor rank {pair.rank} differs from planned rank {rank}")
+                spec.matrices[slot] = name
+                tensors[name] = model.slot_weight(block.block_id, slot)
+                dtypes[name] = tag
+                continue
             u_name, vt_name = f"{name}.u", f"{name}.vt"
             spec.lowrank[slot] = LowRankRef(u=u_name, vt=vt_name, rank=pair.rank)
             tensors[u_name] = pair.u_sigma
             tensors[vt_name] = pair.vt_sigma
-            dtypes[u_name] = dtypes[vt_name] = src_tag
+            dtypes[u_name] = dtypes[vt_name] = tag
         blocks.append(spec)
     manifest = ModelManifest(
         version=model.manifest.version,

@@ -60,7 +60,6 @@ thread and each BLAS call keeps the library's own count.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import threading
@@ -287,7 +286,7 @@ def compress_model(
         factors[name] = pair
         traces[name] = trace
     check_traces(traces)
-    compressed = as_compressed_handle(model, plan, factors)
+    compressed = as_compressed_handle(model, factors)
     return compressed, plan, traces
 
 
@@ -342,33 +341,30 @@ class SlotErrors:
 
 
 @dataclass
-class EvalReport:
-    per_slot: list[SlotErrors]
+class EndToEnd:
     output_mse: float
     output_cosine_mean: float
     overlap_statistic: float
-    params_original: int
-    params_compressed: int
-    achieved_retention: float
-    scored_on_all: bool = False  # no held-out tail, so every sample was scored; not in the JSON
 
-    def to_json(self) -> dict:
-        return {
-            "per_slot": [
-                {"slot": s.slot, "frob_rel_err": s.frob_rel_err, "data_rel_err": s.data_rel_err}
-                for s in self.per_slot
-            ],
-            "end_to_end": {
-                "output_mse": self.output_mse,
-                "output_cosine_mean": self.output_cosine_mean,
-                "overlap_statistic": self.overlap_statistic,
-            },
-            "params": {
-                "original": self.params_original,
-                "compressed": self.params_compressed,
-                "achieved_retention": self.achieved_retention,
-            },
-        }
+
+@dataclass
+class Params:
+    original: int
+    compressed: int
+    achieved_retention: float
+
+
+@dataclass
+class EvalReport:
+    """The eval report; it is report.json, whose keys are its fields in this order.
+
+    ``scored_on_all`` is set when the data had no held-out tail, so every sample was scored.
+    """
+
+    per_slot: list[SlotErrors]
+    end_to_end: EndToEnd
+    params: Params
+    scored_on_all: bool
 
 
 def _check_aligned(original: ModelHandle, compressed: ModelHandle) -> None:
@@ -458,12 +454,8 @@ def eval_compression(original: ModelHandle, compressed: ModelHandle, data: str |
     p_comp = compressed.param_count()
     return EvalReport(
         per_slot=per_slot,
-        output_mse=mse,
-        output_cosine_mean=cosine,
-        overlap_statistic=overlap,
-        params_original=p_orig,
-        params_compressed=p_comp,
-        achieved_retention=p_comp / p_orig,
+        end_to_end=EndToEnd(output_mse=mse, output_cosine_mean=cosine, overlap_statistic=overlap),
+        params=Params(original=p_orig, compressed=p_comp, achieved_retention=p_comp / p_orig),
         scored_on_all=scored_on_all,
     )
 
@@ -529,17 +521,3 @@ def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
             writer.writerow([slot, 0, repr(trace.initial)])
             for i, loss in enumerate(trace.per_half_step, start=1):
                 writer.writerow([slot, i, repr(loss)])
-
-
-def dump_json(doc: dict, name: str) -> str:
-    """``doc`` as indented JSON; NumericalError naming the output ``name`` if it holds NaN or inf."""
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"cannot write {name}: it holds a non-finite value ({exc})") from exc
-
-
-def write_json(doc: dict, path: str | Path) -> None:
-    text = dump_json(doc, str(path))
-    with atomic_path(path) as tmp:
-        tmp.write_text(text + "\n", "utf-8")

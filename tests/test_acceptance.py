@@ -207,7 +207,7 @@ def test_criterion_7_end_to_end_dominance(tmp_path):
             }
             for name, cfg in configs.items():
                 compressed, _, _ = compress_model(model, calib, cfg)
-                mse[name] = eval_compression(model, compressed, calib).output_mse
+                mse[name] = eval_compression(model, compressed, calib).end_to_end.output_mse
             calib.unlink()
             if mse["full"] < mse["vanilla"]:
                 beat_vanilla += 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from lowrank.allocation import (
     normalize_importance,
 )
 from lowrank.calibration import stack_of_batch
+from lowrank.container import dump_json
 from lowrank.errors import BudgetError, DegenerateImportance, ShapeError
 from lowrank.model import gen_synthetic
 from lowrank.pipeline import calibrate
@@ -153,8 +156,8 @@ class TestBuildPlan:
     def test_single_block_gets_target_ratio(self):
         model, calib = gen_synthetic(seed=0, blocks=1, d=64, h=128, n_samples=8, tokens=16)
         plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
-        assert plan.per_block[0].normalized == pytest.approx(1.0, abs=1e-12)
-        assert plan.per_block[0].retention == pytest.approx(0.6, abs=1e-12)
+        assert plan.blocks[0].normalized == pytest.approx(1.0, abs=1e-12)
+        assert plan.blocks[0].retention == pytest.approx(0.6, abs=1e-12)
 
     def test_identical_blocks_with_identical_activations_get_equal_ratios(self, rng):
         model, calib = gen_synthetic(seed=1, blocks=2, d=32, h=64, n_samples=8, tokens=16)
@@ -162,8 +165,8 @@ class TestBuildPlan:
         # force both blocks to present the same importance score
         importances[1] = importances[0]
         plan = build_plan(importances, model, trr=0.6, mrr=0.5)
-        assert plan.per_block[0].retention == pytest.approx(plan.per_block[1].retention, rel=1e-12)
-        assert plan.per_block[0].retention == pytest.approx(0.6, abs=1e-12)
+        assert plan.blocks[0].retention == pytest.approx(plan.blocks[1].retention, rel=1e-12)
+        assert plan.blocks[0].retention == pytest.approx(0.6, abs=1e-12)
 
     def test_eight_block_budget_band(self):
         model, calib = gen_synthetic(seed=2, blocks=8, d=64, h=128, n_samples=32, tokens=32)
@@ -172,28 +175,28 @@ class TestBuildPlan:
         achieved = sum(
             (k * sum(model.slot(b.block_id, s).shape) if (k := b.ranks[s]) is not None
              else model.slot(b.block_id, s).size)
-            for b in plan.per_block for s in ("w1", "w2")
+            for b in plan.blocks for s in ("w1", "w2")
         ) / model.param_count()
         assert achieved == pytest.approx(plan.achieved_retention, abs=1e-15)
 
     def test_normalized_mean_is_one(self):
         model, calib = gen_synthetic(seed=3, blocks=5, d=32, h=64, n_samples=8, tokens=16)
         plan = build_plan(block_importances(model, calib), model, trr=0.5, mrr=0.4)
-        assert np.mean([b.normalized for b in plan.per_block]) == pytest.approx(1.0, abs=1e-12)
+        assert np.mean([b.normalized for b in plan.blocks]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ratios_within_bounds_and_monotone_in_importance(self):
         model, calib = gen_synthetic(seed=4, blocks=6, d=32, h=64, n_samples=16, tokens=16)
         plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.45)
-        for b in plan.per_block:
+        for b in plan.blocks:
             assert 0.45 - 1e-12 <= b.retention <= 1.0 + 1e-12
-        order = np.argsort([b.normalized for b in plan.per_block])
-        rets = [plan.per_block[i].retention for i in order]
+        order = np.argsort([b.normalized for b in plan.blocks])
+        rets = [plan.blocks[i].retention for i in order]
         assert all(a <= b + 1e-12 for a, b in zip(rets, rets[1:]))
 
     def test_degenerate_mrr_equals_trr_is_uniform(self):
         model, calib = gen_synthetic(seed=5, blocks=4, d=64, h=128, n_samples=16, tokens=16)
         plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.6)
-        for b in plan.per_block:
+        for b in plan.blocks:
             assert b.retention == pytest.approx(0.6, abs=1e-15)
         assert 0.594 <= plan.achieved_retention <= 0.606
 
@@ -206,9 +209,9 @@ class TestBuildPlan:
     def test_plan_json_schema(self):
         model, calib = gen_synthetic(seed=7, blocks=2, d=32, h=64, n_samples=8, tokens=8)
         plan = build_plan(block_importances(model, calib), model, trr=0.6, mrr=0.5)
-        doc = plan.to_json()
-        assert set(doc) == {"blocks", "trr", "mrr", "achieved_retention", "importance_mode"}
-        assert set(doc["blocks"][0]) == {"block_id", "importance", "normalized", "retention", "ranks"}
+        doc = json.loads(dump_json(plan, "the plan"))
+        assert list(doc) == ["blocks", "trr", "mrr", "achieved_retention", "importance_mode"]
+        assert list(doc["blocks"][0]) == ["block_id", "importance", "normalized", "retention", "ranks"]
         assert set(doc["blocks"][0]["ranks"]) == {"w1", "w2"}
 
     def test_one_minus_cos_mode_flips_allocation(self):
@@ -216,8 +219,8 @@ class TestBuildPlan:
         importances = block_importances(model, calib)
         plan_cos = build_plan(importances, model, trr=0.6, mrr=0.5, importance_mode="cos")
         plan_inv = build_plan(importances, model, trr=0.6, mrr=0.5, importance_mode="one_minus_cos")
-        cos_order = np.argsort([b.retention for b in plan_cos.per_block])
-        inv_order = np.argsort([b.retention for b in plan_inv.per_block])
+        cos_order = np.argsort([b.retention for b in plan_cos.blocks])
+        inv_order = np.argsort([b.retention for b in plan_inv.blocks])
         assert list(cos_order) == list(inv_order[::-1])
 
     def test_mixed_block_widths_meet_budget(self, rng):

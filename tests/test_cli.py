@@ -165,7 +165,7 @@ def test_eval_reports_json(workspace, capsys):
     ])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"per_slot", "end_to_end", "params"}
+    assert list(doc) == ["per_slot", "end_to_end", "params", "scored_on_all"]
     assert doc["end_to_end"]["output_mse"] >= 0
 
 
@@ -390,7 +390,7 @@ def test_nonfinite_report_exits_2(workspace, capsys, monkeypatch, to_file):
 
     def nan_cosine(*args, **kwargs):
         report = eval_compression(*args, **kwargs)
-        report.output_cosine_mean = float("nan")
+        report.end_to_end.output_cosine_mean = float("nan")
         return report
 
     monkeypatch.setattr(lowrank.cli, "eval_compression", nan_cosine)
@@ -581,8 +581,9 @@ def test_eval_notes_an_empty_heldout_tail(tmp_path, capsys):
         reports[samples] = (json.loads(captured.out), captured.err)
     doc, err = reports["4"]
     assert err == f"note: {tmp_path / '4' / 'calib.st'} is too small for a held-out tail; eval scored every sample\n"
-    assert set(doc) == {"per_slot", "end_to_end", "params"}
-    assert set(doc) == set(reports["5"][0])
+    assert list(doc) == ["per_slot", "end_to_end", "params", "scored_on_all"]
+    assert list(doc) == list(reports["5"][0])
+    assert doc["scored_on_all"] is True and reports["5"][0]["scored_on_all"] is False
     assert reports["5"][1] == ""
 
 

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.allocation import BlockPlan, CompressionPlan
 from lowrank import container
 from lowrank.cli import run_cli
-from lowrank.container import load_container
+from lowrank.container import dump_json, load_container
 from lowrank.errors import FormatError, IoError, LowrankError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import (
+    ACTIVATIONS,
+    BLOCK_SLOTS,
+    BlockSpec,
+    LowRankRef,
     ModelHandle,
+    ModelManifest,
     as_compressed_handle,
     gen_synthetic,
     load_calibration,
@@ -25,6 +29,7 @@ from lowrank.model import (
     slot_name,
     walk_blocks,
 )
+from lowrank.pipeline import PipelineConfig, compress_model
 from oracles import forward, svd_full, truncate_absorb
 from strategies import JSON_VALUES
 
@@ -32,17 +37,6 @@ from strategies import JSON_VALUES
 def save_and_reload(model, tmp_path, name="m"):
     save_model(model, tmp_path / f"{name}.json", tmp_path / f"{name}.st")
     return load_model(tmp_path / f"{name}.json", tmp_path / f"{name}.st")
-
-
-def uniform_plan(model, ranks):
-    """Plan stub: same rank for every slot (None keeps a slot dense)."""
-    blocks = [
-        BlockPlan(block_id=b.block_id, importance=1.0, normalized=1.0, retention=1.0,
-                  ranks={"w1": ranks, "w2": ranks})
-        for b in model.manifest.blocks
-    ]
-    return CompressionPlan(per_block=blocks, trr=1.0, mrr=1.0, achieved_retention=1.0,
-                           importance_mode="cos")
 
 
 class TestGenSynthetic:
@@ -96,7 +90,7 @@ class TestGenSynthetic:
         factors = {
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 4) for b, s in model.slot_ids()
         }
-        for handle in (model, as_compressed_handle(model, uniform_plan(model, ranks=4), factors)):
+        for handle in (model, as_compressed_handle(model, factors)):
             visited, updates = [], {}
 
             def visit_slot(block_id, slot, x, out):
@@ -232,6 +226,17 @@ class TestLoadSave:
         with pytest.raises(ManifestMismatch):
             load_model(tmp_path / "m.json", tmp_path / "m.st")
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("activation", "tanh", "unknown activation 'tanh'"),
+        ("version", "2", "unsupported manifest version '2'"),
+    ])
+    def test_save_refuses_what_load_rejects(self, tmp_path, field, value, match):
+        model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
+        setattr(model.manifest, field, value)
+        with pytest.raises(FormatError, match=match):
+            save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unsupported_version(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
         save_model(model, tmp_path / "m.json", tmp_path / "m.st")
@@ -272,10 +277,8 @@ class TestLoadSave:
 @pytest.mark.parametrize("field", ["hidden_dim", "block_id", "rank"])
 def test_manifest_integers_must_be_json_integers(tmp_path, field, literal):
     model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
-    plan = uniform_plan(model, ranks=None)
-    plan.per_block[1].ranks = {"w1": 2, "w2": None}
     pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
-    save_model(as_compressed_handle(model, plan, {"blocks.1.w1": pair}), tmp_path / "m.json", tmp_path / "m.st")
+    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), tmp_path / "m.json", tmp_path / "m.st")
     doc = json.loads((tmp_path / "m.json").read_text())
     owner = {"hidden_dim": doc, "block_id": doc["blocks"][0], "rank": doc["blocks"][1]["lowrank"]["w1"]}[field]
     owner[field] = "@literal@"
@@ -320,10 +323,8 @@ def _mutated_manifests(draw, valid: dict) -> bytes:
 def test_mutated_manifests_raise_only_lowrank_errors(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("fuzz")
     model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
-    plan = uniform_plan(model, ranks=None)
-    plan.per_block[1].ranks = {"w1": 2, "w2": None}
     pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
-    save_model(as_compressed_handle(model, plan, {"blocks.1.w1": pair}), workdir / "valid.json", workdir / "m.st")
+    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), workdir / "valid.json", workdir / "m.st")
     valid = json.loads((workdir / "valid.json").read_text())
     assert valid["blocks"][0]["matrices"] and valid["blocks"][1]["lowrank"]
 
@@ -343,12 +344,11 @@ def test_mutated_manifests_raise_only_lowrank_errors(tmp_path_factory):
 class TestSaveCompressed:
     def test_param_accounting_64x64_rank16(self, tmp_path):
         model, _ = gen_synthetic(seed=9, blocks=1, d=64, h=64)
-        plan = uniform_plan(model, ranks=16)
         factors = {}
         for block_id, slot in model.slot_ids():
             w = model.slot_weight(block_id, slot)
             factors[slot_name(block_id, slot)] = truncate_absorb(svd_full(w), 16)
-        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
         stored = load_container(tmp_path / "model.st")
         assert stored["blocks.0.w1.u"].shape == (64, 16)
         assert stored["blocks.0.w1.vt"].shape == (16, 64)
@@ -358,8 +358,7 @@ class TestSaveCompressed:
 
     def test_zero_compressed_slots_is_dense_copy(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=2, d=8, h=16)
-        plan = uniform_plan(model, ranks=None)
-        save_model(as_compressed_handle(model, plan, {}), tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, {}), tmp_path / "model.json", tmp_path / "model.st")
         loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         for name in model.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
@@ -367,12 +366,11 @@ class TestSaveCompressed:
 
     def test_saved_pair_reproduces_forward(self, tmp_path):
         model, calib = gen_synthetic(seed=11, blocks=2, d=16, h=32, n_samples=2, tokens=8)
-        plan = uniform_plan(model, ranks=10)
         factors = {
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 10)
             for b, s in model.slot_ids()
         }
-        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
         reloaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         in_memory = ModelHandle(
             manifest=reloaded.manifest,
@@ -391,24 +389,57 @@ class TestSaveCompressed:
     def test_full_rank_pair_preserves_block_outputs(self, tmp_path):
         model, calib = gen_synthetic(seed=2, blocks=1, d=24, h=48, n_samples=1, tokens=16)
         k = 24  # min(m, n) for both slots
-        plan = uniform_plan(model, ranks=k)
         factors = {
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), k)
             for b, s in model.slot_ids()
         }
-        save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
         loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
         ref = forward(model, calib[0])
         out = forward(loaded, calib[0])
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def test_recompressed_f32_model_stays_f32(self, tmp_path):
+        """A factored slot's dtype comes from its own u, so compressing a compressed F32 model writes F32."""
+        model, samples = gen_synthetic(seed=3, blocks=2, d=32, h=64, n_samples=10, tokens=8)
+        model.storage_dtypes = {name: "F32" for name in model.tensors}
+        save_calibration(tmp_path / "c.st", samples)
+        for step in ("once", "twice"):
+            compressed, _, _ = compress_model(model, tmp_path / "c.st", PipelineConfig(trr=0.6))
+            assert any(b.lowrank for b in compressed.manifest.blocks)
+            save_model(compressed, tmp_path / f"{step}.json", tmp_path / f"{step}.st")
+            assert {arr.dtype for arr in load_container(tmp_path / f"{step}.st").values()} == {np.dtype("<f4")}
+            model = load_model(tmp_path / f"{step}.json", tmp_path / f"{step}.st")
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=1, d=8, h=16)
-        plan = uniform_plan(model, ranks=4)
         bad = LowRankPair(u_sigma=np.zeros((16, 4)), vt_sigma=np.zeros((4, 16)))
         factors = {slot_name(b, s): bad for b, s in model.slot_ids()}
         with pytest.raises(ShapeError):
-            save_model(as_compressed_handle(model, plan, factors), tmp_path / "model.json", tmp_path / "model.st")
+            save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
+
+
+@st.composite
+def _manifests(draw) -> ModelManifest:
+    """A manifest ``load_model`` accepts before it looks at tensors, each slot dense or factored."""
+    names = st.text(max_size=8)
+    blocks = []
+    for block_id in draw(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=4, unique=True)):
+        spec = BlockSpec(block_id=block_id)
+        for slot in BLOCK_SLOTS:
+            if draw(st.booleans()):
+                spec.lowrank[slot] = LowRankRef(u=draw(names), vt=draw(names), rank=draw(st.integers(1, 1 << 20)))
+            else:
+                spec.matrices[slot] = draw(names)
+        blocks.append(spec)
+    return ModelManifest(version="1", hidden_dim=draw(st.integers(1, 1 << 20)),
+                         activation=draw(st.sampled_from(ACTIVATIONS)), blocks=blocks)
+
+
+@given(manifest=_manifests())
+@settings(deadline=None)
+def test_manifest_json_round_trip(manifest):
+    assert ModelManifest.from_json(json.loads(dump_json(manifest, "the manifest"))) == manifest
 
 
 class TestCalibrationFile:

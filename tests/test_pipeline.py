@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank import pipeline
+from lowrank.container import dump_json
 from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import gen_synthetic, load_calibration, save_calibration, slot_name, walk_blocks
@@ -124,7 +126,7 @@ class TestCompressModel:
         cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=11)
         c1, p1, t1 = compress_model(model, calib, cfg)
         c2, p2, t2 = compress_model(model, calib, cfg)
-        assert p1.to_json() == p2.to_json()
+        assert p1 == p2
         for name in c1.tensors:
             np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
         assert {k: v.per_half_step for k, v in t1.items()} == {
@@ -143,7 +145,7 @@ class TestCompressModel:
         c2, p2, _ = compress_model(model, calib, cfg)
         assert recorded_pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
         assert state == [1]
-        assert p1.to_json() == p2.to_json()
+        assert p1 == p2
         for name in c1.tensors:
             np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
 
@@ -208,7 +210,7 @@ class TestCompressModel:
 
         def block0_dense(*args, **kwargs):
             plan = build_plan_orig(*args, **kwargs)
-            plan.per_block[0].ranks = {slot: None for slot in plan.per_block[0].ranks}
+            plan.blocks[0].ranks = {slot: None for slot in plan.blocks[0].ranks}
             return plan
 
         alive_per_refit = []
@@ -403,7 +405,7 @@ class TestChunkedWalk:
         assert list(g1) == list(g2) and d1 == d2 and i1 == i2
         for name in g1:
             assert g1[name].tobytes() == g2[name].tobytes()
-        assert p1.to_json() == p2.to_json()
+        assert p1 == p2
         for name in c1.tensors:
             assert c1.tensors[name].tobytes() == c2.tensors[name].tobytes()
 
@@ -540,10 +542,10 @@ class TestEval:
         for entry in report.per_slot:
             assert entry.frob_rel_err == 0.0
             assert entry.data_rel_err == 0.0
-        assert report.output_mse == 0.0
-        assert report.output_cosine_mean == pytest.approx(1.0, abs=1e-12)
-        assert report.overlap_statistic == pytest.approx(1.0)
-        assert report.achieved_retention == 1.0
+        assert report.end_to_end.output_mse == 0.0
+        assert report.end_to_end.output_cosine_mean == pytest.approx(1.0, abs=1e-12)
+        assert report.end_to_end.overlap_statistic == pytest.approx(1.0)
+        assert report.params.achieved_retention == 1.0
 
     def test_zero_weights_give_unit_data_error(self, small_setup, tmp_path):
         model, samples, calib = small_setup
@@ -566,12 +568,13 @@ class TestEval:
         cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=5)
         compressed, plan, _ = compress_model(model, calib, cfg)
         report = eval_compression(model, compressed, calib)
-        doc = report.to_json()
-        assert set(doc) == {"per_slot", "end_to_end", "params"}
-        assert np.isfinite(report.output_mse) and report.output_mse >= 0
-        assert 0.0 <= report.overlap_statistic <= 1.0
-        assert report.achieved_retention == pytest.approx(plan.achieved_retention, abs=1e-12)
-        assert report.params_compressed < report.params_original
+        doc = json.loads(dump_json(report, "the eval report"))
+        assert list(doc) == ["per_slot", "end_to_end", "params", "scored_on_all"]
+        assert doc["scored_on_all"] is False
+        assert np.isfinite(report.end_to_end.output_mse) and report.end_to_end.output_mse >= 0
+        assert 0.0 <= report.end_to_end.overlap_statistic <= 1.0
+        assert report.params.achieved_retention == pytest.approx(plan.achieved_retention, abs=1e-12)
+        assert report.params.compressed < report.params.original
 
     def test_structural_mismatch_rejected(self, small_setup):
         model, _, calib = small_setup
@@ -623,9 +626,9 @@ class TestChunkedEval:
         report = eval_compression(model, compressed, calib)
         # Every token's output is the same at either walk width, and the
         # end-to-end numbers are formed from the joined outputs as before.
-        assert report.output_mse == mse
-        assert report.output_cosine_mean == cosine
-        assert report.overlap_statistic == overlap
+        assert report.end_to_end.output_mse == mse
+        assert report.end_to_end.output_cosine_mean == cosine
+        assert report.end_to_end.overlap_statistic == overlap
         # The squared norms are summed per chunk and without the BLAS: only the order of the sums moves.
         assert [entry.slot for entry in report.per_slot] == list(per_slot)
         for entry in report.per_slot:
@@ -654,7 +657,7 @@ class TestChunkedEval:
         None runs on the calling thread, and the report is the serial one.
         """
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
-        serial = eval_compression(model, compressed, calib).to_json()
+        serial = eval_compression(model, compressed, calib)
         assert recorded_pools == []
 
         monkeypatch.setattr(pipeline, "blas_controls", blas_controls)
@@ -676,7 +679,7 @@ class TestChunkedEval:
 
         monkeypatch.setattr(pipeline, "walk_blocks", recording_walk)
         monkeypatch.setattr(LowRankPair, "product", recording_product)
-        assert eval_compression(model, compressed, calib).to_json() == serial
+        assert eval_compression(model, compressed, calib) == serial
         assert recorded_pools == [2]
         lowrank_slots = sum(isinstance(compressed.slot(*slot_id), LowRankPair) for slot_id in model.slot_ids())
         assert lowrank_slots > 0
@@ -813,7 +816,7 @@ def test_walk_and_eval_keep_their_bits_at_any_blas_thread_count(tmp_path, monkey
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: pipeline.MAX_WORKERS * threads)
         counts.clear()
         grams, mean_diag, importances = calibrate(model, fit)
-        report = eval_compression(model, compressed, calib).to_json()
+        report = eval_compression(model, compressed, calib)
         assert counts == [[threads] * len(controls)] * 3  # calibrate's walk and eval's two
         digests[threads] = ({name: g.tobytes() for name, g in grams.items()}, mean_diag, importances, report)
     assert digests[1] == digests[2] == digests[4]

@@ -78,10 +78,11 @@ def test_same_outputs_finds_only_real_differences(compare, tmp_path, capsys):
     assert compare(["refit_unwhitened"], reference, bins, [0]) == ["refit_unwhitened/0/eval/report.json"]
     assert_printed("refit_unwhitened variant 0: differ in eval/report.json")
 
-    # synth and compress write their manifests with another indent
-    indent = copy_with(tmp_path / "indent", "model.py", "json.dumps(model.manifest.to_json(), indent=2)",
-                       "json.dumps(model.manifest.to_json(), indent=1)")
-    assert compare(["refit_unwhitened"], reference, indent, [0]) == [
+    # synth and compress write their manifests with each block's dense and low-rank slot maps swapped
+    fields = ("    matrices: dict[str, str] = field(default_factory=dict)\n",
+              "    lowrank: dict[str, LowRankRef] = field(default_factory=dict)\n")
+    swapped = copy_with(tmp_path / "swapped", "model.py", "".join(fields), "".join(reversed(fields)))
+    assert compare(["refit_unwhitened"], reference, swapped, [0]) == [
         "refit_unwhitened/0/synth/model.json", "refit_unwhitened/0/compress/model.json"]
     assert_printed("refit_unwhitened variant 0: differ in synth/model.json, compress/model.json")
 
@@ -106,8 +107,10 @@ def test_one_run_feeds_the_gate_and_the_byte_comparison(compare, tmp_path, capsy
 def test_rank_line_names_the_first_slot_whose_rank_moved(compare, tmp_path, capsys):
     """A BASE copy that records every rank one higher in plan.json: the first compressed slot is named."""
     reference = json.loads(REFERENCE.read_bytes())
-    shifted = copy_with(tmp_path / "shifted", "allocation.py", '"ranks": dict(b.ranks),',
-                        '"ranks": {slot: rank and rank + 1 for slot, rank in b.ranks.items()},')
+    written = 'write_json(plan, out / "plan.json")'
+    shifted = copy_with(tmp_path / "shifted", "cli.py", written,
+                        "for b in plan.blocks:\n        b.ranks = {slot: rank and rank + 1 for slot, rank in b.ranks.items()}"
+                        f"\n    {written}")
     assert compare(["refit_unwhitened"], reference, shifted, [0]) == ["refit_unwhitened/0/compress/plan.json"]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "refit_unwhitened variant 0: differ in compress/plan.json"
