@@ -28,9 +28,7 @@ from .errors import (
 )
 from .linalg import EighFactors, LowRankPair, eigh_full, rank_for_retention
 from .model import (
-    BlockSpec,
     ModelHandle,
-    ModelManifest,
     gen_synthetic,
     load_calibration,
     load_model,

@@ -144,18 +144,18 @@ def build_plan(
     _check_budget_bounds(trr, mrr)
     if importance_mode not in IMPORTANCE_MODES:
         raise ShapeError(f"unknown importance mode {importance_mode!r}")
-    blocks = model.manifest.blocks
-    for b in blocks:
-        if b.block_id not in importances:
-            raise ShapeError(f"no importance score for block {b.block_id}")
+    blocks = list(model.blocks)
+    for block_id in blocks:
+        if block_id not in importances:
+            raise ShapeError(f"no importance score for block {block_id}")
 
-    raw = [float(importances[b.block_id]) for b in blocks]
+    raw = [float(importances[block_id]) for block_id in blocks]
     if importance_mode == "one_minus_cos":
         raw = [1.0 - v for v in raw]
     normalized = normalize_importance(raw)
     slots = [  # (block_idx, slot, m, n)
-        (bi, slot, *model.slot(b.block_id, slot).shape)
-        for bi, b in enumerate(blocks)
+        (bi, slot, *model.slot(block_id, slot).shape)
+        for bi, block_id in enumerate(blocks)
         for slot in BLOCK_SLOTS
     ]
     block_params = [sum(m * n for bj, _, m, n in slots if bj == bi) for bi in range(len(blocks))]
@@ -169,13 +169,13 @@ def build_plan(
     return CompressionPlan(
         blocks=[
             BlockPlan(
-                block_id=b.block_id,
+                block_id=block_id,
                 importance=raw[bi],
                 normalized=normalized[bi],
                 retention=ratios[bi],
                 ranks={slot: ranks[(bi, slot)] for slot in BLOCK_SLOTS},
             )
-            for bi, b in enumerate(blocks)
+            for bi, block_id in enumerate(blocks)
         ],
         trr=trr,
         mrr=mrr,

@@ -1,8 +1,8 @@
 """Command-line interface: compress, importance, eval, synth.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical error. The
-tensor container of a model is looked up next to its manifest (model.json ->
-model.st). The ``--compression-ratio`` flag is the removed fraction and is
+Exit codes: 0 success, 1 validation/usage error, 2 numerical error. A model
+is named by its manifest; ``lowrank.model`` says where its container sits.
+The ``--compression-ratio`` flag is the removed fraction and is
 converted to a retention ratio at the boundary.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 from .allocation import IMPORTANCE_MODES
 from .container import dump_json, write_json
 from .errors import LowrankError, NumericalError
-from .model import ACTIVATIONS, gen_synthetic, load_model, save_calibration, save_model
+from .model import ACTIVATIONS, container_path, gen_synthetic, load_model, save_calibration, save_model
 from .pipeline import PipelineConfig, calibrate_and_plan, compress_model, eval_compression, write_traces_csv
 
 
@@ -26,10 +26,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise _UsageError(message)
-
-
-def _container_path(manifest_path: str) -> Path:
-    return Path(manifest_path).with_suffix(".st")
 
 
 def _add_retention_flags(p: argparse.ArgumentParser, require: bool) -> None:
@@ -66,7 +62,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("compress", help="compress a model against calibration data")
-    p.add_argument("--model", required=True, help="model manifest (container looked up as <stem>.st)")
+    p.add_argument("--model", required=True, help="model manifest")
     p.add_argument("--calib", required=True, help="calibration container")
     p.add_argument("--out", required=True, help="output directory")
     _add_retention_flags(p, require=True)
@@ -112,14 +108,15 @@ def _cmd_compress(args) -> int:
         importance_mode=args.importance_mode,
         seed=args.seed,
     )
-    model = load_model(args.model, _container_path(args.model))
+    model = load_model(args.model)
     compressed, plan, traces = compress_model(model, args.calib, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(compressed, out / "model.json", out / "model.st")
+    manifest = out / "model.json"
+    save_model(compressed, manifest)
     write_json(plan, out / "plan.json")
     write_traces_csv(traces, out / "traces.csv")
-    print(f"wrote {out / 'model.json'}, {out / 'model.st'}, {out / 'plan.json'}, {out / 'traces.csv'}")
+    print(f"wrote {manifest}, {container_path(manifest)}, {out / 'plan.json'}, {out / 'traces.csv'}")
     print(f"achieved retention {plan.achieved_retention:.4f} (target {cfg.trr})")
     return 0
 
@@ -133,15 +130,15 @@ def _cmd_importance(args) -> int:
         importance_mode=args.importance_mode,
         seed=args.seed,
     )
-    model = load_model(args.model, _container_path(args.model))
+    model = load_model(args.model)
     _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
     print(dump_json(plan, "the plan"))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    original = load_model(args.model, _container_path(args.model))
-    compressed = load_model(args.compressed, _container_path(args.compressed))
+    original = load_model(args.model)
+    compressed = load_model(args.compressed)
     report = eval_compression(original, compressed, args.calib)
     if report.scored_on_all:
         print(f"note: {args.calib} is too small for a held-out tail; eval scored every sample", file=sys.stderr)
@@ -168,9 +165,10 @@ def _cmd_synth(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json", out / "model.st")
+    manifest = out / "model.json"
+    save_model(model, manifest)
     save_calibration(out / "calib.st", samples)
-    print(f"wrote {out / 'model.json'}, {out / 'model.st'}, {out / 'calib.st'}")
+    print(f"wrote {manifest}, {container_path(manifest)}, {out / 'calib.st'}")
     return 0
 
 

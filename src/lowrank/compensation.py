@@ -314,10 +314,9 @@ def initialize_pair(
         raise RankError(f"rank {k} outside [1, {side}]")
     rrt = problem.r @ problem.r.T
     f = eigh_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(lam) @ Z.T
-    s = np.abs(f.lam)
-    keep = s[:k] > side * np.finfo(np.float64).eps * s[0]    # A's rounding floor
+    keep = f.kept()[:k]                                      # A's rounding floor, as pinv's
     root = np.zeros(k)
-    root[keep] = np.sqrt(np.sqrt(s[:k][keep]))
+    root[keep] = np.sqrt(np.sqrt(np.abs(f.lam[:k][keep])))
     inverse = np.zeros(k)
     inverse[keep] = 1.0 / root[keep]
     z = f.z[:, :k] * keep

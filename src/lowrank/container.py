@@ -57,14 +57,19 @@ def dtype_tag(arr: np.ndarray) -> str:
 
 @contextmanager
 def atomic_path(path: str | Path):
-    """Yield a fresh temp path beside ``path``; a clean exit moves it onto ``path``, an error removes it."""
+    """Yield a fresh temp path beside ``path``; a clean exit moves it onto ``path``, an error removes it.
+
+    An OSError on the way, the temp file's or the move's, is an IoError naming ``path``.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -79,11 +84,8 @@ def dump_json(doc, name: str) -> str:
 def write_json(doc, path: str | Path) -> None:
     """Write the dataclass ``doc`` to ``path`` as ``dump_json`` forms it, plus a newline; IoError naming the file."""
     text = dump_json(doc, str(path))
-    try:
-        with atomic_path(path) as tmp:
-            tmp.write_text(text + "\n", "utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with atomic_path(path) as tmp:
+        tmp.write_text(text + "\n", "utf-8")
 
 
 def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
@@ -107,14 +109,11 @@ def save_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         blocks.append(data)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     blob += b" " * (-(8 + len(blob)) % _ALIGN)
-    try:
-        with atomic_path(path) as tmp, open(tmp, "xb") as fh:
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for data in blocks:
-                fh.write(data.data)
-    except OSError as exc:
-        raise IoError(f"cannot write container {path}: {exc}") from exc
+    with atomic_path(path) as tmp, open(tmp, "xb") as fh:
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for data in blocks:
+            fh.write(data.data)
 
 
 def load_container(path: str | Path) -> dict[str, np.ndarray]:

@@ -8,8 +8,12 @@ holds two dense slots, applied to column-token activations x (d x T):
 A slot is represented by exactly one of a dense matrix or an absorbed low-rank
 pair (u: m x k, vt: k x n), and ``ModelHandle.slot`` returns it as that one
 value: an ndarray or a ``LowRankPair``, each with ``shape``, ``size`` (the
-stored parameter count) and ``@``. All tensors live in a companion container
-file; the manifest (JSON) names them.
+stored parameter count) and ``@``.
+
+On disk a model is its manifest (JSON, a ``ModelManifest``) and, beside it,
+its tensor container ``<stem>.st`` (``model.json`` -> ``model.st``). Only
+``load_model`` and ``save_model``, given the manifest's path, read or write
+them: a handle holds slots, not tensor names.
 
 ``walk_blocks`` is the one forward. It calls a slot visitor right after each
 slot's product and a block visitor once y is formed, and reuses each
@@ -30,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .container import load_container, save_container, write_json
+from .container import dtype_tag, load_container, save_container, write_json
 from .errors import FormatError, IoError, ManifestMismatch, NumericalError, ShapeError
 from .linalg import LowRankPair
 
@@ -136,37 +140,33 @@ def slot_name(block_id: int, slot: str) -> str:
 
 @dataclass
 class ModelHandle:
-    """An in-memory model: manifest plus every tensor as float64.
+    """An in-memory model: ``blocks`` maps each block id, in manifest order, to ``{"w1": op, "w2": op}``.
 
-    ``storage_dtypes`` remembers each tensor's on-disk dtype tag so a save
-    round-trips bit-identically. Treat a loaded handle as immutable: its F64
-    tensors are read-only views into the mapped container.
+    Each op is a float64 ndarray or a ``LowRankPair``. ``dtypes`` maps a
+    ``slot_name`` to the tag, "F32" or "F64", that ``save_model`` stores the
+    slot as (F64 if absent). Treat a loaded handle as immutable: its F64
+    arrays are read-only views into the mapped container.
     """
 
-    manifest: ModelManifest
-    tensors: dict[str, np.ndarray]
-    storage_dtypes: dict[str, str]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.manifest.hidden_dim
+    hidden_dim: int
+    activation: str
+    blocks: dict[int, dict[str, np.ndarray | LowRankPair]]
+    dtypes: dict[str, str] = field(default_factory=dict)
 
     def slot_ids(self) -> list[tuple[int, str]]:
-        return [(b.block_id, slot) for b in self.manifest.blocks for slot in BLOCK_SLOTS]
+        return [(block_id, slot) for block_id in self.blocks for slot in BLOCK_SLOTS]
 
     def slot(self, block_id: int, slot: str) -> np.ndarray | LowRankPair:
         """The slot as its operator: the dense matrix, or the absorbed low-rank pair.
 
         Either one has ``shape``, ``size`` (the stored parameter count) and
-        ``@``, so a caller reads it without asking which it is.
+        ``@``, so a caller reads it without asking which it is. An unknown
+        block or slot is a ManifestMismatch.
         """
-        for b in self.manifest.blocks:
-            if b.block_id == block_id:
-                ref = b.lowrank.get(slot)
-                if ref is None:
-                    return self.tensors[b.matrices[slot]]
-                return LowRankPair(u_sigma=self.tensors[ref.u], vt_sigma=self.tensors[ref.vt])
-        raise ManifestMismatch(f"no block {block_id} in manifest")
+        try:
+            return self.blocks[block_id][slot]
+        except KeyError:
+            raise ManifestMismatch(f"the model has no slot {slot} in block {block_id}") from None
 
     def slot_weight(self, block_id: int, slot: str) -> np.ndarray:
         """Dense matrix of the slot (materializes the product for low-rank slots)."""
@@ -294,16 +294,15 @@ def walk_blocks(
     # to C order gives every block the layout of every later activation, so
     # a per-token sum takes the same order in block 0 as in the rest.
     x = np.ascontiguousarray(samples.reshape(-1, model.hidden_dim).T)
-    x_squares = _checked_squares(x, model.manifest.blocks[0].block_id)
-    for block in model.manifest.blocks:
-        block_id = block.block_id
+    x_squares = _checked_squares(x, next(iter(model.blocks)))
+    for block_id, ops in model.blocks.items():
         x_norm = rms_norm(x, x_squares)
-        pre = model.slot(block_id, "w1") @ x_norm
+        pre = ops["w1"] @ x_norm
         if visit_slot is not None:
             visit_slot(block_id, "w1", x_norm, pre)
         del x_norm
-        hidden = apply_activation(model.manifest.activation, pre, in_place=True)
-        update = model.slot(block_id, "w2") @ hidden
+        hidden = apply_activation(model.activation, pre, in_place=True)
+        update = ops["w2"] @ hidden
         if visit_slot is not None:
             visit_slot(block_id, "w2", hidden, update)
         del pre, hidden
@@ -318,7 +317,8 @@ def walk_blocks(
 # --- validation, load, save -------------------------------------------------
 
 
-def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
+def _checked_slots(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> dict[int, dict]:
+    """Each block's slots as ops over ``tensors``, in manifest order, once the manifest is checked against them."""
     _check_header(manifest.version, manifest.activation, manifest.hidden_dim)
     d = manifest.hidden_dim
     if not manifest.blocks:
@@ -326,13 +326,14 @@ def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
     ids = [block.block_id for block in manifest.blocks]
     if len(set(ids)) != len(ids):
         raise FormatError(f"manifest repeats block ids: {sorted({i for i in ids if ids.count(i) > 1})}")
+    blocks: dict[int, dict[str, np.ndarray | LowRankPair]] = {}
     for block in manifest.blocks:
         if block.kind != "residual_mlp":
             raise FormatError(f"block {block.block_id}: unknown kind {block.kind!r}")
         unknown = sorted((block.matrices.keys() | block.lowrank.keys()) - set(BLOCK_SLOTS))
         if unknown:
             raise FormatError(f"block {block.block_id}: unknown slot {unknown[0]!r}")
-        shapes: dict[str, tuple[int, int]] = {}
+        ops = blocks[block.block_id] = {}
         for slot in BLOCK_SLOTS:
             dense = slot in block.matrices
             pair = slot in block.lowrank
@@ -346,7 +347,7 @@ def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
                     raise ManifestMismatch(f"manifest references absent tensor {name!r}")
                 if tensors[name].ndim != 2:
                     raise ShapeError(f"tensor {name!r} must be rank 2, got shape {tensors[name].shape}")
-                shapes[slot] = tensors[name].shape
+                ops[slot] = tensors[name]
             else:
                 ref = block.lowrank[slot]
                 for tn in (ref.u, ref.vt):
@@ -360,20 +361,26 @@ def _validate(manifest: ModelManifest, tensors: dict[str, np.ndarray]) -> None:
                         f"block {block.block_id} slot {slot}: inner dims {u.shape[1]}/{vt.shape[0]} "
                         f"do not match declared rank {ref.rank}"
                     )
-                shapes[slot] = (u.shape[0], vt.shape[1])
-        (m1, n1), (m2, n2) = shapes["w1"], shapes["w2"]
+                ops[slot] = LowRankPair(u, vt)
+        (m1, n1), (m2, n2) = ops["w1"].shape, ops["w2"].shape
         if n1 != d or m2 != d:
             raise ShapeError(
-                f"block {block.block_id} does not map hidden_dim {d} to itself: w1 {shapes['w1']}, w2 {shapes['w2']}"
+                f"block {block.block_id} does not map hidden_dim {d} to itself: w1 {(m1, n1)}, w2 {(m2, n2)}"
             )
         if m1 != n2:
             raise ShapeError(
                 f"block {block.block_id}: w1 output dim {m1} does not match w2 input dim {n2}"
             )
+    return blocks
 
 
-def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHandle:
-    """Load and validate a model; F64 tensors are read-only views into the mapped container."""
+def container_path(manifest_path: str | Path) -> Path:
+    """Where a model's tensor container sits: beside its manifest, as ``<stem>.st``."""
+    return Path(manifest_path).with_suffix(".st")
+
+
+def load_model(manifest_path: str | Path) -> ModelHandle:
+    """Load and validate the model of a manifest and its container; F64 slots are read-only views into the map."""
     try:
         doc = json.loads(Path(manifest_path).read_text("utf-8"))
     except OSError as exc:
@@ -381,62 +388,56 @@ def load_model(manifest_path: str | Path, container_path: str | Path) -> ModelHa
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from exc
     manifest = ModelManifest.from_json(doc)
-    stored = load_container(container_path)
-    _validate(manifest, stored)
-    tensors = {name: arr.astype(np.float64, copy=False) for name, arr in stored.items()}
-    dtypes = {name: ("F32" if arr.dtype == np.float32 else "F64") for name, arr in stored.items()}
-    return ModelHandle(manifest=manifest, tensors=tensors, storage_dtypes=dtypes)
+    stored = load_container(container_path(manifest_path))
+    blocks = _checked_slots(manifest, {name: arr.astype(np.float64, copy=False) for name, arr in stored.items()})
+    dtypes = {  # a pair's tag is its u's
+        slot_name(b.block_id, slot): dtype_tag(stored[b.matrices[slot] if slot in b.matrices else b.lowrank[slot].u])
+        for b in manifest.blocks
+        for slot in BLOCK_SLOTS
+    }
+    return ModelHandle(manifest.hidden_dim, manifest.activation, blocks, dtypes)
 
 
-def save_model(model: ModelHandle, manifest_path: str | Path, container_path: str | Path) -> None:
-    """Write container, then manifest; tensors are cast back to their storage dtype.
+def save_model(model: ModelHandle, manifest_path: str | Path) -> None:
+    """Write the container, then the manifest; each slot is stored under its ``slot_name`` at its dtype tag.
 
+    A factored slot's factors are ``<slot_name>.u`` and ``<slot_name>.vt``.
+    Refuses, with load_model's error, a model that load_model would reject.
     Each file replaces its target only once it is written whole, and the
     manifest only after the container, so a failure leaves the previous pair.
     """
-    _validate(model.manifest, model.tensors)
-    out: dict[str, np.ndarray] = {}
-    for name, arr in model.tensors.items():
-        tag = model.storage_dtypes.get(name, "F64")
-        out[name] = arr.astype(np.float32 if tag == "F32" else np.float64, copy=False)
-    save_container(container_path, out)
-    write_json(model.manifest, manifest_path)
+    specs: list[BlockSpec] = []
+    tensors: dict[str, np.ndarray] = {}
+    for block_id, ops in model.blocks.items():
+        spec = BlockSpec(block_id=block_id)
+        for slot, op in ops.items():
+            name = slot_name(block_id, slot)
+            dtype = np.float32 if model.dtypes.get(name) == "F32" else np.float64
+            if isinstance(op, LowRankPair):
+                spec.lowrank[slot] = LowRankRef(u=f"{name}.u", vt=f"{name}.vt", rank=op.rank)
+                tensors[f"{name}.u"] = op.u_sigma.astype(dtype, copy=False)
+                tensors[f"{name}.vt"] = op.vt_sigma.astype(dtype, copy=False)
+            else:
+                spec.matrices[slot] = name
+                tensors[name] = op.astype(dtype, copy=False)
+        specs.append(spec)
+    manifest = ModelManifest(version="1", hidden_dim=model.hidden_dim, activation=model.activation, blocks=specs)
+    _checked_slots(manifest, tensors)
+    save_container(container_path(manifest_path), tensors)
+    write_json(manifest, manifest_path)
 
 
 def as_compressed_handle(model: ModelHandle, factors: dict[str, LowRankPair]) -> ModelHandle:
     """The in-memory model with each slot named in ``factors`` (by ``slot_name``) held as its pair.
 
-    Every other slot is kept dense. Each new tensor keeps the storage dtype of
-    the slot's own tensor (its dense matrix, or its ``u`` if already factored).
+    Every other slot is kept dense (a factored one is densified), and every
+    slot keeps its dtype tag.
     """
-    blocks: list[BlockSpec] = []
-    tensors: dict[str, np.ndarray] = {}
-    dtypes: dict[str, str] = {}
-    for block in model.manifest.blocks:
-        spec = BlockSpec(block_id=block.block_id, kind=block.kind)
-        for slot in BLOCK_SLOTS:
-            name = slot_name(block.block_id, slot)
-            ref = block.lowrank.get(slot)
-            tag = model.storage_dtypes.get(block.matrices[slot] if ref is None else ref.u, "F64")
-            pair = factors.get(name)
-            if pair is None:
-                spec.matrices[slot] = name
-                tensors[name] = model.slot_weight(block.block_id, slot)
-                dtypes[name] = tag
-                continue
-            u_name, vt_name = f"{name}.u", f"{name}.vt"
-            spec.lowrank[slot] = LowRankRef(u=u_name, vt=vt_name, rank=pair.rank)
-            tensors[u_name] = pair.u_sigma
-            tensors[vt_name] = pair.vt_sigma
-            dtypes[u_name] = dtypes[vt_name] = tag
-        blocks.append(spec)
-    manifest = ModelManifest(
-        version=model.manifest.version,
-        hidden_dim=model.manifest.hidden_dim,
-        activation=model.manifest.activation,
-        blocks=blocks,
-    )
-    return ModelHandle(manifest=manifest, tensors=tensors, storage_dtypes=dtypes)
+    blocks = {block_id: dict(ops) for block_id, ops in model.blocks.items()}
+    for block_id, slot in model.slot_ids():
+        pair = factors.get(slot_name(block_id, slot))
+        blocks[block_id][slot] = model.slot_weight(block_id, slot) if pair is None else pair
+    return ModelHandle(model.hidden_dim, model.activation, blocks, dict(model.dtypes))
 
 
 # --- synthetic generator ----------------------------------------------------
@@ -461,23 +462,13 @@ def gen_synthetic(
     if seed < 0:
         raise ShapeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    specs: list[BlockSpec] = []
-    tensors: dict[str, np.ndarray] = {}
+    weights = {}
     for i in range(blocks):
         w1 = rng.normal(0.0, 1.0, size=(h, d)) / np.sqrt(d)
         w2 = rng.normal(0.0, 1.0, size=(d, h)) / np.sqrt(h)
-        names = {slot: slot_name(i, slot) for slot in BLOCK_SLOTS}
-        tensors[names["w1"]] = w1
-        tensors[names["w2"]] = w2
-        specs.append(BlockSpec(block_id=i, matrices=names))
+        weights[i] = {"w1": w1, "w2": w2}
     samples = rng.normal(0.0, 1.0, size=(n_samples, tokens, d))
-    manifest = ModelManifest(version="1", hidden_dim=d, activation=activation, blocks=specs)
-    handle = ModelHandle(
-        manifest=manifest,
-        tensors=tensors,
-        storage_dtypes={name: "F64" for name in tensors},
-    )
-    return handle, samples
+    return ModelHandle(hidden_dim=d, activation=activation, blocks=weights), samples
 
 
 def save_calibration(path: str | Path, samples: np.ndarray) -> None:

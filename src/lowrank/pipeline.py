@@ -3,7 +3,7 @@
 Slot compression order: bucket the calibration samples, walk the original
 model over them once (keeping one Gram matrix per slot and one importance
 score per block), build the retention plan, then refit every planned slot
-independently. Merge order follows the manifest, so outputs are
+independently. Merge order follows the block order, so outputs are
 deterministic for a fixed seed and CPU count.
 
 Each slot's Gram is on its narrow side. The data-space loss and both refits
@@ -368,10 +368,9 @@ class EvalReport:
 
 
 def _check_aligned(original: ModelHandle, compressed: ModelHandle) -> None:
-    mo, mc = original.manifest, compressed.manifest
-    if mo.hidden_dim != mc.hidden_dim or mo.activation != mc.activation:
+    if (original.hidden_dim, original.activation) != (compressed.hidden_dim, compressed.activation):
         raise ManifestMismatch("models differ in hidden_dim or activation")
-    if [b.block_id for b in mo.blocks] != [b.block_id for b in mc.blocks]:
+    if list(original.blocks) != list(compressed.blocks):
         raise ManifestMismatch("models have different block structure")
     for block_id, slot in original.slot_ids():
         if original.slot(block_id, slot).shape != compressed.slot(block_id, slot).shape:
@@ -511,7 +510,8 @@ def check_traces(traces: dict[str, LossTrace]) -> None:
 def write_traces_csv(traces: dict[str, LossTrace], path: str | Path) -> None:
     """Per-slot loss trace: one row per half-step, half_step 0 is the initial loss.
 
-    A non-finite loss is a NumericalError, raised before any file is made.
+    A non-finite loss is a NumericalError, raised before any file is made;
+    a file that cannot be written is an IoError naming ``path``.
     """
     check_traces(traces)
     with atomic_path(path) as tmp, open(tmp, "x", newline="") as fh:

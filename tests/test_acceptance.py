@@ -194,7 +194,7 @@ def test_criterion_6_ratio_allocation():
 
 def test_criterion_7_end_to_end_dominance(tmp_path):
     with criterion(7, "full pipeline beats both uniform baselines on held-out MSE", budget_seconds=120):
-        beat_vanilla = beat_comp_only = 0
+        beat_vanilla = beat_comp_only = beat_whitened_uniform = 0
         for seed in range(100):
             model, samples = gen_synthetic(seed=seed, blocks=8, d=64, h=128, n_samples=64, tokens=64)
             calib = tmp_path / f"c{seed}.st"
@@ -204,6 +204,8 @@ def test_criterion_7_end_to_end_dominance(tmp_path):
                 "full": PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=seed),
                 "vanilla": PipelineConfig(trr=0.6, mrr=0.6, iterations=0, whiten=False, seed=seed),
                 "comp_only": PipelineConfig(trr=0.6, mrr=0.6, iterations=1, whiten=False, seed=seed),
+                # adaCR's share: the full pipeline at uniform ratios, recorded, not gated
+                "whitened_uniform": PipelineConfig(trr=0.6, mrr=0.6, iterations=1, whiten=True, seed=seed),
             }
             for name, cfg in configs.items():
                 compressed, _, _ = compress_model(model, calib, cfg)
@@ -213,6 +215,9 @@ def test_criterion_7_end_to_end_dominance(tmp_path):
                 beat_vanilla += 1
             if mse["full"] < mse["comp_only"]:
                 beat_comp_only += 1
+            if mse["full"] < mse["whitened_uniform"]:
+                beat_whitened_uniform += 1
+        print(f"criterion 7 record: adaptive beat whitened-uniform in {beat_whitened_uniform}/100 seeds")
         assert beat_vanilla >= 90, f"beat vanilla truncation in only {beat_vanilla}/100 seeds"
         assert beat_comp_only >= 90, f"beat compensation-only in only {beat_comp_only}/100 seeds"
 

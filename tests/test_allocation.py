@@ -224,20 +224,16 @@ class TestBuildPlan:
         assert list(cos_order) == list(inv_order[::-1])
 
     def test_mixed_block_widths_meet_budget(self, rng):
-        from lowrank.model import BlockSpec, ModelHandle, ModelManifest
+        from lowrank.model import ModelHandle
 
         d = 48
         widths = [32, 96, 160]
-        tensors, specs = {}, []
+        blocks = {}
         for i, h in enumerate(widths):
-            tensors[f"blocks.{i}.w1"] = rng.normal(size=(h, d)) / np.sqrt(d)
-            tensors[f"blocks.{i}.w2"] = rng.normal(size=(d, h)) / np.sqrt(h)
-            specs.append(BlockSpec(block_id=i, matrices={"w1": f"blocks.{i}.w1", "w2": f"blocks.{i}.w2"}))
-        model = ModelHandle(
-            manifest=ModelManifest(version="1", hidden_dim=d, activation="relu", blocks=specs),
-            tensors=tensors,
-            storage_dtypes={k: "F64" for k in tensors},
-        )
+            w1 = rng.normal(size=(h, d)) / np.sqrt(d)
+            w2 = rng.normal(size=(d, h)) / np.sqrt(h)
+            blocks[i] = {"w1": w1, "w2": w2}
+        model = ModelHandle(hidden_dim=d, activation="relu", blocks=blocks)
         samples = rng.normal(size=(12, 16, d))
         plan = build_plan(block_importances(model, samples), model, trr=0.55, mrr=0.45)
         assert abs(plan.achieved_retention - 0.55) <= 0.01 * 0.55

@@ -116,8 +116,8 @@ class TestCaptureActivations:
     @pytest.mark.parametrize("d", [6, 8, 64])
     def test_zero_weights_give_residual_only(self, d):
         model, calib = gen_synthetic(seed=0, blocks=2, d=d, h=2 * d, n_samples=2, tokens=5)
-        for name in model.tensors:
-            model.tensors[name] = np.zeros_like(model.tensors[name])
+        for block_id, slot in model.slot_ids():
+            model.blocks[block_id][slot] = np.zeros_like(model.slot(block_id, slot))
         grams, _, importances = calibrate(model, [calib[0], calib[1]])
         # each block passes its input through, so both see the same tokens in
         # the same layout, and so the same per-token sums and Gram bits
@@ -137,7 +137,7 @@ class TestCaptureActivations:
         model, _ = gen_synthetic(seed=2, blocks=1, d=3, h=5, n_samples=1, tokens=4)
         sample = np.random.default_rng(0).normal(size=(4, 3))
         grams, mean_diag, _ = calibrate(model, [sample])
-        w1, w2 = model.tensors["blocks.0.w1"], model.tensors["blocks.0.w2"]
+        w1, w2 = model.slot(0, "w1"), model.slot(0, "w2")
         hidden = np.maximum(w1 @ rms_norm(sample.T), 0.0)
         # w2 (3 x 5) is wide: it keeps the Gram of its outputs, and its input
         # Gram's mean diagonal for the damping.
@@ -200,7 +200,7 @@ class TestCaptureActivations:
 
     def test_nonfinite_forward_names_block(self):
         model, calib = gen_synthetic(seed=5, blocks=3, d=4, h=8, n_samples=1, tokens=2)
-        model.tensors["blocks.1.w2"][0, 0] = np.inf
+        model.slot(1, "w2")[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalError, match="block 1"):
                 calibrate(model, [calib[0]])
@@ -213,7 +213,7 @@ class TestCaptureActivations:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="activations overflow in block 0"):
                 calibrate(model, calib * 1e160)
-            model.tensors["blocks.1.w2"] = model.tensors["blocks.1.w2"] * 1e160
+            model.blocks[1]["w2"] = model.slot(1, "w2") * 1e160
             with pytest.raises(NumericalError, match="activations overflow in block 1"):
                 walk_blocks(model, calib)
             with pytest.raises(NumericalError, match="activations overflow in block 1"):

@@ -47,7 +47,7 @@ def test_compress_happy_path(workspace, capsys):
     plan = json.loads((out / "plan.json").read_text())
     assert set(plan) == {"blocks", "trr", "mrr", "achieved_retention", "importance_mode"}
     assert plan["trr"] == 0.6 and plan["mrr"] == 0.5
-    compressed = load_model(out / "model.json", out / "model.st")
+    compressed = load_model(out / "model.json")
     assert compressed.param_count() < 4 * 2 * 32 * 64
 
 
@@ -278,7 +278,7 @@ def test_outputs_do_not_depend_on_cpu_affinity(tmp_path, case):
     synth, fit_chunks, heldout_chunks, planned, commands = AFFINITY_CASES[case]
     base = tmp_path / "base"
     assert run_cli(["synth", "--out", str(base), "--seed", "2", *synth]) == 0
-    model = load_model(base / "model.json", base / "model.st")
+    model = load_model(base / "model.json")
     fit, heldout = pipeline.split_calibration(load_container(base / "calib.st")["samples"])
     assert [sum(map(len, chunk)) for chunk in pipeline._walk_chunks(model, fit)] == fit_chunks
     assert [sum(map(len, chunk)) for chunk in pipeline._walk_chunks(model, heldout)] == heldout_chunks

@@ -1,5 +1,6 @@
 import json
 import mmap
+import re
 import struct
 import tracemalloc
 
@@ -191,6 +192,14 @@ def test_atomic_path_replaces_only_a_whole_write(tmp_path):
         tmp.write_text("new")
     assert target.read_text() == "new"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_path_names_its_target_in_an_io_error(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    with pytest.raises(IoError, match=f"^cannot write {re.escape(str(target))}: ") as info:
+        with atomic_path(target) as tmp:
+            tmp.write_text("lost")
+    assert isinstance(info.value.__cause__, FileNotFoundError)
 
 
 def test_non_float_dtype_rejected_on_save(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lowrank import container
 from lowrank.cli import run_cli
-from lowrank.container import dump_json, load_container
+from lowrank.container import dump_json, load_container, save_container
 from lowrank.errors import FormatError, IoError, LowrankError, ManifestMismatch, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import (
@@ -35,8 +35,14 @@ from strategies import JSON_VALUES
 
 
 def save_and_reload(model, tmp_path, name="m"):
-    save_model(model, tmp_path / f"{name}.json", tmp_path / f"{name}.st")
-    return load_model(tmp_path / f"{name}.json", tmp_path / f"{name}.st")
+    save_model(model, tmp_path / f"{name}.json")
+    return load_model(tmp_path / f"{name}.json")
+
+
+def assert_same_slots(a, b):
+    assert a.slot_ids() == b.slot_ids()
+    for block_id, slot in a.slot_ids():
+        np.testing.assert_array_equal(a.slot_weight(block_id, slot), b.slot_weight(block_id, slot))
 
 
 class TestGenSynthetic:
@@ -44,13 +50,12 @@ class TestGenSynthetic:
         m1, c1 = gen_synthetic(seed=7, blocks=3, d=8, h=16)
         m2, c2 = gen_synthetic(seed=7, blocks=3, d=8, h=16)
         np.testing.assert_array_equal(c1, c2)
-        for name in m1.tensors:
-            np.testing.assert_array_equal(m1.tensors[name], m2.tensors[name])
+        assert_same_slots(m1, m2)
 
     def test_different_seeds_differ(self):
         m1, _ = gen_synthetic(seed=0, blocks=1, d=8, h=16)
         m2, _ = gen_synthetic(seed=1, blocks=1, d=8, h=16)
-        assert not np.array_equal(m1.tensors["blocks.0.w1"], m2.tensors["blocks.0.w1"])
+        assert not np.array_equal(m1.slot(0, "w1"), m2.slot(0, "w1"))
 
     def test_forward_preserves_shape(self):
         model, calib = gen_synthetic(seed=42, blocks=4, d=32, h=64)
@@ -59,8 +64,8 @@ class TestGenSynthetic:
 
     def test_fan_in_scaling(self):
         model, _ = gen_synthetic(seed=5, blocks=1, d=64, h=128)
-        w1 = model.tensors["blocks.0.w1"]
-        w2 = model.tensors["blocks.0.w2"]
+        w1 = model.slot(0, "w1")
+        w2 = model.slot(0, "w2")
         assert w1.shape == (128, 64)
         assert w2.shape == (64, 128)
         assert abs(w1.std() - 1 / np.sqrt(64)) < 0.02
@@ -170,40 +175,36 @@ class TestGenSynthetic:
 class TestLoadSave:
     def test_round_trip_bit_identical(self, tmp_path):
         model, _ = gen_synthetic(seed=42, blocks=4, d=32, h=64)
-        save_model(model, tmp_path / "a.json", tmp_path / "a.st")
-        loaded = load_model(tmp_path / "a.json", tmp_path / "a.st")
-        for name in model.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
-        save_model(loaded, tmp_path / "b.json", tmp_path / "b.st")
+        save_model(model, tmp_path / "a.json")
+        loaded = load_model(tmp_path / "a.json")
+        assert_same_slots(loaded, model)
+        save_model(loaded, tmp_path / "b.json")
         assert (tmp_path / "a.st").read_bytes() == (tmp_path / "b.st").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_save_over_the_loaded_files(self, tmp_path):
         model, _ = gen_synthetic(seed=5, blocks=2, d=8, h=16)
-        save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        save_model(model, tmp_path / "m.json")
         before = (tmp_path / "m.st").read_bytes()
-        loaded = load_model(tmp_path / "m.json", tmp_path / "m.st")
-        assert not any(arr.flags.writeable for arr in loaded.tensors.values())  # views into the mapped file
-        save_model(loaded, tmp_path / "m.json", tmp_path / "m.st")  # replaces the mapped file
-        for name in model.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
+        loaded = load_model(tmp_path / "m.json")
+        assert not any(loaded.slot(b, s).flags.writeable for b, s in loaded.slot_ids())  # views into the mapped file
+        save_model(loaded, tmp_path / "m.json")  # replaces the mapped file
+        assert_same_slots(loaded, model)
         assert (tmp_path / "m.st").read_bytes() == before
-        again = load_model(tmp_path / "m.json", tmp_path / "m.st")
-        for name in model.tensors:
-            np.testing.assert_array_equal(again.tensors[name], model.tensors[name])
+        assert_same_slots(load_model(tmp_path / "m.json"), model)
 
     def test_f32_storage_round_trip(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
-        model.storage_dtypes = {name: "F32" for name in model.tensors}
+        model.dtypes = {slot_name(b, s): "F32" for b, s in model.slot_ids()}
         loaded = save_and_reload(model, tmp_path)
-        assert loaded.storage_dtypes["blocks.0.w1"] == "F32"
-        assert loaded.tensors["blocks.0.w1"].dtype == np.float64  # working copy
-        save_model(loaded, tmp_path / "again.json", tmp_path / "again.st")
+        assert loaded.dtypes["blocks.0.w1"] == "F32"
+        assert loaded.slot(0, "w1").dtype == np.float64  # working copy
+        save_model(loaded, tmp_path / "again.json")
         assert (tmp_path / "m.st").read_bytes() == (tmp_path / "again.st").read_bytes()
 
     @pytest.mark.parametrize("stage", ["write", "replace"])
     def test_failed_container_write_keeps_the_previous_pair(self, tmp_path, monkeypatch, stage):
-        save_model(gen_synthetic(seed=1, blocks=1, d=4, h=8)[0], tmp_path / "m.json", tmp_path / "m.st")
+        save_model(gen_synthetic(seed=1, blocks=1, d=4, h=8)[0], tmp_path / "m.json")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def fail(*args):
@@ -214,43 +215,48 @@ class TestLoadSave:
         else:  # the temp file is written whole
             monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(IoError, match="injected"):
-            save_model(gen_synthetic(seed=2, blocks=2, d=8, h=16)[0], tmp_path / "m.json", tmp_path / "m.st")
+            save_model(gen_synthetic(seed=2, blocks=2, d=8, h=16)[0], tmp_path / "m.json")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_absent_tensor_is_manifest_mismatch(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=4, d=4, h=8)
-        save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        save_model(model, tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
         doc["blocks"][3]["matrices"]["w2"] = "blocks.3.missing"
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestMismatch):
-            load_model(tmp_path / "m.json", tmp_path / "m.st")
+            load_model(tmp_path / "m.json")
 
     @pytest.mark.parametrize("field, value, match", [
         ("activation", "tanh", "unknown activation 'tanh'"),
-        ("version", "2", "unsupported manifest version '2'"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, field, value, match):
         model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
-        setattr(model.manifest, field, value)
+        setattr(model, field, value)
         with pytest.raises(FormatError, match=match):
-            save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+            save_model(model, tmp_path / "m.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_unsupported_version(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=1, d=4, h=8)
-        save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        save_model(model, tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
         doc["version"] = "99"
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError):
-            load_model(tmp_path / "m.json", tmp_path / "m.st")
+            load_model(tmp_path / "m.json")
 
     def test_shape_contradiction(self, tmp_path):
         model, _ = gen_synthetic(seed=1, blocks=2, d=4, h=8)
-        model.tensors["blocks.1.w2"] = np.zeros((5, 8))  # out dim != hidden_dim
+        model.blocks[1]["w2"] = np.zeros((5, 8))  # out dim != hidden_dim
         with pytest.raises(ShapeError):
             save_and_reload(model, tmp_path)
+
+    @pytest.mark.parametrize("block_id, slot", [(0, "w3"), (99, "w1")], ids=["slot", "block"])
+    def test_unknown_slot_is_manifest_mismatch(self, block_id, slot):
+        model, _ = gen_synthetic(seed=1, blocks=2, d=4, h=8)
+        with pytest.raises(ManifestMismatch, match=f"no slot {slot} in block {block_id}"):
+            model.slot(block_id, slot)
 
     @pytest.mark.parametrize("edit, match", [
         (lambda blocks: blocks[0]["matrices"].pop("w1"), "block 0 slot w1: must be exactly one"),
@@ -260,13 +266,13 @@ class TestLoadSave:
     ], ids=["missing", "unknown-dense", "unknown-lowrank"])
     def test_slot_must_have_exactly_one_representation(self, tmp_path, edit, match):
         model, samples = gen_synthetic(seed=1, blocks=2, d=4, h=8, n_samples=8, tokens=4)
-        save_model(model, tmp_path / "m.json", tmp_path / "m.st")
+        save_model(model, tmp_path / "m.json")
         save_calibration(tmp_path / "c.st", samples)
         doc = json.loads((tmp_path / "m.json").read_text())
         edit(doc["blocks"])
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=match):
-            load_model(tmp_path / "m.json", tmp_path / "m.st")
+            load_model(tmp_path / "m.json")
         out = tmp_path / "out"
         assert run_cli(["compress", "--model", str(tmp_path / "m.json"), "--calib", str(tmp_path / "c.st"),
                         "--target-retention", "0.6", "--out", str(out)]) == 1
@@ -278,13 +284,13 @@ class TestLoadSave:
 def test_manifest_integers_must_be_json_integers(tmp_path, field, literal):
     model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
     pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
-    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), tmp_path / "m.json", tmp_path / "m.st")
+    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), tmp_path / "m.json")
     doc = json.loads((tmp_path / "m.json").read_text())
     owner = {"hidden_dim": doc, "block_id": doc["blocks"][0], "rank": doc["blocks"][1]["lowrank"]["w1"]}[field]
     owner[field] = "@literal@"
     (tmp_path / "m.json").write_text(json.dumps(doc).replace('"@literal@"', literal))
     with pytest.raises(FormatError, match="expected an integer"):
-        load_model(tmp_path / "m.json", tmp_path / "m.st")
+        load_model(tmp_path / "m.json")
 
 
 def _paths(node, prefix=()):
@@ -324,17 +330,17 @@ def test_mutated_manifests_raise_only_lowrank_errors(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("fuzz")
     model, _ = gen_synthetic(seed=2, blocks=2, d=4, h=8)
     pair = truncate_absorb(svd_full(model.slot_weight(1, "w1")), 2)
-    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), workdir / "valid.json", workdir / "m.st")
-    valid = json.loads((workdir / "valid.json").read_text())
+    path = workdir / "m.json"
+    save_model(as_compressed_handle(model, {"blocks.1.w1": pair}), path)
+    valid = json.loads(path.read_text())
     assert valid["blocks"][0]["matrices"] and valid["blocks"][1]["lowrank"]
 
     @given(raw=_mutated_manifests(valid))
     @settings(max_examples=200, deadline=None)
     def check(raw):
-        path = workdir / "mutated.json"
-        path.write_bytes(raw)
+        path.write_bytes(raw)  # beside the valid container, m.st
         try:
-            load_model(path, workdir / "m.st")
+            load_model(path)
         except LowrankError:
             pass
 
@@ -348,21 +354,19 @@ class TestSaveCompressed:
         for block_id, slot in model.slot_ids():
             w = model.slot_weight(block_id, slot)
             factors[slot_name(block_id, slot)] = truncate_absorb(svd_full(w), 16)
-        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json")
         stored = load_container(tmp_path / "model.st")
         assert stored["blocks.0.w1.u"].shape == (64, 16)
         assert stored["blocks.0.w1.vt"].shape == (16, 64)
         assert stored["blocks.0.w1.u"].size + stored["blocks.0.w1.vt"].size == 16 * (64 + 64)
-        loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
+        loaded = load_model(tmp_path / "model.json")
         assert loaded.slot(0, "w1").size == 2048
 
     def test_zero_compressed_slots_is_dense_copy(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=2, d=8, h=16)
-        save_model(as_compressed_handle(model, {}), tmp_path / "model.json", tmp_path / "model.st")
-        loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
-        for name in model.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], model.tensors[name])
-        assert not any(b.lowrank for b in loaded.manifest.blocks)
+        save_model(as_compressed_handle(model, {}), tmp_path / "model.json")
+        assert_same_slots(load_model(tmp_path / "model.json"), model)
+        assert not any(b["lowrank"] for b in json.loads((tmp_path / "model.json").read_text())["blocks"])
 
     def test_saved_pair_reproduces_forward(self, tmp_path):
         model, calib = gen_synthetic(seed=11, blocks=2, d=16, h=32, n_samples=2, tokens=8)
@@ -370,16 +374,12 @@ class TestSaveCompressed:
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), 10)
             for b, s in model.slot_ids()
         }
-        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
-        reloaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json")
+        reloaded = load_model(tmp_path / "model.json")
         in_memory = ModelHandle(
-            manifest=reloaded.manifest,
-            tensors={
-                name: (factors[name.rsplit(".", 1)[0]].u_sigma if name.endswith(".u")
-                       else factors[name.rsplit(".", 1)[0]].vt_sigma)
-                for name in reloaded.tensors
-            },
-            storage_dtypes=reloaded.storage_dtypes,
+            hidden_dim=reloaded.hidden_dim,
+            activation=reloaded.activation,
+            blocks={b: {s: factors[slot_name(b, s)] for s in BLOCK_SLOTS} for b in reloaded.blocks},
         )
         out_mem = forward(in_memory, calib[0])
         out_disk = forward(reloaded, calib[0])
@@ -393,8 +393,8 @@ class TestSaveCompressed:
             slot_name(b, s): truncate_absorb(svd_full(model.slot_weight(b, s)), k)
             for b, s in model.slot_ids()
         }
-        save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
-        loaded = load_model(tmp_path / "model.json", tmp_path / "model.st")
+        save_model(as_compressed_handle(model, factors), tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
         ref = forward(model, calib[0])
         out = forward(loaded, calib[0])
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -402,21 +402,35 @@ class TestSaveCompressed:
     def test_recompressed_f32_model_stays_f32(self, tmp_path):
         """A factored slot's dtype comes from its own u, so compressing a compressed F32 model writes F32."""
         model, samples = gen_synthetic(seed=3, blocks=2, d=32, h=64, n_samples=10, tokens=8)
-        model.storage_dtypes = {name: "F32" for name in model.tensors}
+        model.dtypes = {slot_name(b, s): "F32" for b, s in model.slot_ids()}
         save_calibration(tmp_path / "c.st", samples)
         for step in ("once", "twice"):
             compressed, _, _ = compress_model(model, tmp_path / "c.st", PipelineConfig(trr=0.6))
-            assert any(b.lowrank for b in compressed.manifest.blocks)
-            save_model(compressed, tmp_path / f"{step}.json", tmp_path / f"{step}.st")
+            assert any(isinstance(compressed.slot(b, s), LowRankPair) for b, s in compressed.slot_ids())
+            save_model(compressed, tmp_path / f"{step}.json")
             assert {arr.dtype for arr in load_container(tmp_path / f"{step}.st").values()} == {np.dtype("<f4")}
-            model = load_model(tmp_path / f"{step}.json", tmp_path / f"{step}.st")
+            model = load_model(tmp_path / f"{step}.json")
+
+    def test_factored_slot_saves_at_the_dtype_of_its_u(self, tmp_path):
+        """A slot has one dtype tag: a file with an F32 u and an F64 vt saves both as F32, under slot names."""
+        model, _ = gen_synthetic(seed=3, blocks=1, d=8, h=16)
+        pair = truncate_absorb(svd_full(model.slot_weight(0, "w1")), 4)
+        save_model(as_compressed_handle(model, {"blocks.0.w1": pair}), tmp_path / "m.json")
+        stored = load_container(tmp_path / "m.st")
+        stored["blocks.0.w1.u"] = stored["blocks.0.w1.u"].astype(np.float32)
+        save_container(tmp_path / "m.st", stored)
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.dtypes == {"blocks.0.w1": "F32", "blocks.0.w2": "F64"}
+        save_model(loaded, tmp_path / "again.json")
+        assert {name: arr.dtype.str for name, arr in load_container(tmp_path / "again.st").items()} == {
+            "blocks.0.w1.u": "<f4", "blocks.0.w1.vt": "<f4", "blocks.0.w2": "<f8"}
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         model, _ = gen_synthetic(seed=3, blocks=1, d=8, h=16)
         bad = LowRankPair(u_sigma=np.zeros((16, 4)), vt_sigma=np.zeros((4, 16)))
         factors = {slot_name(b, s): bad for b, s in model.slot_ids()}
         with pytest.raises(ShapeError):
-            save_model(as_compressed_handle(model, factors), tmp_path / "model.json", tmp_path / "model.st")
+            save_model(as_compressed_handle(model, factors), tmp_path / "model.json")
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from lowrank import pipeline
 from lowrank.container import dump_json
-from lowrank.errors import ManifestMismatch, NumericalError, ShapeError
+from lowrank.errors import IoError, ManifestMismatch, NumericalError, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import gen_synthetic, load_calibration, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
@@ -29,6 +30,22 @@ from lowrank.pipeline import (
     write_traces_csv,
 )
 from oracles import forward, plain_truncation_loss
+
+
+def stored_arrays(model):
+    """Each slot's arrays under the names ``save_model`` writes: a dense matrix, or a pair's ``.u`` and ``.vt``."""
+    out = {}
+    for block_id, slot in model.slot_ids():
+        op, name = model.slot(block_id, slot), slot_name(block_id, slot)
+        out.update({f"{name}.u": op.u_sigma, f"{name}.vt": op.vt_sigma} if isinstance(op, LowRankPair) else {name: op})
+    return out
+
+
+def assert_same_arrays(m1, m2):
+    a1, a2 = stored_arrays(m1), stored_arrays(m2)
+    assert a1.keys() == a2.keys()
+    for name in a1:
+        np.testing.assert_array_equal(a1[name], a2[name])
 
 
 def fake_controls(*counts):
@@ -127,8 +144,7 @@ class TestCompressModel:
         c1, p1, t1 = compress_model(model, calib, cfg)
         c2, p2, t2 = compress_model(model, calib, cfg)
         assert p1 == p2
-        for name in c1.tensors:
-            np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
+        assert_same_arrays(c1, c2)
         assert {k: v.per_half_step for k, v in t1.items()} == {
             k: v.per_half_step for k, v in t2.items()
         }
@@ -146,8 +162,7 @@ class TestCompressModel:
         assert recorded_pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
         assert state == [1]
         assert p1 == p2
-        for name in c1.tensors:
-            np.testing.assert_array_equal(c1.tensors[name], c2.tensors[name])
+        assert_same_arrays(c1, c2)
 
     def test_no_blas_control_runs_slots_serially(self, small_setup, monkeypatch):
         model, _, calib = small_setup
@@ -328,13 +343,13 @@ class TestWorkerCount:
 
         monkeypatch.setattr(pipeline, "compensate", recording)
         cfg = PipelineConfig(trr=0.6, mrr=0.5, seed=4)
-        expected = compress_model(model, calib, cfg)[0].tensors
+        expected = compress_model(model, calib, cfg)[0]
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=lambda: results.append(compress_model(model, calib, cfg)[0].tensors))
+                threading.Thread(target=lambda: results.append(compress_model(model, calib, cfg)[0]))
                 for _ in range(4)
             ]
             for t in threads:
@@ -346,9 +361,8 @@ class TestWorkerCount:
         assert not any(t.is_alive() for t in threads) and len(results) == 4
         assert state == [2]
         assert seen == [[1]] * (8 * 5)
-        for tensors in results:
-            for name in expected:
-                np.testing.assert_array_equal(tensors[name], expected[name])
+        for compressed in results:
+            assert_same_arrays(compressed, expected)
 
     def test_usable_cpus_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -406,8 +420,10 @@ class TestChunkedWalk:
         for name in g1:
             assert g1[name].tobytes() == g2[name].tobytes()
         assert p1 == p2
-        for name in c1.tensors:
-            assert c1.tensors[name].tobytes() == c2.tensors[name].tobytes()
+        a1, a2 = stored_arrays(c1), stored_arrays(c2)
+        assert a1.keys() == a2.keys()
+        for name in a1:
+            assert a1[name].tobytes() == a2[name].tobytes()
 
     def test_chunks_match_one_walk(self, small_setup, buckets, monkeypatch):
         model, _, _ = small_setup
@@ -552,8 +568,8 @@ class TestEval:
         import copy
 
         zeroed = copy.deepcopy(model)
-        for name in zeroed.tensors:
-            zeroed.tensors[name] = np.zeros_like(zeroed.tensors[name])
+        for block_id, slot in zeroed.slot_ids():
+            zeroed.blocks[block_id][slot] = np.zeros_like(zeroed.slot(block_id, slot))
         report = eval_compression(model, zeroed, calib)
         for entry in report.per_slot:
             assert entry.data_rel_err == pytest.approx(1.0)
@@ -835,6 +851,12 @@ def test_traces_csv_round_trip(tmp_path, small_setup):
     assert [r[1] for r in rows] == ["0", "1", "2"]
     assert float(rows[0][2]) == traces[name].initial
     assert float(rows[1][2]) == traces[name].per_half_step[0]
+
+
+def test_unwritable_traces_csv_is_an_io_error_naming_it(tmp_path):
+    path = tmp_path / "missing" / "traces.csv"
+    with pytest.raises(IoError, match=f"^cannot write {re.escape(str(path))}: "):
+        write_traces_csv({"blocks.0.w1": LossTrace(1.0, [0.5])}, path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
