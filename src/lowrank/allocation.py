@@ -232,8 +232,19 @@ def _adjust_ranks_to_budget(slots, ranks, ratios, trr: float) -> float:
 
     achieved = current / total
     if abs(achieved - trr) > BUDGET_TOL * trr:
-        raise BudgetError(
-            f"achieved retention {achieved:.4f} cannot reach {trr} within "
-            f"{100 * BUDGET_TOL:g}% with the available rank granularity"
-        )
+        raise BudgetError(_missed_band(slots, ranks, achieved, trr, total))
     return achieved
+
+
+def _missed_band(slots, ranks, achieved: float, trr: float, total: int) -> str:
+    """Why the rank steps ended outside the band: the smallest step a slot can take, against its width."""
+    message = f"achieved retention {achieved:.4f} cannot reach {trr} within {100 * BUDGET_TOL:g}%"
+    factored = [(m + n, m, n) for bi, slot, m, n in slots if ranks[(bi, slot)] is not None]
+    if not factored:
+        return f"{message}: every slot stays dense"
+    step, m, n = min(factored)
+    share, band = step / total, 2 * BUDGET_TOL * trr
+    return (f"{message}: the smallest rank step, k +- 1 of a {m}x{n} slot, is {step} of the model's "
+            f"{total} parameters ({share:.2%}), {'wider' if share > band else 'narrower'} than the "
+            f"+-{100 * BUDGET_TOL:g}% band ({band:.2%} of the parameters)"
+            + ("" if share > band else ", but no slot can step closer"))

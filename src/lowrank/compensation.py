@@ -13,10 +13,12 @@ for every PSD G, so it minimizes the loss for fixed U whether or not G is
 singular; only for a nonsingular G is it the unique minimizer.
 
 Every slot is solved as one square problem. Write W = Q @ R, r = min(m, n),
-with Q (m x r) having orthonormal columns: the reduced QR for a tall W
-(m > n), Q = I and R = W otherwise. Every U formed here lies in range(Q) and
-every Vt in R's row space, so a pair is U = Q @ U', Vt = M @ R, for an
-r x k factor U' and k x r coordinates M. Then E = Q @ (U' @ M - I) @ R and
+with Q (m x r) having orthonormal columns (a column a cut leaves is zero):
+for a tall W (m > n), R = diag(s) @ V.T and Q = W @ V @ diag(1 / s) from
+W.T @ W = V @ diag(s ** 2) @ V.T; Q = I and R = W otherwise. Every U formed
+here lies in range(Q) and every Vt in R's row space, so a pair is
+U = Q @ U', Vt = M @ R, for an r x k factor U' and k x r coordinates M.
+Then E = Q @ (U' @ M - I) @ R and
 
     loss = tr((U' @ M - I) @ H_r @ (U' @ M - I).T),   H_r = R @ G @ R.T,
 
@@ -28,17 +30,24 @@ U' = H_r @ M.T @ (M @ H_r @ M.T)^+, the V-refit is M = pinv(U')
 (pinv(Q @ U') @ W = pinv(U') @ R), and the selected pair is lifted once, by
 ``SquareProblem.lift``, which also fixes the sign of each factor column.
 
-Q itself is never formed. A tall slot's R is the triangle of
-``np.linalg.qr(w, mode="r")``, from the same ``geqrf`` as the reduced QR.
-Every U' formed here is a least-squares fit in r-coordinates,
+Q itself is never formed. A tall slot's R comes from one ``eigh`` of the
+n x n W.T @ W, with s ** 2 non-increasing. Every s_i ** 2 that
+``EighFactors.kept`` cuts (at or under n * eps * s_1 ** 2), and any negative
+one, which only rounding makes, counts as zero: its row of R and its column
+of Q are exact zeros, so a rank-3 W gives exactly 3 nonzero rows. That is
+the plain init's own floor (below), so W.T @ W squares W's condition number
+only where the plain init's R @ R.T did already, and W = Q @ R but for W's
+part in the cut directions. As R @ R.T = diag(s ** 2), ``SquareProblem.s2``
+holds the plain init's eigenvalues. Every U' formed here is a least-squares
+fit in r-coordinates,
 
     U' = R @ P @ R.T @ N.T @ X,
 
 for an n x n P, k x r coordinates N and a k x k X: the refits below have
 P = G, and the inits P = G + damping * I or I, each with its own N and X.
-So Q @ U' = W @ (P @ R.T @ N.T @ X), and the lift reads W and G, with one
-m x n x k product. H_r and every loss are r-space arithmetic; only the
-lifted U differs from Q @ U' in its last bits.
+So Q @ U' = W @ (P @ R.T @ N.T @ X), but for that same part of W, and the
+lift reads W and G, with one m x n x k product. H_r and every loss are
+r-space arithmetic.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
@@ -47,8 +56,9 @@ W @ (G + damping * I) @ W.T (the output-PCA form): Q times those of
 A = H_r + damping * R @ R.T. The plain truncated SVD of W is the same with
 G + damping * I replaced by I, A = R @ R.T. So ``initialize_pair`` takes
 one symmetric eigendecomposition of the r x r matrix
-A = Z @ diag(lam) @ Z.T, ordered by |lam| descending, and with s = |lam|
-returns
+A = Z @ diag(lam) @ Z.T, ordered by |lam| descending; for a tall slot it
+forms A = H_r + damping * diag(s ** 2), and its plain init takes none, as
+A = diag(s ** 2) has Z = I. With s = |lam| it returns
 
     U' = Z_k @ diag(s_k ** 1/4),    M = diag(s_k ** -1/4) @ Z_k.T.
 
@@ -78,7 +88,8 @@ the projector Z_k @ Z_k.T.
   so U' lifts with N = Q.T and X = S^+. S^+ comes from S's eigenpairs,
   cutting every eigenvalue at or under S's rounding error
   max(r, k) * eps * ||Q||_F * ||Y||_F: directions under it are noise, which
-  a singular Gram would otherwise invert.
+  a singular Gram would otherwise invert. Y scales with W squared, so its
+  norm is ``linalg.frobenius_norm``, which neither overflows nor underflows.
 - V-step (``v_step``): span(U') = span(Y @ Z_kept), Z_kept the eigenvectors
   S^+ inverts, and Q.T @ Y @ Z_kept = Z_kept @ diag(lam_kept) has full
   column rank. One Householder QR Y @ Z_kept = Q' @ R' gives the new basis,
@@ -110,7 +121,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankError, ShapeError
-from .linalg import LowRankPair, eigh_full, frobenius_dot
+from .linalg import EighFactors, LowRankPair, eigh_full, frobenius_dot, frobenius_norm
 
 
 @dataclass
@@ -148,6 +159,7 @@ class SquareProblem:
     h: np.ndarray                # r x r
     w: np.ndarray | None = None  # a tall slot's W (m > n); None where Q = I
     g: np.ndarray | None = None  # a tall slot's input Gram G (n x n)
+    s2: np.ndarray | None = None  # a tall slot's s ** 2, non-increasing: R @ R.T = diag(s ** 2)
 
     def lift(self, factor: LeftFactor, coords: np.ndarray) -> LowRankPair:
         """The slot's pair U = Q @ U', Vt = M @ R from a factor and coordinates M, in a fixed sign.
@@ -181,7 +193,8 @@ class SquareProblem:
 def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
     """Reduce W and its narrow-side Gram ``g`` to the r x r problem, r = min(m, n).
 
-    A tall W's R is the triangle of its QR, taken without Q (``mode="r"``).
+    A tall W's R is diag(s) @ V.T from the eigenpairs of W.T @ W, an s ** 2
+    at or under their rounding floor giving an exact zero row.
     """
     m, n = w.shape
     _check_gram(g, min(m, n))
@@ -191,8 +204,12 @@ def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
         return SquareProblem(r=w, h=g)
     if m == n:
         return SquareProblem(r=w, h=w @ g @ w.T)
-    r = np.linalg.qr(w, mode="r")
-    return SquareProblem(r=r, h=r @ g @ r.T, w=w, g=g)
+    f = eigh_full(w.T @ w)                                    # V @ diag(s ** 2) @ V.T
+    s2 = np.where(f.kept() & (f.lam > 0.0), f.lam, 0.0)
+    order = np.argsort(-s2, kind="stable")                    # a cut s ** 2 moves behind every kept one
+    s2 = s2[order]
+    r = np.sqrt(s2)[:, None] * f.z[:, order].T
+    return SquareProblem(r=r, h=r @ g @ r.T, w=w, g=g, s2=s2)
 
 
 @dataclass(frozen=True)
@@ -213,8 +230,7 @@ class Subspace:
 
     def noise(self) -> float:
         """The rounding error of forming S = Q.T @ Y: max(r, k) * eps * ||Q||_F * ||Y||_F."""
-        return (max(self.q.shape) * np.finfo(np.float64).eps
-                * np.sqrt(frobenius_dot(self.q, self.q)) * np.sqrt(frobenius_dot(self.y, self.y)))
+        return max(self.q.shape) * np.finfo(np.float64).eps * frobenius_norm(self.q) * frobenius_norm(self.y)
 
     def loss(self, u: np.ndarray, c: float) -> float:
         """c - <U', Y>, given c = tr(H_r): the loss of (U', Q.T) for the U-step's U' and for U' = Q."""
@@ -312,8 +328,13 @@ def initialize_pair(
     side = problem.h.shape[0]
     if not 1 <= k <= side:
         raise RankError(f"rank {k} outside [1, {side}]")
-    rrt = problem.r @ problem.r.T
-    f = eigh_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(lam) @ Z.T
+    if problem.s2 is None:
+        rrt = problem.r @ problem.r.T
+        f = eigh_full(rrt if damping is None else problem.h + damping * rrt)   # A = Z @ diag(lam) @ Z.T
+    elif damping is None:
+        f = EighFactors(z=np.eye(side), lam=problem.s2)                   # A = R @ R.T = diag(s ** 2)
+    else:
+        f = eigh_full(problem.h + damping * np.diag(problem.s2))
     keep = f.kept()[:k]                                      # A's rounding floor, as pinv's
     root = np.zeros(k)
     root[keep] = np.sqrt(np.sqrt(np.abs(f.lam[:k][keep])))

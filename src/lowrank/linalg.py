@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: Frobenius inner product, symmetric eigh and its pseudoinverse, rank budget."""
+"""Dense linear-algebra kernels: Frobenius inner product and norm, symmetric eigh and its pseudoinverse, rank budget."""
 
 from __future__ import annotations
 
@@ -70,6 +70,24 @@ def frobenius_dot(a: np.ndarray, b: np.ndarray) -> float:
     is the sum of squares ||a||_F^2.
     """
     return float(np.einsum("ij,ij->", a, b))
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F, the square root of ``frobenius_dot(a, a)``.
+
+    Where that sum of squares overflows or underflows, ``a`` is first scaled
+    by a power of two, which is exact, so the norm of an ``a`` scaled by
+    1e+-100 is the norm of ``a`` scaled the same.
+    """
+    total = frobenius_dot(a, a)
+    if np.finfo(np.float64).tiny <= total < np.inf or not a.any():
+        return math.sqrt(total)
+    top = max(float(a.max()), -float(a.min()))  # inf or NaN where a holds one
+    if not math.isfinite(top):
+        return top
+    exponent = math.frexp(top)[1]
+    scaled = np.ldexp(a, -exponent)
+    return math.ldexp(math.sqrt(frobenius_dot(scaled, scaled)), exponent)
 
 
 def eigh_full(a: np.ndarray) -> EighFactors:

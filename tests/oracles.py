@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank.compensation import _check_gram
+from lowrank.compensation import _check_gram, square_problem
 from lowrank.errors import NumericalError, RankError, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import ModelHandle, walk_blocks
@@ -89,15 +89,16 @@ def plain_truncation_loss(w: np.ndarray, g: np.ndarray, k: int) -> float:
 
 
 def explicit_q_lift(w: np.ndarray, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
-    """The pair U = Q @ U', Vt = M @ R of factor U' and coordinates M, from the reduced QR W = Q @ R.
+    """The pair U = Q @ U', Vt = M @ R of factor U' and coordinates M, through an explicit Q.
 
-    Q = I and R = W when m <= n. The columns keep the signs they have.
+    R is the one ``square_problem`` takes and Q = W @ pinv(R); Q = I and R = W
+    when m <= n. The columns keep the signs they have.
     """
     m, n = w.shape
     if m <= n:
         return LowRankPair(u_sigma=u.copy(), vt_sigma=coords @ w)
-    q, r = np.linalg.qr(w)
-    return LowRankPair(u_sigma=q @ u, vt_sigma=coords @ r)
+    r = square_problem(w, np.eye(n)).r
+    return LowRankPair(u_sigma=w @ pinv(r) @ u, vt_sigma=coords @ r)
 
 
 def forward(model: ModelHandle, sample: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lowrank.allocation import (
     BUDGET_TOL,
+    _adjust_ranks_to_budget,
     assign_ratios,
     build_plan,
     column_cosines,
@@ -241,5 +242,13 @@ class TestBuildPlan:
     def test_infeasible_budget_raises(self):
         # 2x2 slots cannot express a 10% retention: rank 1 already keeps 100%
         model, calib = gen_synthetic(seed=9, blocks=1, d=2, h=2, n_samples=4, tokens=4)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="cannot reach 0.1 within 1%: every slot stays dense$"):
             build_plan(block_importances(model, calib, m_buckets=2), model, trr=0.1, mrr=0.05)
+
+    def test_band_missed_at_the_rank_bounds_says_so(self):
+        # One dense slot and one at rank 1: a 0.50% step fits the 0.60% band, but no step is left.
+        slots = [(0, "w1", 200, 200), (0, "w2", 200, 200)]
+        with pytest.raises(BudgetError, match=r"k \+- 1 of a 200x200 slot, is 400 of the model's 80000 parameters "
+                                              r"\(0\.50%\), narrower than the \+-1% band \(0\.60% of the "
+                                              r"parameters\), but no slot can step closer$"):
+            _adjust_ranks_to_budget(slots, {(0, "w1"): None, (0, "w2"): 1}, [0.5], trr=0.3)

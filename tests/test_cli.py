@@ -180,6 +180,23 @@ def test_retention_out_of_range_exits_1(workspace, capsys):
     assert "1.2" in err or "(0, 1]" in err
 
 
+def test_unreachable_budget_band_names_the_smallest_rank_step(tmp_path, capsys):
+    # One rank step of a 16x32 slot is 48 of the 3072 parameters, 1.56%: wider
+    # than the +-1% band around 0.6, 1.2% of them, so the steps can jump it.
+    base = tmp_path / "base"
+    assert run_cli(["synth", "--out", str(base), "--seed", "3", "--blocks", "3",
+                    "--hidden-dim", "32", "--mlp-dim", "16"]) == 0
+    capsys.readouterr()
+    code = run_cli(["compress", "--model", str(base / "model.json"), "--calib", str(base / "calib.st"),
+                    "--out", str(tmp_path / "out"), "--target-retention", "0.6", "--no-whiten", "--iters", "3"])
+    assert code == 1 and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        "error: achieved retention 0.5938 cannot reach 0.6 within 1%: the smallest rank step, k +- 1 of a "
+        "16x32 slot, is 48 of the model's 3072 parameters (1.56%), wider than the +-1% band "
+        "(1.20% of the parameters)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--bogus-flag", "1"], ["--rel-tol", "1e-3"], ["--rel-damping", "1e-5"], ["--dump-activations", "acts.st"]],

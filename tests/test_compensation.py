@@ -477,9 +477,8 @@ class TestSquareProblem:
             fn = getattr(owner, name)
 
             def wrapper(a, *args, **kwargs):
-                if kwargs.get("mode") != "r":  # W's own triangle: test_no_explicit_q_is_formed
-                    shapes.append(np.shape(a))
-                    kernels.append(name)
+                shapes.append(np.shape(a))
+                kernels.append(name)
                 return fn(a, *args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -490,10 +489,14 @@ class TestSquareProblem:
         x = rng.normal(size=(n, 40))
         narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T
         compensate(w, narrow, 3, iters, damping)
-        assert len(shapes) == 1 + 2 * iters   # the init's decomposition, then two per iteration
+        # The init's one decomposition: W.T @ W's for a tall slot, whose plain
+        # init reads R @ R.T = diag(s ** 2) off it and whose whitened init adds
+        # A's; A's alone otherwise. Then two per iteration.
+        init = 2 if m > n and damping is not None else 1
+        assert len(shapes) == init + 2 * iters
         assert max(max(shape) for shape in shapes) <= min(m, n)
-        # A and S are symmetric; the V-step orthonormalizes an r x k basis. No step takes an SVD.
-        assert kernels == ["eigh_full"] + ["eigh_full", "qr"] * iters
+        # W.T @ W, A and S are symmetric; the V-step orthonormalizes an r x k basis. No step takes an SVD.
+        assert kernels == ["eigh_full"] * init + ["eigh_full", "qr"] * iters
 
     @pytest.mark.parametrize("iters", [0, 1, 2])
     @pytest.mark.parametrize("m, n", [(24, 8), (8, 8), (8, 24)], ids=["m>n", "m=n", "m<n"])
@@ -510,10 +513,70 @@ class TestSquareProblem:
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 40))
         compensate(w, (w @ x) @ (w @ x).T if m < n else x @ x.T, 3, iters, damping)
-        # One triangle-only QR of a tall W, none where Q = I; then each V-step's
-        # reduced QR of an r x 3 basis, r = min(m, n).
-        r = min(m, n)
-        assert calls == ([((m, n), (), {"mode": "r"})] if m > n else []) + [((r, 3), (), {})] * iters
+        # No QR of W, of any shape: only each V-step's reduced QR of an r x 3
+        # basis, r = min(m, n).
+        assert calls == [((min(m, n), 3), (), {})] * iters
+
+    @pytest.mark.parametrize("m, n", [(12, 8), (40, 12), (300, 100)])
+    def test_tall_reduction_is_a_square_root_of_the_gram(self, m, n):
+        # R = diag(s) @ V.T from W.T @ W = V @ diag(s ** 2) @ V.T: R.T @ R = W.T @ W, R @ R.T = diag(s ** 2).
+        w = np.random.default_rng(m).normal(size=(m, n))
+        problem = square_problem(w, np.eye(n))
+        wtw = w.T @ w
+        np.testing.assert_allclose(problem.r.T @ problem.r, wtw, rtol=0, atol=1e-12 * np.abs(wtw).max())
+        np.testing.assert_allclose(problem.r @ problem.r.T, np.diag(problem.s2), rtol=0, atol=1e-12 * problem.s2[0])
+        assert np.all(problem.s2 > 0) and np.all(np.diff(problem.s2) <= 0)
+        np.testing.assert_allclose(np.sqrt(problem.s2), svd_full(w).sigma, rtol=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(12, 8), (24, 10), (200, 60)])
+    @pytest.mark.parametrize("damping", [None, 0.0, 1e-3], ids=["plain", "whitened-undamped", "whitened"])
+    def test_rank_3_tall_weight_gives_3_rows_and_zero_columns(self, m, n, damping):
+        # The cut rows of R are exact zeros, so every column past rank 3 is zero, not rounding noise.
+        rng = np.random.default_rng(m + n)
+        w = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n))
+        x = rng.normal(size=(n, 40))
+        problem = square_problem(w, x @ x.T)
+        assert np.count_nonzero(problem.r.any(axis=1)) == 3 and not problem.r[3:].any()
+        assert np.count_nonzero(problem.s2) == 3
+        for iters in (0, 1, 2):
+            pair, _ = compensate(w, x @ x.T, 5, iters, damping)
+            assert pair.u_sigma[:, :3].any(axis=0).all() and not pair.u_sigma[:, 3:].any()
+            assert pair.vt_sigma[:3].any(axis=1).all() and not pair.vt_sigma[3:].any()
+
+    @pytest.mark.parametrize("c", [1e100, 1e-100])
+    @pytest.mark.parametrize("m, n", [(12, 8), (8, 12)], ids=["m>n", "m<n"])
+    @pytest.mark.parametrize("damping", [None, 1e-3], ids=["plain", "whitened"])
+    def test_scale_equivariance_far_from_one(self, c, m, n, damping):
+        # W.T @ W squares the scale, and so do H_r and Y: at 1e+-100 nothing may overflow or underflow.
+        rng = np.random.default_rng(m * n)
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 30))
+
+        def run(w):
+            return compensate(w, (w @ x) @ (w @ x).T if m < n else x @ x.T, 3, 2, damping)
+
+        (p1, t1), (p2, t2) = run(w), run(c * w)
+        np.testing.assert_allclose(p2.product(), c * p1.product(), rtol=1e-12)
+        np.testing.assert_allclose([t2.initial, *t2.per_half_step],
+                                   [c * c * loss for loss in (t1.initial, *t1.per_half_step)], rtol=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(24, 10), (300, 100)])
+    def test_ill_conditioned_tall_weight_keeps_the_plain_init(self, m, n):
+        # sigma from 1 down to 1e-6: sigma ** 2 spans 1e12 and stays over the cut, sqrt(n * eps) * sigma_1.
+        rng = np.random.default_rng(n)
+        u = np.linalg.qr(rng.normal(size=(m, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        w = (u * np.logspace(0, -6, n)) @ v.T
+        x = rng.normal(size=(n, 3 * n))
+        g = x @ x.T
+        wx2 = float(np.sum((w @ x) ** 2))
+        problem = square_problem(w, g)
+        assert np.count_nonzero(problem.s2) == n
+        for k in range(1, n + 1):
+            pair = problem.lift(*initialize_pair(problem, k))
+            _, trace = compensate(w, g, k, 0)
+            assert abs(trace.initial - svd_loss(pair, w, g)) <= 1e-12 * wx2
+            assert abs(svd_loss(pair, w, g) - plain_truncation_loss(w, g, k)) <= 1e-12 * wx2
 
     @pytest.mark.parametrize("iters", [0, 1, 2])
     @pytest.mark.parametrize("rel_damping", [None, 1e-5], ids=["plain", "whitened"])
@@ -524,7 +587,7 @@ class TestSquareProblem:
     )
     def test_lift_matches_the_explicit_q_lift(self, w_rank, tokens, rel_damping, iters):
         # compensate lifts the selected pair through W; the oracle lifts the
-        # same r-space pair through the reduced QR's Q.
+        # same r-space pair through an explicit Q = W @ pinv(R).
         rng = np.random.default_rng(w_rank * tokens + iters)
         m, n, k = 24, 10, 6
         for _ in range(5):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import lowrank
 import lowrank.compensation
 import lowrank.model
 from lowrank.errors import NumericalError, RankError
-from lowrank.linalg import eigh_full, rank_for_retention
+from lowrank.linalg import eigh_full, frobenius_dot, frobenius_norm, rank_for_retention
 from oracles import pinv, svd_full, truncate_absorb
 
 
@@ -103,6 +105,23 @@ class TestEighFull:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError):
             eigh_full(np.eye(3))
+
+
+class TestFrobeniusNorm:
+    def test_has_the_bits_of_the_sum_of_squares_where_it_fits(self, rng):
+        a = rng.normal(size=(30, 7))
+        assert frobenius_norm(a) == math.sqrt(frobenius_dot(a, a))
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200, 2.0**1000, 2.0**-1000])
+    def test_scales_where_the_squares_overflow_or_underflow(self, rng, c):
+        a = rng.normal(size=(30, 7))
+        assert math.isinf(frobenius_dot(c * a, c * a)) or frobenius_dot(c * a, c * a) == 0.0
+        assert math.isclose(frobenius_norm(c * a), c * frobenius_norm(a), rel_tol=1e-15, abs_tol=0.0)
+
+    def test_zero_empty_and_non_finite(self):
+        assert frobenius_norm(np.zeros((3, 2))) == 0.0 and frobenius_norm(np.zeros((0, 4))) == 0.0
+        assert frobenius_norm(np.array([[1.0, -np.inf]])) == np.inf
+        assert math.isnan(frobenius_norm(np.array([[1.0, np.nan]])))
 
 
 class TestTruncateAbsorb:

@@ -18,11 +18,16 @@ LADDER = ("plain truncated SVD (uniform)", "+ alternating compensation", "+ whit
 
 
 @pytest.fixture(scope="module")
-def compare():
+def compare_script():
     spec = importlib.util.spec_from_file_location("compare", SCRIPTS / "compare.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare(compare_script):
+    return compare_script.compare
 
 
 def copy_with(root, module, old, new):
@@ -118,3 +123,40 @@ def test_rank_line_names_the_first_slot_whose_rank_moved(compare, tmp_path, caps
                          lines[1])
     assert moved and int(moved[2]) == int(moved[1]) + 1
     assert lines[2].startswith("refit_unwhitened: 1/1 variants pass") and len(lines) == 3
+
+
+def test_timing_rounds_rotate_the_sides_and_summarize(compare_script, capsys):
+    """A stubbed runner: each side reads fixed compress_s values, HEAD's lower but one, and an equal eval_s."""
+    reads = {"BASE": [1.00, 1.10, 1.20, 1.05], "A/A": [1.02, 1.12, 1.22, 1.07], "HEAD": [0.80, 0.85, 1.30, 0.90]}
+    calls = []
+
+    def runner(checkout, workload, seconds, seed):
+        calls.append((checkout, workload, seconds, seed))
+        side = str(checkout)
+        return {"compress_s": reads[side][sum(c[0] == checkout for c in calls) - 1], "eval_s": 0.5}
+
+    checkouts = {side: Path(side) for side in compare_script.SIDES}
+    runs = compare_script.time_rounds(["toy"], 4, 2.0, 7, checkouts, runner)
+    assert [str(c[0]) for c in calls] == ["BASE", "A/A", "HEAD", "A/A", "HEAD", "BASE",
+                                           "HEAD", "BASE", "A/A", "BASE", "A/A", "HEAD"]
+    assert all(c[1:] == ("toy", 2.0, 7) for c in calls)
+    assert [r["compress_s"] for r in runs["toy"]["HEAD"]] == reads["HEAD"]
+    assert capsys.readouterr().out.splitlines()[0] == "toy round 1/4 BASE: compress_s=1 eval_s=0.5"
+
+    lines = compare_script.summarize("toy", runs["toy"], {"compress_s": "lower"})
+    assert lines == [
+        "toy compress_s (lower is better), 4 rounds:",
+        "  BASE median 1.075, quartiles 1.0375 to 1.125",
+        "  A/A  median 1.095, quartiles 1.0575 to 1.145",
+        "  HEAD median 0.875, quartiles 0.8375 to 1",
+        "  HEAD better than BASE in 3/4; gap -0.2 (-18.6%), BASE IQR 0.0875, A/A offset +0.02: resolved",
+        "toy eval_s (lower is better), 4 rounds:",
+        "  BASE median 0.5, quartiles 0.5 to 0.5",
+        "  A/A  median 0.5, quartiles 0.5 to 0.5",
+        "  HEAD median 0.5, quartiles 0.5 to 0.5",
+        "  HEAD better than BASE in 0/4; gap +0 (+0.0%), BASE IQR 0, A/A offset +0: not resolved",
+    ]
+    # a higher-is-better metric counts HEAD's lower reads as losses; an A/A offset wider than the gap leaves it open
+    runs["toy"]["A/A"] = [{"compress_s": 0.5, "eval_s": 0.5}] * 4
+    assert compare_script.summarize("toy", runs["toy"], {"compress_s": "higher"})[4] == (
+        "  HEAD better than BASE in 1/4; gap -0.2 (-18.6%), BASE IQR 0.0875, A/A offset -0.575: not resolved")
