@@ -6,10 +6,11 @@
 Per retention, compresses each seed's model five ways: plain truncated SVD at
 a uniform ratio, then with alternating compensation, then with whitening,
 then with adaptive ratios, and last the same adaptive ratios with the
-importance inverted (``importance_mode="one_minus_cos"``). Prints the
-held-out achieved retention, output MSE (and its ratio to plain SVD's),
-output cosine, overlap and the time of compress plus eval, each the mean over
-the seeds.
+importance inverted (``importance_mode="one_minus_cos"``). Each seed's
+calibration is walked once, up front, and every retention and variant plans
+and refits from a copy of that one calibration. Prints the held-out achieved
+retention, output MSE (and its ratio to plain SVD's), output cosine, overlap
+and the time of the plan and refits plus eval, each the mean over the seeds.
 """
 
 import argparse
@@ -22,23 +23,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from lowrank import PipelineConfig, compress_model, eval_compression, gen_synthetic
+from lowrank import PipelineConfig, calibrate_file, compress_model, eval_compression, gen_synthetic
 from lowrank.model import save_calibration
 
 
-def ladder(trr: float, mrr: float | None, iters: int, seed: int) -> dict[str, PipelineConfig]:
+def ladder(trr: float, mrr: float | None, iters: int) -> dict[str, PipelineConfig]:
     """The variants, each adding one step of the pipeline to the one before; the last inverts importance."""
     return {
-        "plain truncated SVD (uniform)": PipelineConfig(
-            trr=trr, mrr=trr, iterations=0, whiten=False, seed=seed),
-        "  + alternating compensation": PipelineConfig(
-            trr=trr, mrr=trr, iterations=iters, whiten=False, seed=seed),
-        "  + whitening": PipelineConfig(
-            trr=trr, mrr=trr, iterations=iters, whiten=True, seed=seed),
-        "  + adaptive ratios (full)": PipelineConfig(
-            trr=trr, mrr=mrr, iterations=iters, whiten=True, seed=seed),
+        "plain truncated SVD (uniform)": PipelineConfig(trr=trr, mrr=trr, iterations=0, whiten=False),
+        "  + alternating compensation": PipelineConfig(trr=trr, mrr=trr, iterations=iters, whiten=False),
+        "  + whitening": PipelineConfig(trr=trr, mrr=trr, iterations=iters, whiten=True),
+        "  + adaptive ratios (full)": PipelineConfig(trr=trr, mrr=mrr, iterations=iters, whiten=True),
         "  + adaptive (one_minus_cos)": PipelineConfig(
-            trr=trr, mrr=mrr, iterations=iters, whiten=True, importance_mode="one_minus_cos", seed=seed),
+            trr=trr, mrr=mrr, iterations=iters, whiten=True, importance_mode="one_minus_cos"),
     }
 
 
@@ -64,7 +61,7 @@ def main():
             )
             calib = Path(td) / f"c{seed}.st"
             save_calibration(calib, samples)
-            models.append((model, calib))
+            models.append((model, calib, calibrate_file(model, calib, 32, seed)))
         print(f"model: {args.blocks} blocks, d={args.hidden_dim}, h={args.mlp_dim}, "
               f"{models[0][0].param_count()} parameters; means over seeds 0..{args.seeds - 1}")
         print(f"\n{'target':>6} {'variant':<30} {'retention':>9} {'mse':>12} {'mse/plain':>9} "
@@ -72,10 +69,10 @@ def main():
         print("-" * 96)
         for trr in args.retentions:
             rows: dict[str, list] = {}
-            for seed, (model, calib) in enumerate(models):
-                for name, cfg in ladder(trr, args.mrr, args.iters, seed).items():
+            for model, calib, calibration in models:
+                for name, cfg in ladder(trr, args.mrr, args.iters).items():
                     t0 = time.monotonic()
-                    compressed, _, _ = compress_model(model, calib, cfg)
+                    compressed, _, _ = compress_model(model, calibration._replace(grams=dict(calibration.grams)), cfg)
                     report = eval_compression(model, compressed, calib)
                     end = report.end_to_end
                     rows.setdefault(name, []).append((

@@ -39,9 +39,10 @@ from .pipeline import (
     EvalReport,
     PipelineConfig,
     calibrate,
-    calibrate_and_plan,
+    calibrate_file,
     compress_model,
     eval_compression,
+    plan_compression,
     split_calibration,
 )
 

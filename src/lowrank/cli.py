@@ -16,7 +16,8 @@ from .allocation import IMPORTANCE_MODES
 from .container import dump_json, write_json
 from .errors import LowrankError, NumericalError
 from .model import ACTIVATIONS, container_path, gen_synthetic, load_model, save_calibration, save_model
-from .pipeline import PipelineConfig, calibrate_and_plan, compress_model, eval_compression, write_traces_csv
+from .pipeline import (PipelineConfig, calibrate_file, compress_model, eval_compression, plan_compression,
+                       write_traces_csv)
 
 
 class _UsageError(Exception):
@@ -54,7 +55,7 @@ def _resolve_trr(args) -> float:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bucket-size", type=int, default=32, help="stack-of-batch bucket count M")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--importance-mode", choices=IMPORTANCE_MODES, default="cos")
+    p.add_argument("--importance-mode", choices=IMPORTANCE_MODES, default=PipelineConfig.importance_mode)
 
 
 def build_parser() -> _Parser:
@@ -66,8 +67,9 @@ def build_parser() -> _Parser:
     p.add_argument("--calib", required=True, help="calibration container")
     p.add_argument("--out", required=True, help="output directory")
     _add_retention_flags(p, require=True)
-    p.add_argument("--iters", type=int, default=1, help="alternating compensation iterations")
-    p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--iters", type=int, default=PipelineConfig.iterations,
+                   help="alternating compensation iterations")
+    p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=PipelineConfig.whiten)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_compress)
 
@@ -98,18 +100,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _load_and_calibrate(args, cfg: PipelineConfig, with_grams: bool):
+    """The model and its one calibration walk: the prefix that compress and importance share."""
+    model = load_model(args.model)
+    cfg.validate()  # a bad setting costs no walk
+    return model, calibrate_file(model, args.calib, args.bucket_size, args.seed, with_grams)
+
+
 def _cmd_compress(args) -> int:
     cfg = PipelineConfig(
         trr=_resolve_trr(args),
         mrr=args.mrr,
         iterations=args.iters,
-        bucket_size=args.bucket_size,
         whiten=args.whiten,
         importance_mode=args.importance_mode,
-        seed=args.seed,
     )
-    model = load_model(args.model)
-    compressed, plan, traces = compress_model(model, args.calib, cfg)
+    model, calibration = _load_and_calibrate(args, cfg, with_grams=True)
+    compressed, plan, traces = compress_model(model, calibration, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "model.json"
@@ -122,16 +129,9 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    trr = _resolve_trr(args)
-    cfg = PipelineConfig(
-        trr=trr,
-        mrr=args.mrr,
-        bucket_size=args.bucket_size,
-        importance_mode=args.importance_mode,
-        seed=args.seed,
-    )
-    model = load_model(args.model)
-    _, plan = calibrate_and_plan(model, args.calib, cfg, with_grams=False)
+    cfg = PipelineConfig(trr=_resolve_trr(args), mrr=args.mrr, importance_mode=args.importance_mode)
+    model, calibration = _load_and_calibrate(args, cfg, with_grams=False)
+    plan = plan_compression(model, calibration, cfg)
     print(dump_json(plan, "the plan"))
     return 0
 

@@ -285,8 +285,9 @@ def walk_blocks(
 
     Raises ShapeError for no samples or another shape, and NumericalError
     naming the block whose input or output has a non-finite token, or a
-    token whose sum of squares overflows. Only those sums are checked: a
-    slot visitor can see non-finite values that the block then reports.
+    token whose sum of squares overflows. Only those sums are checked, with
+    overflow silenced, so no warning comes first: a slot visitor can see
+    non-finite values that the block then reports.
     """
     samples = as_samples(model, samples)
     # Every block op is per-column, so one pass over all token columns equals
@@ -295,22 +296,23 @@ def walk_blocks(
     # a per-token sum takes the same order in block 0 as in the rest.
     x = np.ascontiguousarray(samples.reshape(-1, model.hidden_dim).T)
     x_squares = _checked_squares(x, next(iter(model.blocks)))
-    for block_id, ops in model.blocks.items():
-        x_norm = rms_norm(x, x_squares)
-        pre = ops["w1"] @ x_norm
-        if visit_slot is not None:
-            visit_slot(block_id, "w1", x_norm, pre)
-        del x_norm
-        hidden = apply_activation(model.activation, pre, in_place=True)
-        update = ops["w2"] @ hidden
-        if visit_slot is not None:
-            visit_slot(block_id, "w2", hidden, update)
-        del pre, hidden
-        update += x
-        y, y_squares = update, _checked_squares(update, block_id)
-        if visit_block is not None:
-            visit_block(block_id, x, y, x_squares, y_squares)
-        x, x_squares = y, y_squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block_id, ops in model.blocks.items():
+            x_norm = rms_norm(x, x_squares)
+            pre = ops["w1"] @ x_norm
+            if visit_slot is not None:
+                visit_slot(block_id, "w1", x_norm, pre)
+            del x_norm
+            hidden = apply_activation(model.activation, pre, in_place=True)
+            update = ops["w2"] @ hidden
+            if visit_slot is not None:
+                visit_slot(block_id, "w2", hidden, update)
+            del pre, hidden
+            update += x
+            y, y_squares = update, _checked_squares(update, block_id)
+            if visit_block is not None:
+                visit_block(block_id, x, y, x_squares, y_squares)
+            x, x_squares = y, y_squares
     return x
 
 

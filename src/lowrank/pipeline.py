@@ -1,9 +1,10 @@
 """End-to-end orchestration: calibrate, whiten, plan, compensate, evaluate.
 
-Slot compression order: bucket the calibration samples, walk the original
-model over them once (keeping one Gram matrix per slot and one importance
-score per block), build the retention plan, then refit every planned slot
-independently. Merge order follows the block order, so outputs are
+Two stages hand on one value. ``calibrate_file`` buckets the calibration
+samples and walks the original model over them once, keeping one Gram matrix
+per slot and one importance score per block: a ``Calibration``. Then
+``compress_model`` builds the retention plan from it and refits every planned
+slot independently. Merge order follows the block order, so outputs are
 deterministic for a fixed seed and CPU count.
 
 Each slot's Gram is on its narrow side. The data-space loss and both refits
@@ -99,15 +100,13 @@ _POOL_STAGE_LOCK = threading.Lock()
 
 @dataclass
 class PipelineConfig:
-    """Knobs of one compression run; mrr defaults to trr - 0.10 (floored at trr itself)."""
+    """Knobs of the stages after the walk; mrr defaults to trr - 0.10 (floored at trr itself)."""
 
     trr: float
     mrr: float | None = None
     iterations: int = 1
-    bucket_size: int = 32
     whiten: bool = True
     importance_mode: str = "cos"
-    seed: int = 0
 
     def resolved_mrr(self) -> float:
         if self.mrr is not None:
@@ -122,8 +121,6 @@ class PipelineConfig:
             raise ShapeError(f"need 0 < mrr <= trr, got mrr={mrr}, trr={self.trr}")
         if self.iterations < 0:
             raise ShapeError(f"iteration count must be >= 0, got {self.iterations}")
-        if self.bucket_size < 1:
-            raise ShapeError(f"bucket size must be >= 1, got {self.bucket_size}")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise ShapeError(f"unknown importance mode {self.importance_mode!r}")
 
@@ -142,6 +139,16 @@ def _load_samples(model: ModelHandle, calib_file: str | Path) -> np.ndarray:
             f"calibration dim {samples.shape[2]} does not match model hidden_dim {model.hidden_dim}"
         )
     return samples
+
+
+def calibrate_file(
+    model: ModelHandle, calib_file: str | Path, bucket_size: int, seed: int, with_grams: bool = True
+) -> Calibration:
+    """The calibration product of a file: its fitting samples, bucketed by ``stack_of_batch``, walked once."""
+    fit_samples = split_calibration(_load_samples(model, calib_file))[0]
+    bucketed = stack_of_batch(fit_samples, bucket_size, seed)
+    del fit_samples  # the buckets are copies; drop the mapped samples before the walk
+    return calibrate(model, bucketed.buckets, with_grams)
 
 
 def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) -> Calibration:
@@ -231,43 +238,37 @@ def _walk_chunks(model: ModelHandle, samples: np.ndarray) -> list[np.ndarray]:
     return [samples[i : i + step] for i in range(0, len(samples), step)]
 
 
-def calibrate_and_plan(
-    model: ModelHandle, calib_file: str | Path, cfg: PipelineConfig, with_grams: bool = True
-) -> tuple[Calibration, CompressionPlan]:
-    """Shared prefix of compress and importance: load, split, bucket, calibrate, plan.
-
-    ``with_grams`` is passed to ``calibrate``; the plan reads only the importances.
-    """
+def plan_compression(model: ModelHandle, calibration: Calibration, cfg: PipelineConfig) -> CompressionPlan:
+    """The retention plan ``cfg`` gives from the calibration's importances; a bad ``cfg`` is a ShapeError."""
     cfg.validate()
-    fit_samples = split_calibration(_load_samples(model, calib_file))[0]
-    bucketed = stack_of_batch(fit_samples, cfg.bucket_size, cfg.seed)
-    del fit_samples  # the buckets are copies; drop the mapped samples before the walk
-    calibration = calibrate(model, bucketed.buckets, with_grams)
-    plan = build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
-    return calibration, plan
+    return build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
 
 
 def compress_model(
     model: ModelHandle,
-    calib_file: str | Path,
+    calibration: Calibration,
     cfg: PipelineConfig,
 ) -> tuple[ModelHandle, CompressionPlan, dict[str, LossTrace]]:
-    """Run the whole compression pipeline; deterministic for fixed inputs and seed.
+    """Plan from ``calibration`` and refit every planned slot; deterministic for fixed inputs.
 
-    A NaN or inf loss in any slot's trace is a NumericalError (see ``check_traces``).
+    Consumes ``calibration.grams``, dropping each Gram once its slot is done,
+    so that they do not all live to the end. To compress one calibration
+    more than once, hand each call ``calibration._replace(grams=dict(calibration.grams))``.
+    A planned slot with no Gram is a ShapeError naming it, and a NaN or inf
+    loss in any slot's trace a NumericalError (see ``check_traces``).
     """
-    calibration, plan = calibrate_and_plan(model, calib_file, cfg)
-    grams = calibration.grams
-
-    ranks = plan.slot_ranks()
+    plan = plan_compression(model, calibration, cfg)
+    grams, ranks = calibration.grams, plan.slot_ranks()
     tasks = []  # (full slot name, weight, rank)
     for block_id, slot in model.slot_ids():
         name = slot_name(block_id, slot)
         rank = ranks[name]
-        if rank is not None:
-            tasks.append((name, model.slot_weight(block_id, slot), rank))
+        if rank is None:
+            grams.pop(name, None)  # a dense slot's Gram is not needed past the plan
+        elif name not in grams:
+            raise ShapeError(f"slot {name}: the calibration has no Gram for it (with_grams=False, or consumed)")
         else:
-            del grams[name]  # a dense slot's Gram is not needed past the plan
+            tasks.append((name, model.slot_weight(block_id, slot), rank))
 
     def run(task):
         name, w, rank = task
@@ -280,14 +281,10 @@ def compress_model(
 
     results = list(_pool_run(run, tasks))
 
-    factors: dict[str, LowRankPair] = {}
-    traces: dict[str, LossTrace] = {}
-    for (name, _, _), (pair, trace) in zip(tasks, results):
-        factors[name] = pair
-        traces[name] = trace
+    factors = {name: pair for (name, _, _), (pair, _) in zip(tasks, results)}
+    traces = {name: trace for (name, _, _), (_, trace) in zip(tasks, results)}
     check_traces(traces)
-    compressed = as_compressed_handle(model, factors)
-    return compressed, plan, traces
+    return as_compressed_handle(model, factors), plan, traces
 
 
 def _usable_cpus() -> int:

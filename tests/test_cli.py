@@ -99,6 +99,32 @@ def test_compression_ratio_flag_converts(workspace):
     assert plan["trr"] == pytest.approx(0.6)
 
 
+def test_compress_defaults_are_the_config_defaults(workspace, monkeypatch):
+    """With only its required flags, compress walks in 32 buckets at seed 0 and hands on ``PipelineConfig(trr=...)``."""
+    import lowrank.cli
+    from lowrank.pipeline import PipelineConfig
+
+    walks, configs = [], []
+    calibrate_file, compress_model = lowrank.cli.calibrate_file, lowrank.cli.compress_model
+
+    def recording_calibrate(model, calib, bucket_size, seed, with_grams=True):
+        walks.append((bucket_size, seed, with_grams))
+        return calibrate_file(model, calib, bucket_size, seed, with_grams)
+
+    def recording_compress(model, calibration, cfg):
+        configs.append(cfg)
+        return compress_model(model, calibration, cfg)
+
+    monkeypatch.setattr(lowrank.cli, "calibrate_file", recording_calibrate)
+    monkeypatch.setattr(lowrank.cli, "compress_model", recording_compress)
+    assert run_cli([
+        "compress", "--model", str(workspace / "base" / "model.json"),
+        "--calib", str(workspace / "base" / "calib.st"), "--target-retention", "0.6", "--out", str(workspace / "out"),
+    ]) == 0
+    assert walks == [(32, 0, True)]
+    assert configs == [PipelineConfig(trr=0.6)]
+
+
 def test_importance_prints_plan_without_writing(workspace, capsys):
     before = sorted(p.name for p in workspace.rglob("*"))
     code = run_cli([
@@ -473,9 +499,16 @@ def test_underflowing_calibration_exits_2(workspace, capsys, command, scale):
     assert_scaled_calibration_exits_2(workspace, capsys, command, scale, "underflow")
 
 
+@pytest.mark.parametrize("scaled, scale, message", [
+    (["blocks.1.w2"], 1e160, "activations overflow in block 1"),
+    # every slot: block 0's w2 product overflows itself, where numpy would warn
+    (None, 1e160, "non-finite activations in block 0\n"),
+    (None, 1e200, "non-finite activations in block 0\n"),
+    (None, 1e300, "non-finite activations in block 0\n"),
+], ids=["w2-of-block-1", "every-slot-1e160", "every-slot-1e200", "every-slot-1e300"])
 @pytest.mark.parametrize("command", ["compress", "importance", "eval"])
-def test_overflowing_weights_exit_2(workspace, capsys, command):
-    """Finite weights whose slot outputs overflow are a numerical error naming the block, with no warning."""
+def test_overflowing_weights_exit_2(workspace, capsys, command, scaled, scale, message):
+    """Finite weights whose slot outputs overflow are a numerical error naming the block, under warnings as errors."""
     import shutil
 
     from lowrank.container import save_container
@@ -484,7 +517,8 @@ def test_overflowing_weights_exit_2(workspace, capsys, command):
     big.mkdir()
     shutil.copy(base / "model.json", big / "model.json")
     tensors = {name: np.array(t) for name, t in load_container(base / "model.st").items()}
-    tensors["blocks.1.w2"] *= 1e160
+    for name in tensors if scaled is None else scaled:
+        tensors[name] *= scale
     save_container(big / "model.st", tensors)
     flags = ["--model", str(big / "model.json"), "--calib", str(base / "calib.st")]
     if command == "eval":
@@ -500,13 +534,12 @@ def test_overflowing_weights_exit_2(workspace, capsys, command):
         argv = ["importance", *flags, "--target-retention", "0.6"]
     before = sorted(p.name for p in workspace.rglob("*"))
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run_cli(argv)
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical error: ") and "block 1" in captured.err
-    assert "Warning" not in captured.err and caught == []
+    assert captured.err.startswith(f"numerical error: {message}") and "Warning" not in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in workspace.rglob("*")) == before
 

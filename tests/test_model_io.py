@@ -29,7 +29,7 @@ from lowrank.model import (
     slot_name,
     walk_blocks,
 )
-from lowrank.pipeline import PipelineConfig, compress_model
+from lowrank.pipeline import PipelineConfig, calibrate_file, compress_model
 from oracles import forward, svd_full, truncate_absorb
 from strategies import JSON_VALUES
 
@@ -405,7 +405,8 @@ class TestSaveCompressed:
         model.dtypes = {slot_name(b, s): "F32" for b, s in model.slot_ids()}
         save_calibration(tmp_path / "c.st", samples)
         for step in ("once", "twice"):
-            compressed, _, _ = compress_model(model, tmp_path / "c.st", PipelineConfig(trr=0.6))
+            calibration = calibrate_file(model, tmp_path / "c.st", 32, 0)
+            compressed, _, _ = compress_model(model, calibration, PipelineConfig(trr=0.6))
             assert any(isinstance(compressed.slot(b, s), LowRankPair) for b, s in compressed.slot_ids())
             save_model(compressed, tmp_path / f"{step}.json")
             assert {arr.dtype for arr in load_container(tmp_path / f"{step}.st").values()} == {np.dtype("<f4")}

@@ -24,6 +24,7 @@ from lowrank.compensation import LossTrace
 from lowrank.pipeline import (
     PipelineConfig,
     calibrate,
+    calibrate_file,
     compress_model,
     eval_compression,
     split_calibration,
@@ -64,6 +65,11 @@ def real_blas_at_two(blas_threads):
     return blas_threads(2)
 
 
+def compress_file(model, calib, cfg, seed):
+    """``compress_model`` from a fresh walk of the file ``calib``, in 32 buckets shuffled by ``seed``."""
+    return compress_model(model, calibrate_file(model, calib, 32, seed), cfg)
+
+
 def input_grams(model, samples):
     """Every slot's input Gram X @ X.T, formed from the walk's slot inputs."""
     grams = {}
@@ -99,8 +105,8 @@ class TestSplit:
 class TestCompressModel:
     def test_identity_config_preserves_forward(self, small_setup):
         model, samples, calib = small_setup
-        cfg = PipelineConfig(trr=1.0, mrr=1.0, iterations=0, whiten=False, seed=0)
-        compressed, plan, traces = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=1.0, mrr=1.0, iterations=0, whiten=False)
+        compressed, plan, traces = compress_file(model, calib, cfg, 0)
         assert plan.achieved_retention == 1.0
         assert traces == {}
         for s in samples:
@@ -110,8 +116,8 @@ class TestCompressModel:
 
     def test_uniform_tau0_equals_plain_truncation(self, small_setup):
         model, samples, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.6, iterations=0, whiten=False, seed=0)
-        compressed, plan, traces = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=0.6, mrr=0.6, iterations=0, whiten=False)
+        compressed, plan, traces = compress_file(model, calib, cfg, 0)
         report = eval_compression(model, compressed, calib)
         _, heldout = split_calibration(samples)
         grams = input_grams(model, list(heldout))
@@ -126,10 +132,10 @@ class TestCompressModel:
 
     def test_per_slot_dominance_over_plain_truncation(self, small_setup):
         model, samples, calib = small_setup
-        cfg = PipelineConfig(trr=0.5, mrr=0.4, iterations=2, whiten=True, seed=3)
-        compressed, plan, traces = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=0.5, mrr=0.4, iterations=2, whiten=True)
+        compressed, plan, traces = compress_file(model, calib, cfg, 3)
         fit, _ = split_calibration(samples)
-        grams = input_grams(model, stack_of_batch(list(fit), cfg.bucket_size, cfg.seed).buckets)
+        grams = input_grams(model, stack_of_batch(list(fit), 32, 3).buckets)
         for name, trace in traces.items():
             block_id = int(name.split(".")[1])
             slot = name.split(".")[2]
@@ -140,9 +146,9 @@ class TestCompressModel:
 
     def test_deterministic_given_seed(self, small_setup):
         model, _, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=11)
-        c1, p1, t1 = compress_model(model, calib, cfg)
-        c2, p2, t2 = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True)
+        c1, p1, t1 = compress_file(model, calib, cfg, 11)
+        c2, p2, t2 = compress_file(model, calib, cfg, 11)
         assert p1 == p2
         assert_same_arrays(c1, c2)
         assert {k: v.per_half_step for k, v in t1.items()} == {
@@ -151,14 +157,14 @@ class TestCompressModel:
 
     def test_worker_pool_matches_sequential(self, small_setup, monkeypatch, recorded_pools):
         model, _, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=4)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
-        c1, p1, _ = compress_model(model, calib, cfg)
+        c1, p1, _ = compress_file(model, calib, cfg, 4)
         assert recorded_pools == []
         controls, state = fake_controls(1)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
-        c2, p2, _ = compress_model(model, calib, cfg)
+        c2, p2, _ = compress_file(model, calib, cfg, 4)
         assert recorded_pools == [4]  # min(4 cpus, 8 slots, MAX_WORKERS)
         assert state == [1]
         assert p1 == p2
@@ -172,7 +178,7 @@ class TestCompressModel:
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
-        _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        _, _, traces = compress_file(model, calib, PipelineConfig(trr=0.6, mrr=0.5), 4)
         assert len(traces) > 1
 
     def test_slot_tasks_run_at_the_pinned_count(self, small_setup, monkeypatch, real_blas_at_two):
@@ -186,7 +192,7 @@ class TestCompressModel:
 
         monkeypatch.setattr(pipeline, "compensate", recording)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        compress_file(model, calib, PipelineConfig(trr=0.6, mrr=0.5), 4)
         assert len(seen) == 8
         assert all(counts == [1] * len(real_blas_at_two) for counts in seen)  # 2 workers x 1
         assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
@@ -205,12 +211,12 @@ class TestCompressModel:
 
         monkeypatch.setattr(pipeline, "compensate", failing)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, seed=4)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5)
         if fail:
             with pytest.raises(NumericalError, match="injected"):
-                compress_model(model, calib, cfg)
+                compress_file(model, calib, cfg, 4)
         else:
-            compress_model(model, calib, cfg)
+            compress_file(model, calib, cfg, 4)
         assert [c.get() for c in real_blas_at_two] == [2] * len(real_blas_at_two)
 
     def test_grams_freed_once_unused(self, small_setup, monkeypatch):
@@ -239,7 +245,7 @@ class TestCompressModel:
         monkeypatch.setattr(pipeline, "build_plan", block0_dense)
         monkeypatch.setattr(pipeline, "compensate", recording_compensate)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])  # serial: one refit at a time
-        _, _, traces = compress_model(model, calib, PipelineConfig(trr=0.6, mrr=0.5, seed=4))
+        _, _, traces = compress_file(model, calib, PipelineConfig(trr=0.6, mrr=0.5), 4)
         planned = list(traces)
         assert planned == [f"blocks.{b}.{s}" for b in (1, 2, 3) for s in ("w1", "w2")]
         # Dense slots' Grams are dead before the first refit, and each refit
@@ -247,10 +253,40 @@ class TestCompressModel:
         assert alive_per_refit == [set(planned[i:]) for i in range(len(planned))]
         assert all(ref() is None for ref in refs.values())
 
+    def test_one_calibration_serves_every_configuration(self, small_setup):
+        """Criterion 7's four configurations compressed from copies of one calibration match fresh walks, bit for bit."""
+        model, _, calib = small_setup
+        shared = calibrate_file(model, calib, 32, 7)
+        for cfg in (PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True),
+                    PipelineConfig(trr=0.6, mrr=0.6, iterations=0, whiten=False),
+                    PipelineConfig(trr=0.6, mrr=0.6, iterations=1, whiten=False),
+                    PipelineConfig(trr=0.6, mrr=0.6, iterations=1, whiten=True)):
+            c1, p1, t1 = compress_model(model, shared._replace(grams=dict(shared.grams)), cfg)
+            c2, p2, t2 = compress_file(model, calib, cfg, 7)
+            assert p1 == p2 and t1 == t2
+            a1, a2 = stored_arrays(c1), stored_arrays(c2)
+            assert a1.keys() == a2.keys()
+            for name in a1:
+                assert a1[name].tobytes() == a2[name].tobytes()
+        assert len(shared.grams) == 8  # every call consumed only its copy
+
+    @pytest.mark.parametrize("how", ["with_grams=False", "consumed"])
+    def test_a_missing_gram_is_a_shape_error_naming_the_slot(self, small_setup, how):
+        model, _, calib = small_setup
+        cfg = PipelineConfig(trr=0.6, mrr=0.5)
+        if how == "consumed":
+            calibration = calibrate_file(model, calib, 32, 4)
+            compress_model(model, calibration, cfg)
+            assert calibration.grams == {}
+        else:
+            calibration = calibrate_file(model, calib, 32, 4, with_grams=False)
+        with pytest.raises(ShapeError, match=r"^slot blocks\.0\.w1: the calibration has no Gram for it"):
+            compress_model(model, calibration, cfg)
+
     def test_traces_cover_compressed_slots(self, small_setup):
         model, _, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=2, whiten=False, seed=0)
-        _, plan, traces = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=2, whiten=False)
+        _, plan, traces = compress_file(model, calib, cfg, 0)
         planned = {name for name, k in plan.slot_ranks().items() if k is not None}
         assert set(traces) == planned
         for trace in traces.values():
@@ -258,19 +294,20 @@ class TestCompressModel:
 
     def test_config_validation(self, small_setup):
         model, _, calib = small_setup
+        calibration = calibrate_file(model, calib, 32, 0)
         with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=1.2))
+            compress_model(model, calibration, PipelineConfig(trr=1.2))
         with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=0.5, mrr=0.6))
+            compress_model(model, calibration, PipelineConfig(trr=0.5, mrr=0.6))
         with pytest.raises(ShapeError):
-            compress_model(model, calib, PipelineConfig(trr=0.5, iterations=-1))
+            compress_model(model, calibration, PipelineConfig(trr=0.5, iterations=-1))
 
     def test_dimension_mismatch_rejected(self, tmp_path, small_setup):
         model, _, _ = small_setup
         bad = tmp_path / "bad.st"
         save_calibration(bad, np.zeros((4, 8, 7)))
         with pytest.raises(ShapeError):
-            compress_model(model, bad, PipelineConfig(trr=0.6))
+            calibrate_file(model, bad, 32, 0)
 
     def test_mrr_defaults_to_trr_minus_tenth(self):
         assert PipelineConfig(trr=0.6).resolved_mrr() == pytest.approx(0.5)
@@ -342,14 +379,14 @@ class TestWorkerCount:
             return compensate(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "compensate", recording)
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, seed=4)
-        expected = compress_model(model, calib, cfg)[0]
+        cfg = PipelineConfig(trr=0.6, mrr=0.5)
+        expected = compress_file(model, calib, cfg, 4)[0]
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=lambda: results.append(compress_model(model, calib, cfg)[0]))
+                threading.Thread(target=lambda: results.append(compress_file(model, calib, cfg, 4)[0]))
                 for _ in range(4)
             ]
             for t in threads:
@@ -399,14 +436,15 @@ class TestChunkedWalk:
         return stack_of_batch(list(split_calibration(samples)[0]), 32, seed=4).buckets
 
     def test_pool_matches_serial(self, small_setup, buckets, monkeypatch, recorded_pools):
-        model, _, calib = small_setup
+        model, _, _ = small_setup
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", FOUR_BUCKET_CHUNKS)
         assert [len(chunk) for chunk in pipeline._walk_chunks(model, buckets)] == [4, 4, 4, 4]
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=4)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True)
 
         def run():
-            return calibrate(model, buckets), compress_model(model, calib, cfg)
+            calibration = calibrate(model, buckets)
+            return calibration, compress_model(model, calibration._replace(grams=dict(calibration.grams)), cfg)
 
         monkeypatch.setattr(pipeline, "blas_controls", lambda: [])
         (g1, d1, i1), (c1, p1, _) = run()
@@ -414,7 +452,7 @@ class TestChunkedWalk:
         controls, state = fake_controls(1)
         monkeypatch.setattr(pipeline, "blas_controls", lambda: controls)
         (g2, d2, i2), (c2, p2, _) = run()
-        assert recorded_pools == [4, 4, 4]  # calibrate's walk, compress's walk, its slot stage
+        assert recorded_pools == [4, 4]  # the walk, the slot stage
         assert state == [1]
         assert list(g1) == list(g2) and d1 == d2 and i1 == i2
         for name in g1:
@@ -581,8 +619,8 @@ class TestEval:
 
     def test_report_fields_finite_and_consistent(self, small_setup):
         model, _, calib = small_setup
-        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True, seed=5)
-        compressed, plan, _ = compress_model(model, calib, cfg)
+        cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=True)
+        compressed, plan, _ = compress_file(model, calib, cfg, 5)
         report = eval_compression(model, compressed, calib)
         doc = json.loads(dump_json(report, "the eval report"))
         assert list(doc) == ["per_slot", "end_to_end", "params", "scored_on_all"]
@@ -608,7 +646,7 @@ def two_chunk_eval(tmp_path):
     model, samples = gen_synthetic(seed=2, blocks=4, d=64, h=1024, n_samples=40, tokens=64)
     calib = tmp_path / "calib.st"
     save_calibration(calib, samples)
-    compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+    compressed, _, _ = compress_file(model, calib, PipelineConfig(trr=0.6), 2)
     heldout = split_calibration(samples)[1]
     assert [len(chunk) for chunk in pipeline._walk_chunks(model, heldout)] == [4, 4]
     return model, compressed, calib, heldout
@@ -798,7 +836,7 @@ def test_every_visited_operand_is_c_ordered(small_setup, monkeypatch, stage):
         monkeypatch.setattr(pipeline, "walk_blocks", checking_walk)
         calibrate(model, samples)
     else:
-        compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+        compressed, _, _ = compress_file(model, calib, PipelineConfig(trr=0.6), 2)
         monkeypatch.setattr(pipeline, "walk_blocks", checking_walk)
         eval_compression(model, compressed, calib)
     assert {(0, "w1"), (0, "w2"), (0, "block")} <= {(block_id, kind) for block_id, kind, _ in seen}
@@ -818,7 +856,7 @@ def test_walk_and_eval_keep_their_bits_at_any_blas_thread_count(tmp_path, monkey
     save_calibration(calib, samples)
     fit = split_calibration(samples)[0]
     assert len(pipeline._walk_chunks(model, fit)) == 1
-    compressed, _, _ = compress_model(model, calib, PipelineConfig(trr=0.6, seed=2))
+    compressed, _, _ = compress_file(model, calib, PipelineConfig(trr=0.6), 2)
     walk, counts = pipeline.walk_blocks, []
 
     def recording_walk(*args, **kwargs):
@@ -840,8 +878,8 @@ def test_walk_and_eval_keep_their_bits_at_any_blas_thread_count(tmp_path, monkey
 
 def test_traces_csv_round_trip(tmp_path, small_setup):
     model, _, calib = small_setup
-    cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=False, seed=2)
-    _, _, traces = compress_model(model, calib, cfg)
+    cfg = PipelineConfig(trr=0.6, mrr=0.5, iterations=1, whiten=False)
+    _, _, traces = compress_file(model, calib, cfg, 2)
     path = tmp_path / "traces.csv"
     write_traces_csv(traces, path)
     lines = path.read_text().strip().splitlines()
