@@ -105,7 +105,7 @@ def assign_ratios(i_n, trr: float, mrr: float, param_counts) -> list[float]:
     each block that the scale of the blocks not yet capped would push past 1,
     solves it exactly.
     """
-    _check_budget_bounds(trr, mrr)
+    check_settings(trr, mrr)
     i_n = np.asarray(list(i_n), dtype=np.float64)
     params = np.asarray(list(param_counts), dtype=np.float64)
     if i_n.shape != params.shape:
@@ -141,9 +141,7 @@ def build_plan(
 
     ``importances`` maps each block id to its raw score: the mean column cosine.
     """
-    _check_budget_bounds(trr, mrr)
-    if importance_mode not in IMPORTANCE_MODES:
-        raise ShapeError(f"unknown importance mode {importance_mode!r}")
+    check_settings(trr, mrr, importance_mode)
     blocks = list(model.blocks)
     for block_id in blocks:
         if block_id not in importances:
@@ -184,9 +182,12 @@ def build_plan(
     )
 
 
-def _check_budget_bounds(trr: float, mrr: float) -> None:
+def check_settings(trr: float, mrr: float, importance_mode: str = "cos") -> None:
+    """The plan's settings: a BudgetError unless 0 < mrr <= trr <= 1, a ShapeError for an unknown mode."""
     if not 0.0 < mrr <= trr <= 1.0:
         raise BudgetError(f"need 0 < mrr <= trr <= 1, got mrr={mrr}, trr={trr}")
+    if importance_mode not in IMPORTANCE_MODES:
+        raise ShapeError(f"unknown importance mode {importance_mode!r}")
 
 
 def _initial_rank(m: int, n: int, ratio: float) -> int | None:

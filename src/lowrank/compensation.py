@@ -38,16 +38,10 @@ of Q are exact zeros, so a rank-3 W gives exactly 3 nonzero rows. That is
 the plain init's own floor (below), so W.T @ W squares W's condition number
 only where the plain init's R @ R.T did already, and W = Q @ R but for W's
 part in the cut directions. As R @ R.T = diag(s ** 2), ``SquareProblem.s2``
-holds the plain init's eigenvalues. Every U' formed here is a least-squares
-fit in r-coordinates,
-
-    U' = R @ P @ R.T @ N.T @ X,
-
-for an n x n P, k x r coordinates N and a k x k X: the refits below have
-P = G, and the inits P = G + damping * I or I, each with its own N and X.
-So Q @ U' = W @ (P @ R.T @ N.T @ X), but for that same part of W, and the
-lift reads W and G, with one m x n x k product. H_r and every loss are
-r-space arithmetic.
+holds the plain init's eigenvalues, and pinv(R) = R.T @ diag(1 / s ** 2)
+(0 for a cut s ** 2). So Q = W @ pinv(R), and the lift forms
+Q @ U' = W @ (R.T @ (diag(1 / s ** 2) @ U')) with one m x n x k product.
+H_r and every loss are r-space arithmetic.
 
 A whitened initialization (SVD-LLM) truncates the SVD of W @ S, with
 S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
@@ -68,12 +62,6 @@ s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
 An indefinite G can make A indefinite. A's singular values are then |lam|,
 so the order and the floor are those of an SVD of A.
 
-Since A @ Z_k = Z_k @ diag(lam_k), the init's factor is
-U' = A @ Z_k @ diag(sign(lam_k) / s_k ** 3/4), with 0 for a cut s_i: the
-lift's form, with A = R @ P @ R.T and N = Z_k.T. Its lift divides A @ Z_k by
-s_k ** 3/4, so it loses about eps * s_1 / s_i of relative precision in
-direction i, the most in the directions A weighs least.
-
 The refit rounds are subspace iteration on H_r. After a V-refit
 U' @ M = U' @ pinv(U') is the orthogonal projector onto span(U'), and the
 U-refit's product U' @ M = H_r @ M.T @ (M @ H_r @ M.T)^+ @ M depends on M
@@ -84,18 +72,17 @@ coordinates M = Q.T; where that system is singular, this fixes which
 minimum-norm U' the U-step takes. The init's basis is Z_k: its U' @ M is
 the projector Z_k @ Z_k.T.
 
-- U-step (``u_step``): S = Q.T @ Y and U' = Y @ S^+ at coordinates M = Q.T,
-  so U' lifts with N = Q.T and X = S^+. S^+ comes from S's eigenpairs,
-  cutting every eigenvalue at or under S's rounding error
-  max(r, k) * eps * ||Q||_F * ||Y||_F: directions under it are noise, which
-  a singular Gram would otherwise invert. Y scales with W squared, so its
-  norm is ``linalg.frobenius_norm``, which neither overflows nor underflows.
+- U-step (``u_step``): S = Q.T @ Y and U' = Y @ S^+ at coordinates M = Q.T.
+  S^+ comes from S's eigenpairs, cutting every eigenvalue at or under S's
+  rounding error max(r, k) * eps * ||Q||_F * ||Y||_F: directions under it
+  are noise, which a singular Gram would otherwise invert. Y scales with W
+  squared, so its norm is ``linalg.frobenius_norm``, which neither overflows
+  nor underflows.
 - V-step (``v_step``): span(U') = span(Y @ Z_kept), Z_kept the eigenvectors
   S^+ inverts, and Q.T @ Y @ Z_kept = Z_kept @ diag(lam_kept) has full
   column rank. One Householder QR Y @ Z_kept = Q' @ R' gives the new basis,
   and the columns S^+ cut stay zero. The pair is (Q', Q'.T), whose product
-  is U' @ pinv(U'); Q' = H_r @ Q @ Z_kept @ R'^-1 lifts with N = Q.T and
-  X = Z_kept @ R'^-1. Then Y = H_r @ Q'.
+  is U' @ pinv(U'). Then Y = H_r @ Q'.
 
 When S is nonsingular span(Q') = H_r @ span(Q): one round is one
 r x r x k product, one k x k ``eigh`` and one r x k QR. No step takes an SVD.
@@ -138,34 +125,19 @@ def _check_gram(g: np.ndarray, side: int) -> None:
 
 
 @dataclass(frozen=True)
-class LeftFactor:
-    """A factor U' (r x k) with the terms that lift it without Q: U' = R @ P @ R.T @ N.T @ X.
-
-    Every U' formed here has that form (see the module docstring), so
-    Q @ U' = W @ (P @ R.T @ N.T @ X) for a tall slot.
-    """
-
-    u: np.ndarray                # r x k, U'
-    basis: np.ndarray            # k x r, N: the coordinates its solve read
-    solve: np.ndarray            # k x k, X
-    damping: float | None        # P = G + damping * I; None for P = I
-
-
-@dataclass(frozen=True)
 class SquareProblem:
     """A slot W = Q @ R reduced to the identity under the r x r output Gram H_r."""
 
     r: np.ndarray                # r x n
     h: np.ndarray                # r x r
     w: np.ndarray | None = None  # a tall slot's W (m > n); None where Q = I
-    g: np.ndarray | None = None  # a tall slot's input Gram G (n x n)
     s2: np.ndarray | None = None  # a tall slot's s ** 2, non-increasing: R @ R.T = diag(s ** 2)
 
-    def lift(self, factor: LeftFactor, coords: np.ndarray) -> LowRankPair:
-        """The slot's pair U = Q @ U', Vt = M @ R from a factor and coordinates M, in a fixed sign.
+    def lift(self, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
+        """The slot's pair U = Q @ U', Vt = M @ R from a factor U' and coordinates M, in a fixed sign.
 
-        Q is never formed: for a tall slot U = W @ (P @ R.T @ N.T @ X), from
-        the factor's own terms, and U = U' where Q = I.
+        Q is never formed: for a tall slot U = W @ (R.T @ (diag(1 / s ** 2) @ U')),
+        a cut s ** 2 giving 0, and U = U' where Q = I.
 
         Each column of U is negated, with the matching row of Vt, so that its
         largest-magnitude entry (the first, on ties) is positive; a zero
@@ -174,12 +146,10 @@ class SquareProblem:
         stored factors do not depend on which sign it returned.
         """
         if self.w is None:
-            u = factor.u.copy()
+            u = u.copy()
         else:
-            right = (factor.basis @ self.r).T                       # R.T @ N.T, n x k
-            if factor.damping is not None:
-                right = self.g @ right + factor.damping * right
-            u = self.w @ (right @ factor.solve)
+            inverse = np.divide(1.0, self.s2, out=np.zeros_like(self.s2), where=self.s2 > 0.0)
+            u = self.w @ (self.r.T @ (inverse[:, None] * u))
         # Each column's extremes, read without forming |U|: the lead is negative where -min > max.
         hi, lo = u.max(axis=0), u.min(axis=0)
         flip = -lo > hi
@@ -209,7 +179,7 @@ def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
     order = np.argsort(-s2, kind="stable")                    # a cut s ** 2 moves behind every kept one
     s2 = s2[order]
     r = np.sqrt(s2)[:, None] * f.z[:, order].T
-    return SquareProblem(r=r, h=r @ g @ r.T, w=w, g=g, s2=s2)
+    return SquareProblem(r=r, h=r @ g @ r.T, w=w, s2=s2)
 
 
 @dataclass(frozen=True)
@@ -237,36 +207,28 @@ class Subspace:
         return c - frobenius_dot(u, self.y)
 
 
-def u_step(space: Subspace) -> tuple[LeftFactor, np.ndarray]:
+def u_step(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares refit of the left factor at the fixed coordinates Q.T.
 
     U' = Y @ S^+ with S = Q.T @ Y, and S^+ from S's eigenpairs, cut at S's
-    rounding error. The factor lifts with P = G, N = Q.T and X = S^+.
-    Returns it with Z_kept, the eigenvectors S^+ inverts, which ``v_step``
-    orthonormalizes.
+    rounding error. Returns U' with Z_kept, the eigenvectors S^+ inverts,
+    which ``v_step`` orthonormalizes.
     """
     s = eigh_full(space.q.T @ space.y)
     noise = space.noise()
-    solve = s.pinv(atol=noise)
-    factor = LeftFactor(u=space.y @ solve, basis=space.q.T, solve=solve, damping=0.0)
-    return factor, s.z[:, s.kept(atol=noise)]
+    return space.y @ s.pinv(atol=noise), s.z[:, s.kept(atol=noise)]
 
 
-def v_step(space: Subspace, kept: np.ndarray, h: np.ndarray) -> tuple[LeftFactor, Subspace]:
+def v_step(space: Subspace, kept: np.ndarray, h: np.ndarray) -> Subspace:
     """Pseudoinverse refit of the right factor after ``u_step``: its pair as the next round's basis.
 
     One Householder QR Y @ Z_kept = Q' @ R' gives Q', an orthonormal basis of
     span(U'); the columns S^+ cut stay zero. The pair (Q', Q'.T) is
-    U' @ pinv(U'), and Q' lifts with P = G, N = Q.T and X = Z_kept @ R'^-1.
-    Returns that factor and the basis Q' with its image H_r @ Q'.
+    U' @ pinv(U'). Returns Q' with its image H_r @ Q'.
     """
-    r, k = space.q.shape
-    rank = kept.shape[1]
-    q, solve = np.zeros((r, k)), np.zeros((k, k))
-    q[:, :rank], triangle = np.linalg.qr(space.y @ kept)
-    solve[:, :rank] = np.linalg.solve(triangle.T, kept.T).T
-    factor = LeftFactor(u=q, basis=space.q.T, solve=solve, damping=0.0)
-    return factor, Subspace.of(q, h)
+    q = np.zeros(space.q.shape)
+    q[:, : kept.shape[1]] = np.linalg.qr(space.y @ kept)[0]
+    return Subspace.of(q, h)
 
 
 def compensate(
@@ -292,38 +254,36 @@ def compensate(
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
     problem = square_problem(w, g)
-    factor, coords = initialize_pair(problem, k, damping)
+    u, coords, q = initialize_pair(problem, k, damping)   # the init's U' @ M is Z_k @ Z_k.T
     c = float(np.trace(problem.h))
 
-    q = factor.basis.T                                   # Z_k: the init's U' @ M is Z_k @ Z_k.T
     space = Subspace.of(q, problem.h)
     best_loss = space.loss(q, c)
-    best = (factor, coords)
+    best = (u, coords)
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
-        factor, kept = u_step(space)
-        loss = space.loss(factor.u, c)
+        u, kept = u_step(space)
+        loss = space.loss(u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (factor, space.q.T)
+            best_loss, best = loss, (u, space.q.T)
 
-        factor, space = v_step(space, kept, problem.h)
+        space = v_step(space, kept, problem.h)
         loss = space.loss(space.q, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (factor, space.q.T)
+            best_loss, best = loss, (space.q, space.q.T)
     return problem.lift(*best), trace
 
 
 def initialize_pair(
     problem: SquareProblem, k: int, damping: float | None = None
-) -> tuple[LeftFactor, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
 
     Returns the factor U' (r x k) and the coordinates M (k x r) of the pair
-    ``problem.lift`` forms. U' = A @ Z_k @ X with X = diag(sign(lam) / s ** 3/4)
-    (0 where s is cut), so the factor lifts with A's own P, N = Z_k.T and that
-    X; its ``basis`` Z_k.T, with a cut row zero, is the refit rounds' start.
+    ``problem.lift`` forms, and the basis Z_k (r x k, a cut column zero) that
+    the refit rounds start from.
     """
     side = problem.h.shape[0]
     if not 1 <= k <= side:
@@ -341,5 +301,4 @@ def initialize_pair(
     inverse = np.zeros(k)
     inverse[keep] = 1.0 / root[keep]
     z = f.z[:, :k] * keep
-    solve = np.diag(np.sign(f.lam[:k]) * inverse**3)
-    return LeftFactor(u=z * root, basis=z.T, solve=solve, damping=damping), (z * inverse).T
+    return z * root, (z * inverse).T, z

@@ -72,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import IMPORTANCE_MODES, CompressionPlan, build_plan, column_cosines
+from .allocation import CompressionPlan, build_plan, check_settings, column_cosines
 from .calibration import Calibration, gram_accumulate, stack_of_batch
 from .compensation import LossTrace, compensate
 from .container import atomic_path
@@ -114,15 +114,9 @@ class PipelineConfig:
         return self.trr - 0.10 if self.trr > 0.10 else self.trr
 
     def validate(self) -> None:
-        if not 0.0 < self.trr <= 1.0:
-            raise ShapeError(f"target retention must lie in (0, 1], got {self.trr}")
-        mrr = self.resolved_mrr()
-        if not 0.0 < mrr <= self.trr:
-            raise ShapeError(f"need 0 < mrr <= trr, got mrr={mrr}, trr={self.trr}")
+        check_settings(self.trr, self.resolved_mrr(), self.importance_mode)
         if self.iterations < 0:
             raise ShapeError(f"iteration count must be >= 0, got {self.iterations}")
-        if self.importance_mode not in IMPORTANCE_MODES:
-            raise ShapeError(f"unknown importance mode {self.importance_mode!r}")
 
 
 def split_calibration(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +233,7 @@ def _walk_chunks(model: ModelHandle, samples: np.ndarray) -> list[np.ndarray]:
 
 
 def plan_compression(model: ModelHandle, calibration: Calibration, cfg: PipelineConfig) -> CompressionPlan:
-    """The retention plan ``cfg`` gives from the calibration's importances; a bad ``cfg`` is a ShapeError."""
+    """The retention plan ``cfg`` gives from the calibration's importances; ``cfg.validate`` checks ``cfg``."""
     cfg.validate()
     return build_plan(calibration.importances, model, cfg.trr, cfg.resolved_mrr(), cfg.importance_mode)
 

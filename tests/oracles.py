@@ -8,11 +8,11 @@ of span(U') with one QR, ``compensation.v_step``, and its U-refit inverts a
 symmetric matrix from its eigenpairs, ``EighFactors.pinv``), the data-space
 loss in its direct form on the input Gram G (the program reads every loss off
 the product Y = H_r @ Q of its refit rounds), the lift of a pair through an
-explicit Q (the program lifts a tall slot's pair through W,
-``SquareProblem.lift``), a forward over one sample (the program walks one
-(samples, tokens, d) array, ``model.walk_blocks``), and one ``np.mean`` per
-bucket (the program sums all buckets one group position at a time,
-``calibration.stack_of_batch``).
+explicit Q = W @ pinv(R) (the program forms no Q: it lifts a tall slot's U'
+as W @ (R.T @ (diag(1 / s ** 2) @ U')), ``SquareProblem.lift``), a forward
+over one sample (the program walks one (samples, tokens, d) array,
+``model.walk_blocks``), and one ``np.mean`` per bucket (the program sums all
+buckets one group position at a time, ``calibration.stack_of_batch``).
 """
 
 from __future__ import annotations

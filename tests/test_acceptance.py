@@ -90,7 +90,7 @@ def test_criterion_3_lse_optimality():
             k = int(rng.integers(3, 7))
             pair = truncate_absorb(svd_full(w + 0.1 * rng.normal(size=w.shape)), k)
             q = np.linalg.qr(pair.vt_sigma.T)[0]  # the U-step reads Vt through an orthonormal basis of its rows
-            u_star = w @ u_step(Subspace.of(q, g))[0].u  # W @ (the identity's refit at Q.T)
+            u_star = w @ u_step(Subspace.of(q, g))[0]  # W @ (the identity's refit at Q.T)
 
             star = LowRankPair(u_sigma=u_star, vt_sigma=q.T)
             base = svd_loss(star, w, g)
@@ -236,7 +236,7 @@ def test_criterion_8_whitening_identity():
             narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T  # the Gram on W's narrow side
             problem = square_problem(w, narrow)
             for k in range(1, min(m, n) + 1):
-                pair = problem.lift(*initialize_pair(problem, k, 0.0))
+                pair = problem.lift(*initialize_pair(problem, k, 0.0)[:2])
                 err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import lowrank.compensation as compensation
 from lowrank.compensation import (
-    LeftFactor,
     SquareProblem,
     Subspace,
     compensate,
@@ -40,23 +39,23 @@ def brute_force_loss(pair, w, x):
 def lifted_init(w, narrow, k, damping):
     """The starting pair ``compensate`` lifts from the slot's square problem."""
     problem = square_problem(w, narrow)
-    return problem.lift(*initialize_pair(problem, k, damping))
+    return problem.lift(*initialize_pair(problem, k, damping)[:2])
 
 
 def half_step_pairs(problem, k, iters, damping):
     """Every (factor, coordinates) pair ``compensate`` scores, replayed through the public steps.
 
     The init's pair, then the U-step's and the V-step's of each round, starting
-    from the init's basis Z_k (its factor's ``basis``, transposed).
+    from the init's basis Z_k.
     """
-    factor, coords = initialize_pair(problem, k, damping)
-    pairs = [(factor, coords)]
-    space = Subspace.of(factor.basis.T, problem.h)
+    u, coords, q = initialize_pair(problem, k, damping)
+    pairs = [(u, coords)]
+    space = Subspace.of(q, problem.h)
     for _ in range(iters):
-        factor, kept = u_step(space)
-        pairs.append((factor, space.q.T))
-        factor, space = v_step(space, kept, problem.h)
-        pairs.append((factor, space.q.T))
+        u, kept = u_step(space)
+        pairs.append((u, space.q.T))
+        space = v_step(space, kept, problem.h)
+        pairs.append((space.q, space.q.T))
     return pairs
 
 
@@ -69,8 +68,8 @@ def u_refit(w, vt, g):
     of W), and the U-step reads Vt only through its row space.
     """
     q = np.linalg.qr(vt.T)[0]
-    factor, _ = u_step(Subspace.of(q, g))
-    return LowRankPair(u_sigma=w @ factor.u, vt_sigma=q.T)
+    u, _ = u_step(Subspace.of(q, g))
+    return LowRankPair(u_sigma=w @ u, vt_sigma=q.T)
 
 
 def random_rank_k(rng, m, n, k):
@@ -206,12 +205,12 @@ class TestVStep:
             problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
             pairs = half_step_pairs(problem, k, 3, damping)
             for (u_factor, _), (v_factor, coords) in zip(pairs[1::2], pairs[2::2]):
-                projector = u_factor.u @ pinv(u_factor.u)
-                np.testing.assert_allclose(v_factor.u @ coords, projector, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(v_factor.u.T @ v_factor.u, np.eye(k), rtol=0, atol=1e-12)
+                projector = u_factor @ pinv(u_factor)
+                np.testing.assert_allclose(v_factor @ coords, projector, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(v_factor.T @ v_factor, np.eye(k), rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
                     problem.lift(v_factor, coords).product(),
-                    explicit_q_lift(w, u_factor.u, pinv(u_factor.u)).product(),
+                    explicit_q_lift(w, u_factor, pinv(u_factor)).product(),
                     rtol=0, atol=1e-10 * np.linalg.norm(w),
                 )
 
@@ -221,8 +220,8 @@ class TestVStep:
         problem = square_problem(w, (w @ x) @ (w @ x).T)  # wide: H_r = H has W's column space
         q = np.linalg.qr(rng.normal(size=(9, 3)))[0]  # a random start: one round finds W's column space
         space = Subspace.of(q, problem.h)
-        factor, space = v_step(space, u_step(space)[1], problem.h)
-        pair = problem.lift(factor, space.q.T)
+        space = v_step(space, u_step(space)[1], problem.h)
+        pair = problem.lift(space.q, space.q.T)
         assert np.linalg.norm(pair.product() - w) <= 1e-8 * np.linalg.norm(w)
 
     @pytest.mark.parametrize("m, n, tokens", [(16, 16, 64), (16, 12, 8), (12, 16, 8)],
@@ -248,16 +247,16 @@ class TestVStep:
         x = rng.normal(size=(n, tokens))
         g = x @ x.T
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else g)
-        q = initialize_pair(problem, k, damping)[0].basis.T
+        q = initialize_pair(problem, k, damping)[2]
         space = Subspace.of(q, problem.h)
         for _ in range(3):
             _, kept = u_step(space)
             assert kept.shape == (k, tokens)
-            v_factor, space = v_step(space, kept, problem.h)
+            space = v_step(space, kept, problem.h)
             assert not space.q[:, tokens:].any() and not space.y[:, tokens:].any()
             np.testing.assert_allclose(space.q[:, :tokens].T @ space.q[:, :tokens], np.eye(tokens),
                                        rtol=0, atol=1e-12)
-            pair = problem.lift(v_factor, space.q.T)
+            pair = problem.lift(space.q, space.q.T)
             assert not pair.u_sigma[:, tokens:].any() and not pair.vt_sigma[tokens:].any()
             assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
             # the kept directions carry the whole fit: H_r's range, where the data are
@@ -484,6 +483,7 @@ class TestSquareProblem:
 
         recording(compensation, "eigh_full")
         recording(compensation.np.linalg, "qr")
+        recording(compensation.np.linalg, "solve")
         rng = np.random.default_rng(m)
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 40))
@@ -495,7 +495,7 @@ class TestSquareProblem:
         init = 2 if m > n and damping is not None else 1
         assert len(shapes) == init + 2 * iters
         assert max(max(shape) for shape in shapes) <= min(m, n)
-        # W.T @ W, A and S are symmetric; the V-step orthonormalizes an r x k basis. No step takes an SVD.
+        # W.T @ W, A and S are symmetric; the V-step orthonormalizes an r x k basis. No step takes an SVD or a solve.
         assert kernels == ["eigh_full"] * init + ["eigh_full", "qr"] * iters
 
     @pytest.mark.parametrize("iters", [0, 1, 2])
@@ -573,7 +573,7 @@ class TestSquareProblem:
         problem = square_problem(w, g)
         assert np.count_nonzero(problem.s2) == n
         for k in range(1, n + 1):
-            pair = problem.lift(*initialize_pair(problem, k))
+            pair = problem.lift(*initialize_pair(problem, k)[:2])
             _, trace = compensate(w, g, k, 0)
             assert abs(trace.initial - svd_loss(pair, w, g)) <= 1e-12 * wx2
             assert abs(svd_loss(pair, w, g) - plain_truncation_loss(w, g, k)) <= 1e-12 * wx2
@@ -598,8 +598,8 @@ class TestSquareProblem:
             best, trace = compensate(w, g, k, iters, damping)
             losses = [trace.initial, *trace.per_half_step]
             factor, coords = half_step_pairs(square_problem(w, g), k, iters, damping)[losses.index(min(losses))]
-            np.testing.assert_allclose(best.product(), explicit_q_lift(w, factor.u, coords).product(),
-                                       rtol=0, atol=1e-10 * np.linalg.norm(w))
+            np.testing.assert_allclose(best.product(), explicit_q_lift(w, factor, coords).product(),
+                                       rtol=0, atol=1e-13 * np.linalg.norm(w))
 
     @pytest.mark.parametrize("m, n", [(12, 7), (7, 7), (7, 12)], ids=["m>n", "m=n", "m<n"])
     def test_lift_fixes_every_column_sign(self, m, n):
@@ -607,30 +607,26 @@ class TestSquareProblem:
         w = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n))  # rank 3: the rank-4 init cuts its last column
         x = rng.normal(size=(n, 30))
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
-        init, init_coords = initialize_pair(problem, 4)
-        assert not init.u[:, 3].any() and not init_coords[3].any()  # a zero column is left alone
-        space = Subspace.of(init.basis.T, problem.h)
+        init, init_coords, basis = initialize_pair(problem, 4)
+        assert not init[:, 3].any() and not init_coords[3].any()  # a zero column is left alone
+        space = Subspace.of(basis, problem.h)
         u_factor, kept = u_step(space)
-        v_factor, v_space = v_step(space, kept, problem.h)
+        v_space = v_step(space, kept, problem.h)
         flip = np.array([-1.0, 1.0, -1.0, 1.0])
-        for factor, coords in ((init, init_coords), (u_factor, space.q.T), (v_factor, v_space.q.T)):
+        for factor, coords in ((init, init_coords), (u_factor, space.q.T), (v_space.q, v_space.q.T)):
             pair = problem.lift(factor, coords)
-            negated = problem.lift(  # the factor an eigensolver's other signs give
-                LeftFactor(u=factor.u * flip, basis=factor.basis * flip[:, None],
-                           solve=flip[:, None] * factor.solve * flip, damping=factor.damping),
-                coords * flip[:, None],
-            )
+            negated = problem.lift(factor * flip, coords * flip[:, None])  # an eigensolver's other signs
             assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
             assert pair.vt_sigma.tobytes() == negated.vt_sigma.tobytes()
             lead = pair.u_sigma[np.argmax(np.abs(pair.u_sigma), axis=0), np.arange(4)]
             assert np.all(lead[:3] > 0) and not np.any(pair.u_sigma[:, 3])
-            np.testing.assert_allclose(pair.product(), explicit_q_lift(w, factor.u, coords).product(),
+            np.testing.assert_allclose(pair.product(), explicit_q_lift(w, factor, coords).product(),
                                        rtol=0, atol=1e-12)
 
     def test_lift_sign_ties_go_to_the_first_entry(self):
         problem = SquareProblem(r=np.eye(3), h=np.eye(3))
         u = np.array([[-2.0, 2.0], [1.0, 0.0], [2.0, -2.0]])
-        pair = problem.lift(LeftFactor(u=u, basis=np.eye(2, 3), solve=np.eye(2), damping=None), np.eye(2, 3))
+        pair = problem.lift(u, np.eye(2, 3))
         assert pair.u_sigma.tolist() == [[2.0, 2.0], [-1.0, 0.0], [-2.0, -2.0]]
         assert pair.vt_sigma.tolist() == [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         assert u[0, 0] == -2.0  # the caller's factor is not changed

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lowrank import pipeline
 from lowrank.container import dump_json
-from lowrank.errors import IoError, ManifestMismatch, NumericalError, ShapeError
+from lowrank.errors import BudgetError, IoError, ManifestMismatch, NumericalError, ShapeError
 from lowrank.linalg import LowRankPair
 from lowrank.model import gen_synthetic, load_calibration, save_calibration, slot_name, walk_blocks
 from lowrank.calibration import stack_of_batch
@@ -295,12 +295,14 @@ class TestCompressModel:
     def test_config_validation(self, small_setup):
         model, _, calib = small_setup
         calibration = calibrate_file(model, calib, 32, 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(BudgetError):
             compress_model(model, calibration, PipelineConfig(trr=1.2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(BudgetError):
             compress_model(model, calibration, PipelineConfig(trr=0.5, mrr=0.6))
         with pytest.raises(ShapeError):
             compress_model(model, calibration, PipelineConfig(trr=0.5, iterations=-1))
+        with pytest.raises(ShapeError):
+            compress_model(model, calibration, PipelineConfig(trr=0.5, importance_mode="sin"))
 
     def test_dimension_mismatch_rejected(self, tmp_path, small_setup):
         model, _, _ = small_setup
