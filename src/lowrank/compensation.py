@@ -17,17 +17,19 @@ with Q (m x r) having orthonormal columns (a column a cut leaves is zero):
 for a tall W (m > n), R = diag(s) @ V.T and Q = W @ V @ diag(1 / s) from
 W.T @ W = V @ diag(s ** 2) @ V.T; Q = I and R = W otherwise. Every U formed
 here lies in range(Q) and every Vt in R's row space, so a pair is
-U = Q @ U', Vt = M @ R, for an r x k factor U' and k x r coordinates M.
-Then E = Q @ (U' @ M - I) @ R and
+U = Q @ U', Vt = B.T @ R, for an r x k factor U' and an r x k basis B with
+orthonormal columns (a column a cut leaves is zero). Then
+E = Q @ (U' @ B.T - I) @ R and
 
-    loss = tr((U' @ M - I) @ H_r @ (U' @ M - I).T),   H_r = R @ G @ R.T,
+    loss = tr((U' @ B.T - I) @ H_r @ (U' @ B.T - I).T),   H_r = R @ G @ R.T,
 
 the identity compressed under an r x r output Gram. ``square_problem`` is
 the one place that reads W's shape. It takes the Gram on the slot's narrow
 side: G (n x n) for m >= n, and H = (W @ X) @ (W @ X).T (m x m) for m < n,
 which is H_r itself. In these coordinates the U-refit is
-U' = H_r @ M.T @ (M @ H_r @ M.T)^+, the V-refit is M = pinv(U')
-(pinv(Q @ U') @ W = pinv(U') @ R), and the selected pair is lifted once, by
+U' = H_r @ B @ (B.T @ H_r @ B)^+. The V-refit pinv(Q @ U') @ W = pinv(U') @ R
+gives the product U' @ pinv(U') = B' @ B'.T, B' an orthonormal basis of
+span(U'), so its pair is (B', B'). The selected pair is lifted once, by
 ``SquareProblem.lift``, which also fixes the sign of each factor column.
 
 Q itself is never formed. A tall slot's R comes from one ``eigh`` of the
@@ -48,31 +50,27 @@ S @ S.T = G + damping * I, and folds S^-1 back. That truncation is
 U_k @ U_k.T @ W, where U_k holds the top-k eigenvectors of
 W @ (G + damping * I) @ W.T (the output-PCA form): Q times those of
 A = H_r + damping * R @ R.T. The plain truncated SVD of W is the same with
-G + damping * I replaced by I, A = R @ R.T. So ``initialize_pair`` takes
+G + damping * I replaced by I, A = R @ R.T. So ``initial_basis`` takes
 one symmetric eigendecomposition of the r x r matrix
 A = Z @ diag(lam) @ Z.T, ordered by |lam| descending; for a tall slot it
 forms A = H_r + damping * diag(s ** 2), and its plain init takes none, as
-A = diag(s ** 2) has Z = I. With s = |lam| it returns
-
-    U' = Z_k @ diag(s_k ** 1/4),    M = diag(s_k ** -1/4) @ Z_k.T.
-
-An s_i at or below A's rounding floor r * eps * s_1 counts as zero, and
-gives a zero column of U' and of Z_k and a zero row of M. For the plain init
-s_i = sigma_i(W) ** 2, so the floor cuts sigma_i <= sqrt(r * eps) * sigma_1.
+A = diag(s ** 2) has Z = I. It returns Z_k, and the init's pair is
+(Z_k, Z_k): the projector Z_k @ Z_k.T, with W's scale in Vt = Z_k.T @ R as
+in every refit pair. With s = |lam|, an s_i at or below A's rounding floor
+r * eps * s_1 counts as zero and gives a zero column of Z_k. For the plain
+init s_i = sigma_i(W) ** 2, so the floor cuts
+sigma_i <= sqrt(r * eps) * sigma_1.
 An indefinite G can make A indefinite. A's singular values are then |lam|,
 so the order and the floor are those of an SVD of A.
 
-The refit rounds are subspace iteration on H_r. After a V-refit
-U' @ M = U' @ pinv(U') is the orthogonal projector onto span(U'), and the
-U-refit's product U' @ M = H_r @ M.T @ (M @ H_r @ M.T)^+ @ M depends on M
-only through its row space wherever M @ H_r @ M.T is nonsingular. So each
-round carries one r x k basis Q, with orthonormal columns (a column a cut
-left is zero), and its image Y = H_r @ Q (``Subspace``), and solves at the
-coordinates M = Q.T; where that system is singular, this fixes which
-minimum-norm U' the U-step takes. The init's basis is Z_k: its U' @ M is
-the projector Z_k @ Z_k.T.
+The refit rounds are subspace iteration on H_r. The U-refit's product
+U' @ B.T = H_r @ B @ (B.T @ H_r @ B)^+ @ B.T depends on B only through its
+span wherever B.T @ H_r @ B is nonsingular. So each round carries one basis
+B = Q, and its image Y = H_r @ Q (``Subspace``); where that system is
+singular, Q fixes which minimum-norm U' the U-step takes. The first
+round's Q is the init's Z_k.
 
-- U-step (``u_step``): S = Q.T @ Y and U' = Y @ S^+ at coordinates M = Q.T.
+- U-step (``u_step``): S = Q.T @ Y and U' = Y @ S^+, the pair (U', Q).
   S^+ comes from S's eigenpairs, cutting every eigenvalue at or under S's
   rounding error max(r, k) * eps * ||Q||_F * ||Y||_F: directions under it
   are noise, which a singular Gram would otherwise invert. Y scales with W
@@ -81,13 +79,13 @@ the projector Z_k @ Z_k.T.
 - V-step (``v_step``): span(U') = span(Y @ Z_kept), Z_kept the eigenvectors
   S^+ inverts, and Q.T @ Y @ Z_kept = Z_kept @ diag(lam_kept) has full
   column rank. One Householder QR Y @ Z_kept = Q' @ R' gives the new basis,
-  and the columns S^+ cut stay zero. The pair is (Q', Q'.T), whose product
+  and the columns S^+ cut stay zero. The pair is (Q', Q'), whose product
   is U' @ pinv(U'). Then Y = H_r @ Q'.
 
 When S is nonsingular span(Q') = H_r @ span(Q): one round is one
 r x r x k product, one k x k ``eigh`` and one r x k QR. No step takes an SVD.
 
-``compensate`` reads every loss off Y. At coordinates Q.T,
+``compensate`` reads every loss off Y. At basis Q,
 
     loss = c - 2 <U', Y> + <U' @ S, U'>,   c = tr(H_r),
 
@@ -133,8 +131,8 @@ class SquareProblem:
     w: np.ndarray | None = None  # a tall slot's W (m > n); None where Q = I
     s2: np.ndarray | None = None  # a tall slot's s ** 2, non-increasing: R @ R.T = diag(s ** 2)
 
-    def lift(self, u: np.ndarray, coords: np.ndarray) -> LowRankPair:
-        """The slot's pair U = Q @ U', Vt = M @ R from a factor U' and coordinates M, in a fixed sign.
+    def lift(self, u: np.ndarray, basis: np.ndarray) -> LowRankPair:
+        """The slot's pair U = Q @ U', Vt = B.T @ R from a factor U' and a basis B, in a fixed sign.
 
         Q is never formed: for a tall slot U = W @ (R.T @ (diag(1 / s ** 2) @ U')),
         a cut s ** 2 giving 0, and U = U' where Q = I.
@@ -157,7 +155,7 @@ class SquareProblem:
             flip[j] = np.argmin(u[:, j]) < np.argmax(u[:, j])
         sign = np.where(flip, -1.0, 1.0)
         u *= sign
-        return LowRankPair(u_sigma=u, vt_sigma=(coords * sign[:, None]) @ self.r)
+        return LowRankPair(u_sigma=u, vt_sigma=(basis * sign).T @ self.r)
 
 
 def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
@@ -184,7 +182,7 @@ def square_problem(w: np.ndarray, g: np.ndarray) -> SquareProblem:
 
 @dataclass(frozen=True)
 class Subspace:
-    """The coordinates M = Q.T of a refit round, with Q's image Y = H_r @ Q (see the module docstring)."""
+    """The basis Q of a refit round, with its image Y = H_r @ Q (see the module docstring)."""
 
     q: np.ndarray   # r x k, orthonormal columns; a column a cut left is zero
     y: np.ndarray   # r x k, H_r @ Q
@@ -203,12 +201,12 @@ class Subspace:
         return max(self.q.shape) * np.finfo(np.float64).eps * frobenius_norm(self.q) * frobenius_norm(self.y)
 
     def loss(self, u: np.ndarray, c: float) -> float:
-        """c - <U', Y>, given c = tr(H_r): the loss of (U', Q.T) for the U-step's U' and for U' = Q."""
+        """c - <U', Y>, given c = tr(H_r): the loss of the pair (U', Q) for the U-step's U' and for U' = Q."""
         return c - frobenius_dot(u, self.y)
 
 
 def u_step(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares refit of the left factor at the fixed coordinates Q.T.
+    """Minimum-norm least-squares refit of the left factor at the fixed basis Q.
 
     U' = Y @ S^+ with S = Q.T @ Y, and S^+ from S's eigenpairs, cut at S's
     rounding error. Returns U' with Z_kept, the eigenvectors S^+ inverts,
@@ -223,8 +221,8 @@ def v_step(space: Subspace, kept: np.ndarray, h: np.ndarray) -> Subspace:
     """Pseudoinverse refit of the right factor after ``u_step``: its pair as the next round's basis.
 
     One Householder QR Y @ Z_kept = Q' @ R' gives Q', an orthonormal basis of
-    span(U'); the columns S^+ cut stay zero. The pair (Q', Q'.T) is
-    U' @ pinv(U'). Returns Q' with its image H_r @ Q'.
+    span(U'); the columns S^+ cut stay zero. The pair (Q', Q') has the
+    product U' @ pinv(U'). Returns Q' with its image H_r @ Q'.
     """
     q = np.zeros(space.q.shape)
     q[:, : kept.shape[1]] = np.linalg.qr(space.y @ kept)[0]
@@ -254,36 +252,35 @@ def compensate(
     if iters < 0:
         raise RankError(f"iteration count must be >= 0, got {iters}")
     problem = square_problem(w, g)
-    u, coords, q = initialize_pair(problem, k, damping)   # the init's U' @ M is Z_k @ Z_k.T
+    q = initial_basis(problem, k, damping)
     c = float(np.trace(problem.h))
 
     space = Subspace.of(q, problem.h)
     best_loss = space.loss(q, c)
-    best = (u, coords)
+    best = (q, q)
     trace = LossTrace(initial=best_loss)
     for _ in range(iters):
         u, kept = u_step(space)
         loss = space.loss(u, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (u, space.q.T)
+            best_loss, best = loss, (u, space.q)
 
         space = v_step(space, kept, problem.h)
         loss = space.loss(space.q, c)
         trace.per_half_step.append(loss)
         if loss < best_loss:
-            best_loss, best = loss, (space.q, space.q.T)
+            best_loss, best = loss, (space.q, space.q)
     return problem.lift(*best), trace
 
 
-def initialize_pair(
-    problem: SquareProblem, k: int, damping: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def initial_basis(problem: SquareProblem, k: int, damping: float | None = None) -> np.ndarray:
     """Plain (``damping`` None) or whitened truncated-SVD starting point at rank k.
 
-    Returns the factor U' (r x k) and the coordinates M (k x r) of the pair
-    ``problem.lift`` forms, and the basis Z_k (r x k, a cut column zero) that
-    the refit rounds start from.
+    Returns Z_k (r x k), A's top-k eigenvectors with a column zero where A's
+    eigenvalue is at or below its rounding floor. The init's pair is
+    (Z_k, Z_k), which ``problem.lift`` forms, and Z_k is the basis the refit
+    rounds start from.
     """
     side = problem.h.shape[0]
     if not 1 <= k <= side:
@@ -295,10 +292,4 @@ def initialize_pair(
         f = EighFactors(z=np.eye(side), lam=problem.s2)                   # A = R @ R.T = diag(s ** 2)
     else:
         f = eigh_full(problem.h + damping * np.diag(problem.s2))
-    keep = f.kept()[:k]                                      # A's rounding floor, as pinv's
-    root = np.zeros(k)
-    root[keep] = np.sqrt(np.sqrt(np.abs(f.lam[:k][keep])))
-    inverse = np.zeros(k)
-    inverse[keep] = 1.0 / root[keep]
-    z = f.z[:, :k] * keep
-    return z * root, (z * inverse).T, z
+    return f.z[:, :k] * f.kept()[:k]                         # A's rounding floor, as pinv's

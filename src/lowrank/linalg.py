@@ -36,7 +36,7 @@ class EighFactors:
 
 @dataclass(frozen=True)
 class LowRankPair:
-    """Two absorbed factors replacing a dense matrix: ``w_hat = u_sigma @ vt_sigma``."""
+    """Two factors replacing a dense matrix, ``w_hat = u_sigma @ vt_sigma``, with no Sigma split between them."""
 
     u_sigma: np.ndarray   # m x k
     vt_sigma: np.ndarray  # k x n

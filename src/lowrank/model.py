@@ -5,7 +5,7 @@ holds two dense slots, applied to column-token activations x (d x T):
 
     y = x + w2 @ act(w1 @ rms_norm(x))      w1: (h x d), w2: (d x h)
 
-A slot is represented by exactly one of a dense matrix or an absorbed low-rank
+A slot is represented by exactly one of a dense matrix or a low-rank
 pair (u: m x k, vt: k x n), and ``ModelHandle.slot`` returns it as that one
 value: an ndarray or a ``LowRankPair``, each with ``shape``, ``size`` (the
 stored parameter count) and ``@``.
@@ -157,7 +157,7 @@ class ModelHandle:
         return [(block_id, slot) for block_id in self.blocks for slot in BLOCK_SLOTS]
 
     def slot(self, block_id: int, slot: str) -> np.ndarray | LowRankPair:
-        """The slot as its operator: the dense matrix, or the absorbed low-rank pair.
+        """The slot as its operator: the dense matrix, or the low-rank pair.
 
         Either one has ``shape``, ``size`` (the stored parameter count) and
         ``@``, so a caller reads it without asking which it is. An unknown

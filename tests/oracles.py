@@ -1,15 +1,16 @@
 """Reference oracles the tests check the program against.
 
 Each keeps the textbook form of something the program computes another way:
-the plain truncated SVD (the program takes the init from one symmetric
-eigendecomposition, ``compensation.initialize_pair``), the Moore-Penrose
+the plain truncated SVD (the program takes the init's basis from one
+symmetric eigendecomposition, ``compensation.initial_basis``), the Moore-Penrose
 pseudoinverse from a thin SVD (the program's V-refit orthonormalizes a basis
 of span(U') with one QR, ``compensation.v_step``, and its U-refit inverts a
 symmetric matrix from its eigenpairs, ``EighFactors.pinv``), the data-space
 loss in its direct form on the input Gram G (the program reads every loss off
-the product Y = H_r @ Q of its refit rounds), the lift of a pair through an
-explicit Q = W @ pinv(R) (the program forms no Q: it lifts a tall slot's U'
-as W @ (R.T @ (diag(1 / s ** 2) @ U')), ``SquareProblem.lift``), a forward
+the product Y = H_r @ Q of its refit rounds), the lift of a factor U' and
+any coordinates M through an explicit Q = W @ pinv(R) (the program forms no
+Q and takes only M = B.T of a basis B: it lifts a tall slot's U' as
+W @ (R.T @ (diag(1 / s ** 2) @ U')), ``SquareProblem.lift``), a forward
 over one sample (the program walks one (samples, tokens, d) array,
 ``model.walk_blocks``), and one ``np.mean`` per bucket (the program sums all
 buckets one group position at a time, ``calibration.stack_of_batch``).

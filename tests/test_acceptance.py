@@ -16,7 +16,7 @@ from lowrank.cli import run_cli
 from lowrank.compensation import (
     Subspace,
     compensate,
-    initialize_pair,
+    initial_basis,
     square_problem,
     u_step,
 )
@@ -236,7 +236,8 @@ def test_criterion_8_whitening_identity():
             narrow = (w @ x) @ (w @ x).T if m < n else x @ x.T  # the Gram on W's narrow side
             problem = square_problem(w, narrow)
             for k in range(1, min(m, n) + 1):
-                pair = problem.lift(*initialize_pair(problem, k, 0.0)[:2])
+                basis = initial_basis(problem, k, 0.0)
+                pair = problem.lift(basis, basis)
                 err = math.sqrt(svd_loss(pair, w, x @ x.T))
                 oracle = float(np.sqrt(np.sum(sigma_ws[k:] ** 2)))
                 assert abs(err - oracle) <= 1e-6 * max(1.0, oracle)

@@ -9,7 +9,7 @@ from lowrank.compensation import (
     SquareProblem,
     Subspace,
     compensate,
-    initialize_pair,
+    initial_basis,
     square_problem,
     u_step,
     v_step,
@@ -39,23 +39,24 @@ def brute_force_loss(pair, w, x):
 def lifted_init(w, narrow, k, damping):
     """The starting pair ``compensate`` lifts from the slot's square problem."""
     problem = square_problem(w, narrow)
-    return problem.lift(*initialize_pair(problem, k, damping)[:2])
+    basis = initial_basis(problem, k, damping)
+    return problem.lift(basis, basis)
 
 
 def half_step_pairs(problem, k, iters, damping):
-    """Every (factor, coordinates) pair ``compensate`` scores, replayed through the public steps.
+    """Every (factor, basis) pair ``compensate`` scores, replayed through the public steps.
 
-    The init's pair, then the U-step's and the V-step's of each round, starting
-    from the init's basis Z_k.
+    The init's pair (Z_k, Z_k), then the U-step's and the V-step's of each
+    round, starting from the init's basis Z_k.
     """
-    u, coords, q = initialize_pair(problem, k, damping)
-    pairs = [(u, coords)]
+    q = initial_basis(problem, k, damping)
+    pairs = [(q, q)]
     space = Subspace.of(q, problem.h)
     for _ in range(iters):
         u, kept = u_step(space)
-        pairs.append((u, space.q.T))
+        pairs.append((u, space.q))
         space = v_step(space, kept, problem.h)
-        pairs.append((space.q, space.q.T))
+        pairs.append((space.q, space.q))
     return pairs
 
 
@@ -204,12 +205,12 @@ class TestVStep:
             x = rng.normal(size=(n, 40))
             problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
             pairs = half_step_pairs(problem, k, 3, damping)
-            for (u_factor, _), (v_factor, coords) in zip(pairs[1::2], pairs[2::2]):
+            for (u_factor, _), (v_factor, basis) in zip(pairs[1::2], pairs[2::2]):
                 projector = u_factor @ pinv(u_factor)
-                np.testing.assert_allclose(v_factor @ coords, projector, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(v_factor @ basis.T, projector, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(v_factor.T @ v_factor, np.eye(k), rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    problem.lift(v_factor, coords).product(),
+                    problem.lift(v_factor, basis).product(),
                     explicit_q_lift(w, u_factor, pinv(u_factor)).product(),
                     rtol=0, atol=1e-10 * np.linalg.norm(w),
                 )
@@ -221,7 +222,7 @@ class TestVStep:
         q = np.linalg.qr(rng.normal(size=(9, 3)))[0]  # a random start: one round finds W's column space
         space = Subspace.of(q, problem.h)
         space = v_step(space, u_step(space)[1], problem.h)
-        pair = problem.lift(space.q, space.q.T)
+        pair = problem.lift(space.q, space.q)
         assert np.linalg.norm(pair.product() - w) <= 1e-8 * np.linalg.norm(w)
 
     @pytest.mark.parametrize("m, n, tokens", [(16, 16, 64), (16, 12, 8), (12, 16, 8)],
@@ -247,8 +248,7 @@ class TestVStep:
         x = rng.normal(size=(n, tokens))
         g = x @ x.T
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else g)
-        q = initialize_pair(problem, k, damping)[2]
-        space = Subspace.of(q, problem.h)
+        space = Subspace.of(initial_basis(problem, k, damping), problem.h)
         for _ in range(3):
             _, kept = u_step(space)
             assert kept.shape == (k, tokens)
@@ -256,7 +256,7 @@ class TestVStep:
             assert not space.q[:, tokens:].any() and not space.y[:, tokens:].any()
             np.testing.assert_allclose(space.q[:, :tokens].T @ space.q[:, :tokens], np.eye(tokens),
                                        rtol=0, atol=1e-12)
-            pair = problem.lift(space.q, space.q.T)
+            pair = problem.lift(space.q, space.q)
             assert not pair.u_sigma[:, tokens:].any() and not pair.vt_sigma[tokens:].any()
             assert np.all(np.isfinite(pair.u_sigma)) and np.all(np.isfinite(pair.vt_sigma))
             # the kept directions carry the whole fit: H_r's range, where the data are
@@ -277,6 +277,28 @@ class TestCompensate:
         np.testing.assert_allclose(pair.product(), ref.product(), rtol=0, atol=1e-12 * np.linalg.norm(w))
         assert trace.per_half_step == []
         assert min([trace.initial, *trace.per_half_step]) == trace.initial
+
+    @pytest.mark.parametrize("m, n", [(10, 8), (8, 8), (8, 10)], ids=["m>n", "m=n", "m<n"])
+    @pytest.mark.parametrize("damping, tokens", [(None, 40), (0.0, 40), (0.0, 3)],
+                             ids=["plain", "whitened", "whitened-T<k"])
+    def test_zero_iterations_stores_orthonormal_u(self, m, n, damping, tokens):
+        """The init's pair is (Z_k, Z_k): U = Q @ Z_k has orthonormal kept columns and Vt holds W's scale.
+
+        Undamped at T = 3 < k tokens, A = H_r has rank 3, so the init cuts k - 3 columns.
+        """
+        rng = np.random.default_rng(m * n + tokens)
+        k = 5
+        w = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, tokens))
+        pair, _ = compensate(w, (w @ x) @ (w @ x).T if m < n else x @ x.T, k, 0, damping)
+        kept = k if damping is None else min(k, tokens)
+        np.testing.assert_allclose(pair.u_sigma.T @ pair.u_sigma, np.diag(np.arange(k) < kept).astype(float),
+                                   rtol=0, atol=1e-12)
+        assert not pair.u_sigma[:, kept:].any() and not pair.vt_sigma[kept:].any()
+        # The truncation top @ top.T @ W, top the leading left singular vectors of W (plain) or W @ X (whitened).
+        top = svd_full(w if damping is None else w @ x).u[:, :kept]
+        atol = (1e-12 if damping is None else 1e-10) * np.linalg.norm(w)
+        np.testing.assert_allclose(pair.product(), top @ top.T @ w, rtol=0, atol=atol)
 
     def test_already_optimal_diagonal_stays_flat(self):
         w = np.diag([3.0, 2.0, 1.0, 0.1])
@@ -573,7 +595,8 @@ class TestSquareProblem:
         problem = square_problem(w, g)
         assert np.count_nonzero(problem.s2) == n
         for k in range(1, n + 1):
-            pair = problem.lift(*initialize_pair(problem, k)[:2])
+            basis = initial_basis(problem, k)
+            pair = problem.lift(basis, basis)
             _, trace = compensate(w, g, k, 0)
             assert abs(trace.initial - svd_loss(pair, w, g)) <= 1e-12 * wx2
             assert abs(svd_loss(pair, w, g) - plain_truncation_loss(w, g, k)) <= 1e-12 * wx2
@@ -597,8 +620,8 @@ class TestSquareProblem:
             damping = None if rel_damping is None else rel_damping * float(np.mean(np.diag(g)))
             best, trace = compensate(w, g, k, iters, damping)
             losses = [trace.initial, *trace.per_half_step]
-            factor, coords = half_step_pairs(square_problem(w, g), k, iters, damping)[losses.index(min(losses))]
-            np.testing.assert_allclose(best.product(), explicit_q_lift(w, factor, coords).product(),
+            factor, basis = half_step_pairs(square_problem(w, g), k, iters, damping)[losses.index(min(losses))]
+            np.testing.assert_allclose(best.product(), explicit_q_lift(w, factor, basis.T).product(),
                                        rtol=0, atol=1e-13 * np.linalg.norm(w))
 
     @pytest.mark.parametrize("m, n", [(12, 7), (7, 7), (7, 12)], ids=["m>n", "m=n", "m<n"])
@@ -607,26 +630,26 @@ class TestSquareProblem:
         w = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n))  # rank 3: the rank-4 init cuts its last column
         x = rng.normal(size=(n, 30))
         problem = square_problem(w, (w @ x) @ (w @ x).T if m < n else x @ x.T)
-        init, init_coords, basis = initialize_pair(problem, 4)
-        assert not init[:, 3].any() and not init_coords[3].any()  # a zero column is left alone
-        space = Subspace.of(basis, problem.h)
+        init = initial_basis(problem, 4)
+        assert not init[:, 3].any()  # a zero column is left alone
+        space = Subspace.of(init, problem.h)
         u_factor, kept = u_step(space)
         v_space = v_step(space, kept, problem.h)
         flip = np.array([-1.0, 1.0, -1.0, 1.0])
-        for factor, coords in ((init, init_coords), (u_factor, space.q.T), (v_space.q, v_space.q.T)):
-            pair = problem.lift(factor, coords)
-            negated = problem.lift(factor * flip, coords * flip[:, None])  # an eigensolver's other signs
+        for factor, basis in ((init, init), (u_factor, space.q), (v_space.q, v_space.q)):
+            pair = problem.lift(factor, basis)
+            negated = problem.lift(factor * flip, basis * flip)  # an eigensolver's other signs
             assert pair.u_sigma.tobytes() == negated.u_sigma.tobytes()
             assert pair.vt_sigma.tobytes() == negated.vt_sigma.tobytes()
             lead = pair.u_sigma[np.argmax(np.abs(pair.u_sigma), axis=0), np.arange(4)]
             assert np.all(lead[:3] > 0) and not np.any(pair.u_sigma[:, 3])
-            np.testing.assert_allclose(pair.product(), explicit_q_lift(w, factor, coords).product(),
+            np.testing.assert_allclose(pair.product(), explicit_q_lift(w, factor, basis.T).product(),
                                        rtol=0, atol=1e-12)
 
     def test_lift_sign_ties_go_to_the_first_entry(self):
         problem = SquareProblem(r=np.eye(3), h=np.eye(3))
         u = np.array([[-2.0, 2.0], [1.0, 0.0], [2.0, -2.0]])
-        pair = problem.lift(u, np.eye(2, 3))
+        pair = problem.lift(u, np.eye(3, 2))
         assert pair.u_sigma.tolist() == [[2.0, 2.0], [-1.0, 0.0], [-2.0, -2.0]]
         assert pair.vt_sigma.tolist() == [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         assert u[0, 0] == -2.0  # the caller's factor is not changed
