@@ -86,7 +86,7 @@ from .model import (
     slot_name,
     walk_blocks,
 )
-from .runtime import blas_controls, cap_malloc_arenas
+from .runtime import apply_heap_policy, blas_controls
 
 OVERLAP_BINS = 64
 MAX_WORKERS = 8  # memory guard: every worker holds one slot's weights, Gram and factors, or one walk chunk
@@ -154,6 +154,11 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
     chunks on the pinned-BLAS worker pool, and each chunk's Grams and wide
     slots' mean diagonals are merged as they form (see the module
     docstring). A tall slot's mean diagonal is trace(G) / n of its merged Gram.
+
+    A chunk's slot Gram whose trace is below the smallest normal double
+    (2.2e-308) is a NumericalError naming the slot and block if the matrix
+    it was formed from is nonzero: the Gram has underflowed, and the slot
+    would be fitted to zeros. A slot that sees only zeros keeps its zero Gram.
     """
     samples = as_samples(model, samples)
     grams, wide_diag = _OrderedSum(), _OrderedSum()
@@ -165,10 +170,14 @@ def calibrate(model: ModelHandle, samples: np.ndarray, with_grams: bool = True) 
         def visit_slot(block_id, slot, x, out):
             name = slot_name(block_id, slot)
             wide = out.shape[0] < x.shape[0]
+            source = out if wide else x  # wide: the Gram of its outputs
             try:
-                gram = gram_accumulate(out if wide else x)  # wide: the Gram of its outputs
+                gram = gram_accumulate(source)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in block {block_id}") from exc
+            if np.trace(gram) < np.finfo(np.float64).tiny and source.any():
+                raise NumericalError(f"activations underflow in block {block_id}: slot {name}'s Gram trace is "
+                                     f"below 2.2e-308, but its {'outputs' if wide else 'inputs'} are nonzero")
             grams.add(name, index, gram)
             if wide:
                 wide_diag.add(name, index, frobenius_dot(x, x) / x.shape[0])
@@ -293,16 +302,17 @@ def _pool_stage(n_tasks: int):
     """Pin every loaded OpenBLAS for a stage of independent tasks and yield its worker count.
 
     Each library's previous count is restored on exit, also when a task raises.
-    With no OpenBLAS to control, the tasks run serially.
+    With no OpenBLAS to control, the tasks run serially. Before any task, at
+    any worker count, the stage applies ``runtime.apply_heap_policy`` (a
+    no-op after the process's first stage).
     """
     with _POOL_STAGE_LOCK:
+        apply_heap_policy()
         controls = blas_controls()
         previous = [control.get() for control in controls]
         cpus = _usable_cpus()
         workers = max(1, min(cpus, n_tasks, MAX_WORKERS)) if controls else 1
         try:
-            if workers > 1:
-                cap_malloc_arenas()
             for control, count in zip(controls, previous):
                 control.set(max(1, min(count, cpus // workers)))
             yield workers

@@ -44,3 +44,33 @@ def blas_threads():
     finally:
         for c, n in zip(controls, previous):
             c.set(n)
+
+
+class MalloptCalls(list):
+    rejected: set[int]
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """``runtime.apply_heap_policy`` as in a fresh process, with a fake ``mallopt`` that records its calls.
+
+    The fake accepts a parameter unless its number is in ``calls.rejected``.
+    No ``MALLOC_*`` variable of the heap policy and no ``GLIBC_TUNABLES`` is set.
+    """
+    import types
+
+    from lowrank import runtime
+
+    calls = MalloptCalls()
+    calls.rejected = set()
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0 if param in calls.rejected else 1
+
+    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda path: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(runtime, "_heap_policy", None)
+    monkeypatch.setattr(runtime.sys, "platform", "linux")
+    for variable in ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(variable, raising=False)
+    return calls

@@ -544,6 +544,49 @@ def test_overflowing_weights_exit_2(workspace, capsys, command, scaled, scale, m
     assert sorted(p.name for p in workspace.rglob("*")) == before
 
 
+@pytest.mark.parametrize("case", ["weights-1e-90", "zero-w1"])
+def test_underflowing_slot_gram_exits_2_but_a_zero_one_does_not(tmp_path, capsys, case):
+    """A slot Gram that underflows to 0 from nonzero outputs is a numerical error; one from zero outputs is not.
+
+    With every weight x1e-90, w2's outputs are about 1e-180, so their Gram
+    rounds to 0 while the block outputs stay normal. With w1 = 0, w2 sees only
+    zeros, and its zero Gram is the true one.
+    """
+    from lowrank.container import save_container
+
+    base, model = tmp_path / "base", tmp_path / "model"
+    assert run_cli([
+        "synth", "--out", str(base), "--seed", "0", "--blocks", "2", "--hidden-dim", "16", "--mlp-dim", "24",
+        "--samples", "20", "--tokens", "16",
+    ]) == 0
+    model.mkdir()
+    (model / "model.json").write_bytes((base / "model.json").read_bytes())
+    tensors = {name: np.array(t) for name, t in load_container(base / "model.st").items()}
+    for name in tensors:
+        if case == "weights-1e-90":
+            tensors[name] *= 1e-90
+        elif name.endswith(".w1"):
+            tensors[name][:] = 0.0
+    save_container(model / "model.st", tensors)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([
+            "compress", "--model", str(model / "model.json"), "--calib", str(base / "calib.st"),
+            "--target-retention", "0.7", "--out", str(tmp_path / "out"),
+        ])
+    captured = capsys.readouterr()
+    if case == "zero-w1":
+        assert code == 0 and (tmp_path / "out" / "model.st").exists()
+        return
+    assert code == 2
+    assert captured.err == ("numerical error: activations underflow in block 0: slot blocks.0.w2's Gram trace "
+                            "is below 2.2e-308, but its outputs are nonzero\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def test_nonfinite_calibration_in_a_walk_worker(workspace, capsys, monkeypatch):
     import threading
 
@@ -614,6 +657,30 @@ def test_numerical_error_in_an_eval_worker(workspace, capsys, monkeypatch):
     # fails, the pool cancels the other if it has not started, so the count of walks varies.
     assert len(walkers) >= 2 and all(w == (False, 1) for w in walkers)
     assert state == [2]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--activation", "gelu"], "models differ in hidden_dim or activation"),
+    (["--hidden-dim", "16"], "models differ in hidden_dim or activation"),
+    (["--blocks", "3"], "models have different block structure"),
+    (["--mlp-dim", "48"], "slot blocks.0.w1 shapes differ between the two models"),
+], ids=["activation", "hidden-dim", "blocks", "slot-shape"])
+def test_eval_of_unaligned_models_exits_1(workspace, capsys, flags, message):
+    """``eval`` of two models that differ in structure is a ManifestMismatch of one line, with no report."""
+    base, other = workspace / "base", workspace / "other"
+    synth = ["synth", "--out", str(other), "--seed", "42", "--blocks", "4", "--hidden-dim", "32",
+             "--mlp-dim", "64", "--samples", "20", "--tokens", "16"]
+    assert run_cli([*synth, *flags]) == 0  # argparse keeps the last of a repeated flag
+    capsys.readouterr()
+    code = run_cli([
+        "eval", "--model", str(base / "model.json"), "--compressed", str(other / "model.json"),
+        "--calib", str(base / "calib.st"), "--out", str(workspace / "report.json"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (workspace / "report.json").exists()
 
 
 def test_eval_notes_an_empty_heldout_tail(tmp_path, capsys):

@@ -403,6 +403,14 @@ class TestWorkerCount:
         for compressed in results:
             assert_same_arrays(compressed, expected)
 
+    def test_heap_policy_is_in_force_before_the_first_task_at_one_worker(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(pipeline, "blas_controls", lambda: fake_controls(2)[0])
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "MAX_WORKERS", 1)
+        seen = list(pipeline._pool_run(lambda task: list(mallopt_calls), [0, 1]))
+        assert seen[0] == [(-8, 1), (-3, 32 << 20), (-1, -1)]
+        assert seen[1] == seen[0]
+
     def test_usable_cpus_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)

@@ -49,17 +49,43 @@ def test_unreadable_maps_means_no_controls(monkeypatch):
     assert runtime.blas_controls() == []
 
 
-def test_malloc_arena_cap_respects_the_user_setting(monkeypatch):
-    calls = []
-    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda path: types.SimpleNamespace(mallopt=lambda *a: calls.append(a)))
-    monkeypatch.setattr(runtime, "_arenas_capped", False)
-    monkeypatch.setenv("MALLOC_ARENA_MAX", "4")
-    runtime.cap_malloc_arenas()
-    assert calls == []
+# The policy, pinned: glibc's mallopt parameter number, the value set, and the
+# environment variable and GLIBC_TUNABLES entry by which a user overrides it.
+POLICY = [
+    (-8, 1, "MALLOC_ARENA_MAX", "glibc.malloc.arena_max"),
+    (-3, 32 << 20, "MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),
+    (-1, -1, "MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),
+]
 
-    monkeypatch.setattr(runtime, "_arenas_capped", False)
-    monkeypatch.delenv("MALLOC_ARENA_MAX")
-    monkeypatch.setattr(runtime.sys, "platform", "linux")
-    runtime.cap_malloc_arenas()
-    runtime.cap_malloc_arenas()  # once per process
-    assert calls == [(runtime.M_ARENA_MAX, 1)]
+
+def test_heap_policy_respects_the_user_setting(monkeypatch, mallopt_calls):
+    """Each parameter is skipped where its own variable or tunable is set, and only that one."""
+    for param, _, variable, tunable in POLICY:
+        for key, value in [(variable, "4"), ("GLIBC_TUNABLES", f"glibc.malloc.check=0:{tunable}=4")]:
+            monkeypatch.setattr(runtime, "_heap_policy", None)
+            mallopt_calls.clear()
+            monkeypatch.setenv(key, value)
+            in_force = runtime.apply_heap_policy()
+            monkeypatch.delenv(key)
+            others = [entry for entry in POLICY if entry[0] != param]
+            assert mallopt_calls == [(number, set_to) for number, set_to, *_ in others]
+            assert in_force == {name: set_to for _, set_to, name, _ in others}
+
+
+def test_heap_policy_checks_each_return_and_acts_once(mallopt_calls):
+    mallopt_calls.rejected.add(-3)  # a glibc that refuses the mmap threshold
+    in_force = runtime.apply_heap_policy()
+    assert mallopt_calls == [(number, set_to) for number, set_to, *_ in POLICY]
+    assert in_force == {"MALLOC_ARENA_MAX": 1, "MALLOC_TRIM_THRESHOLD_": -1}
+    assert runtime.apply_heap_policy() is in_force  # once per process
+    assert len(mallopt_calls) == len(POLICY)
+
+
+@pytest.mark.parametrize("where", ["not linux", "no mallopt"])
+def test_heap_policy_needs_linux_and_mallopt(monkeypatch, mallopt_calls, where):
+    if where == "not linux":
+        monkeypatch.setattr(runtime.sys, "platform", "darwin")
+    else:
+        monkeypatch.setattr(runtime.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    assert runtime.apply_heap_policy() == {}
+    assert mallopt_calls == []
